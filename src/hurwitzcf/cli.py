@@ -13,7 +13,8 @@ import sys
 from fractions import Fraction
 
 from . import cf_engine, classify, fibpoly, hurwitz, identities, limits
-from .errors import HurwitzError
+from .errors import HurwitzError, PrecisionExhausted
+from .exactnum import int_text
 
 
 def _add_param_flags(p: argparse.ArgumentParser):
@@ -54,11 +55,12 @@ def _cmd_conv(args) -> int:
         p = hurwitz.prec_recurrence_p(params, n)[n]
         q = hurwitz.closed_form_convergent(params, n).q
         conv = cf_engine.Convergent(index, p, q)
+    p, q = int_text(conv.p), int_text(conv.q)
     if args.json:
         print(json.dumps({"params": _params_dict(params), "index": conv.n,
-                          "p": str(conv.p), "q": str(conv.q)}))
+                          "p": p, "q": q}))
     else:
-        print(f"index={conv.n} p={conv.p} q={conv.q}")
+        print(f"index={conv.n} p={p} q={q}")
     return 0
 
 
@@ -308,12 +310,13 @@ def run(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.func(args)
+    except (ValueError, PrecisionExhausted) as e:
+        # bad input, or a request beyond the HURWITZ_MAX_PRECISION cap
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     except HurwitzError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
 
 
 def main() -> None:

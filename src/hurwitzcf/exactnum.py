@@ -9,10 +9,18 @@ quantity carries its own certification.
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 from typing import Union
 
 Rat = Union[int, Fraction]
+
+
+def int_text(n: int) -> str:
+    """Decimal digits of an integer of any length.  Unlike str(n), the
+    Decimal conversion is not bound by the interpreter's 4300-digit limit
+    on integer-string conversion."""
+    return format(Decimal(n), "f")
 
 
 def falling_factorial(x: Rat, k: int) -> Fraction:
@@ -46,12 +54,8 @@ def _round_to_bits(x: Fraction, bits: int) -> tuple[Fraction, Fraction]:
     if x == 0:
         return Fraction(0), Fraction(0)
     shift = bits - (x.numerator.bit_length() - x.denominator.bit_length())
-    if shift <= 0:
-        # already an integer wider than the target: keep exactly
-        return x, Fraction(0)
-    scaled = x * (1 << shift)
-    m = round(scaled)
-    rounded = Fraction(m, 1 << shift)
+    unit = Fraction(2) ** -shift  # spacing of the grid x is rounded to
+    rounded = round(x / unit) * unit
     return rounded, abs(x - rounded)
 
 
@@ -179,7 +183,7 @@ class PrecReal:
         # round half up; exactness of the last digit is governed by err
         if 2 * (scaled - q) >= 1:
             q += 1
-        s = str(q).rjust(digits + 1, "0")
+        s = int_text(q).rjust(digits + 1, "0")
         return f"{sign}{s[:-digits]}.{s[-digits:]}" if digits else f"{sign}{s}"
 
 

@@ -27,45 +27,85 @@ _TAIL_GUARD_DIGITS = 10
 
 
 def _max_precision_bits() -> int:
-    return int(os.environ.get("HURWITZ_MAX_PRECISION", "10000"))
+    return int(os.environ.get("HURWITZ_MAX_PRECISION", "131072"))
 
 
 # ---------------------------------------------------------------------------
-# certified rational series
+# certified rational series (binary splitting)
+
+
+def _split(pairs: list[tuple[int, int]], i: int,
+           j: int) -> tuple[int, int, int]:
+    """(P, Q, T) over ratios i..j-1, with ratio k = a_k/b_k:
+    P = prod a_k, Q = prod b_k and T/Q = sum over n = i+1..j of the
+    partial products r_i r_{i+1} ... r_{n-1}.  Balanced product tree."""
+    if j - i == 1:
+        a, b = pairs[i]
+        return a, b, a
+    mid = (i + j) // 2
+    p1, q1, t1 = _split(pairs, i, mid)
+    p2, q2, t2 = _split(pairs, mid, j)
+    return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
 
 
 def _sum_ratio_series(t0: Fraction, ratio: Callable[[int], Fraction],
                       digits: int) -> tuple[Fraction, Fraction, int]:
     """Sum t0 + t0*ratio(0) + t0*ratio(0)*ratio(1) + ... with a certified
-    tail bound.
+    tail bound.  Returns (partial, tail_bound, terms_used).
 
-    ratio(m) is t_{m+1}/t_m and must tend to 0 in absolute value.  Stops once
-    three consecutive terms are below 10^-(digits+guard) relative to the
-    partial sum and the next ratio is at most 1/2; the tail is then bounded
-    by a geometric series.  Returns (partial, tail_bound, terms_used).
+    ratio(m) = t_{m+1}/t_m.  Tail contract: |ratio(m)| must be
+    nonincreasing from the stop point N on, where N is the number of ratios
+    applied (the partial sum holds t_0..t_N).  The stop is accepted once
+    |t_N| is below 10^-(digits+guard) relative to the partial sum and
+    q = |ratio(N)| <= 1/2; the tail is then at most |t_N| q / (1 - q).  A
+    series whose ratio grows in absolute value (Machin's arctan) must bound
+    its own tail.
+
+    N is first picked from float log-magnitudes of the terms; that is only a
+    hint, and the stop condition is checked in exact arithmetic, extending N
+    until it holds.  The partial sum is formed by exact binary splitting
+    (Haible & Papanikolaou 1998) with one final division, so it equals the
+    term-by-term sum of the same terms.
     """
     if t0 == 0:
         return Fraction(0), Fraction(0), 0
-    thresh = Fraction(1, 10 ** (digits + _TAIL_GUARD_DIGITS))
-    partial = t0
-    term = t0
+    t0n, t0d = t0.numerator, t0.denominator
+    scale = 10 ** (digits + _TAIL_GUARD_DIGITS)
+    # the hint aims one factor e below the threshold, so the exact check
+    # nearly always passes at the first candidate
+    log_thresh = -(digits + _TAIL_GUARD_DIGITS) * math.log(10) - 1
+    # log |t_m| and an estimate of log |S|
+    log_t = log_top = math.log(abs(t0n)) - math.log(t0d)
+    pairs: list[tuple[int, int]] = []  # ratio(m) = a_m / b_m
+    P, Q, T = 1, 1, 0  # over the ratios folded so far, 0..n-1
+    n = 0
     m = 0
-    small_streak = 0
     while True:
-        nxt = term * ratio(m)
+        r = ratio(m)
+        if r != 0:
+            a, b = r.numerator, r.denominator
+            pairs.append((a, b))
+            candidate = (m > 0 and log_t < log_top + log_thresh
+                         and 2 * abs(a) <= b)
+        if r == 0 or candidate:
+            # fold the ratios n..m-1: the partial sum is t_0 .. t_m
+            if m > n:
+                p2, q2, t2 = _split(pairs, n, m)
+                P, Q, T = P * p2, Q * q2, T * q2 + P * t2
+                n = m
+            s_num, den = t0n * (Q + T), t0d * Q
+            if r == 0:  # every term after t_m is 0
+                return Fraction(s_num, den), Fraction(0), m + 1
+            last = t0n * P  # t_m = last / den
+            # |t_m| < 10^-(digits+guard) * max(|S|, 10^-(digits+guard))
+            if abs(last) * scale * scale < max(abs(s_num) * scale, den):
+                tail = Fraction(abs(last * a), den * (b - abs(a)))
+                return Fraction(s_num, den), tail, m + 1
+            if s_num:  # the terms cancel: aim below the true partial sum
+                log_top = math.log(abs(s_num)) - math.log(den)
+        log_t += math.log(abs(a)) - math.log(b)
+        log_top = max(log_top, log_t)
         m += 1
-        if nxt == 0:
-            return partial, Fraction(0), m
-        partial += nxt
-        term = nxt
-        if abs(term) < thresh * max(abs(partial), thresh):
-            small_streak += 1
-        else:
-            small_streak = 0
-        q = abs(ratio(m))
-        if small_streak >= 3 and q <= Fraction(1, 2):
-            tail = abs(term * ratio(m)) / (1 - q)
-            return partial, tail, m + 1
         if m > 100 * (digits + 20):
             raise PrecisionExhausted("series did not certify")
 
@@ -140,15 +180,18 @@ def exp_prec(x: Fraction, digits: int) -> PrecReal:
 
 
 def _arctan_inv(x: int, digits: int) -> PrecReal:
-    """arctan(1/x) for integer x >= 2 (alternating series, tail bounded by
-    the first omitted term)."""
+    """arctan(1/x) = sum_n (-1)^n / ((2n+1) x^(2n+1)) for integer x >= 2.
+
+    |ratio| grows toward 1/x^2, outside the geometric tail contract; the
+    series alternates with decreasing terms, so the tail is bounded by the
+    first omitted term instead."""
     inv2 = Fraction(1, x * x)
 
     def ratio(m: int) -> Fraction:
         return -inv2 * (2 * m + 1) / (2 * m + 3)
 
-    partial, tail, _ = _sum_ratio_series(Fraction(1, x), ratio, digits)
-    return PrecReal(partial, tail)
+    partial, _, n = _sum_ratio_series(Fraction(1, x), ratio, digits)
+    return PrecReal(partial, Fraction(1, (2 * n + 1) * x ** (2 * n + 1)))
 
 
 def pi_prec(digits: int) -> PrecReal:
@@ -280,11 +323,18 @@ def _ratio_from_series(sigma, rho, root, w) -> PrecReal:
 
 def _certify(compute: Callable[[int], PrecReal], digits: int) -> PrecReal:
     """Run compute at escalating working precision until the result is
-    certified to 10^-digits relative error."""
+    certified to 10^-digits relative error.  No attempt runs at a working
+    precision above HURWITZ_MAX_PRECISION bits."""
+    if digits < 1:
+        raise ValueError(f"digits must be >= 1, got {digits}")
     target = Fraction(1, 10 ** digits)
     w = digits + _TAIL_GUARD_DIGITS
     cap = _max_precision_bits()
     while True:
+        if mantissa_bits(w) > cap:
+            raise PrecisionExhausted(
+                f"cannot certify {digits} digits within {cap} bits "
+                "(HURWITZ_MAX_PRECISION)")
         try:
             result = compute(w)
         except ZeroDivisionError:
@@ -293,10 +343,6 @@ def _certify(compute: Callable[[int], PrecReal], digits: int) -> PrecReal:
             rel = result.rel_err()
             if rel is not None and rel <= target:
                 return result
-        if mantissa_bits(w) > cap:
-            raise PrecisionExhausted(
-                f"cannot certify {digits} digits within {cap} bits "
-                "(HURWITZ_MAX_PRECISION)")
         w *= 2
 
 

@@ -1,7 +1,9 @@
 import json
+from decimal import Decimal
 
 import pytest
 
+from hurwitzcf import limits
 from hurwitzcf.cli import run
 
 
@@ -38,7 +40,37 @@ class TestConv:
         assert p > 10 ** 50
 
 
+    def test_integers_beyond_the_str_digit_limit(self, out):
+        # index 4501: p and q have more than 4300 digits
+        assert run(["conv", *E_FLAGS, "--n", "1500"]) == 0
+        fields = dict(f.split("=") for f in out().out.split())
+        assert run(["conv", *E_FLAGS, "--n", "1500", "--json"]) == 0
+        doc = json.loads(out().out)
+        assert (doc["p"], doc["q"]) == (fields["p"], fields["q"])
+        assert len(doc["q"]) > 4300
+        ratio = Decimal(doc["p"]) / Decimal(doc["q"])
+        assert str(ratio).startswith("1.71828182845904523536")
+
+
 class TestLimit:
+    def test_more_than_4300_digits(self, out):
+        assert run(["limit", *E_FLAGS, "--digits", "4400"]) == 0
+        text, trailer = out().out.strip().split("  ")
+        assert trailer == "(4400 certified digits)"
+        assert text.startswith("1.71828182845904523536")
+        assert len(text.split(".")[1]) == 4400
+
+    @pytest.mark.parametrize("digits", ["0", "-5"])
+    def test_digits_below_one_exit_2(self, out, digits):
+        assert run(["limit", *E_FLAGS, "--digits", digits]) == 2
+        assert "digits must be >= 1" in out().err
+
+    def test_precision_cap_refused_before_computing(self, out, monkeypatch):
+        monkeypatch.setenv("HURWITZ_MAX_PRECISION", "2000")
+        monkeypatch.setattr(limits, "series_AB", None)
+        assert run(["limit", *E_FLAGS, "--digits", "1000"]) == 2
+        assert "HURWITZ_MAX_PRECISION" in out().err
+
     def test_series_digits(self, out):
         assert run(["limit", *E_FLAGS, "--digits", "30"]) == 0
         text = out().out

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from hurwitzcf.exactnum import (PrecReal, falling_factorial, gbinom,
                                 to_prec_real)
@@ -85,6 +85,8 @@ class TestPrecReal:
 
     @given(st.fractions(max_denominator=1000),
            st.fractions(max_denominator=1000))
+    @example(F(3), F(66323314785954797080018219, 3))
+    @example(F(1), F(39418174802956416133889620, 3))
     def test_doubling_precision_tightens(self, a, b):
         lo = to_prec_real(a, 6) * to_prec_real(b, 6)
         hi = to_prec_real(a, 12) * to_prec_real(b, 12)

@@ -1,16 +1,18 @@
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 
+from hurwitzcf import limits
 from hurwitzcf.cf_engine import convergents
-from hurwitzcf.errors import UnsupportedOrder
+from hurwitzcf.errors import PrecisionExhausted, UnsupportedOrder
 from hurwitzcf.hurwitz import CFParams, denom_stream
-from hurwitzcf.limits import (bessel_I, bessel_J, bessel_ratio_I, cos_prec,
-                              cosh_prec, exp_prec, lehmer_d1, perron_d1,
-                              pi_prec, series_AB, sin_prec, sinh_prec,
-                              sqrt_prec, wlang_limit_check, xi_bessel,
-                              xi_limit)
+from hurwitzcf.limits import (_sum_ratio_series, bessel_I, bessel_J,
+                              bessel_ratio_I, cos_prec, cosh_prec, exp_prec,
+                              lehmer_d1, perron_d1, pi_prec, series_AB,
+                              sin_prec, sinh_prec, sqrt_prec,
+                              wlang_limit_check, xi_bessel, xi_limit)
 
 F = Fraction
 
@@ -47,6 +49,16 @@ class TestKernels:
     def test_pi(self):
         close_to_float(pi_prec(25), math.pi, 1e-14)
 
+    def test_pi_1000_digits_contains_pi(self):
+        mpmath = pytest.importorskip("mpmath")
+        ball = pi_prec(1000)
+        assert ball.rel_err() < F(1, 10 ** 1000)
+        with mpmath.workdps(1100):
+            man, exp = (+mpmath.pi).man_exp
+        # pi lies within one unit in the last place of mpmath's value
+        approx, ulp = F(man) * F(2) ** exp, F(2) ** exp
+        assert ball.lo <= approx - ulp and approx + ulp <= ball.hi
+
     def test_sqrt(self):
         r = sqrt_prec(F(2), 30)
         assert r.lo ** 2 <= 2 <= r.hi ** 2
@@ -76,6 +88,119 @@ class TestSeries:
         sv = series_AB(F(3, 2), F(-1, 4), 25)
         assert 0 < sv.A.value < 1
         assert sv.B.value < 0
+
+
+def naive_sum(t0, ratio, terms):
+    """Term-by-term Fraction sum of the first ``terms`` terms: the oracle
+    for the binary-splitting kernel."""
+    total = term = F(t0)
+    for m in range(terms - 1):
+        term *= ratio(m)
+        total += term
+    return total
+
+
+def series_a_b(sigma, rho):
+    """(t0, ratio) of the two series behind series_AB."""
+    return ((F(1), lambda m: rho / ((m + 1) * (sigma + m))),
+            (rho / sigma, lambda m: rho / ((m + 1) * (sigma + m + 1))))
+
+
+def taylor(x, odd, sign):
+    """(t0, ratio) of sum sign^k x^(2k+p) / (2k+p)!, p = 1 if odd."""
+    p = 1 if odd else 0
+    return (x if odd else F(1),
+            lambda m: sign * x * x / ((2 * m + p + 1) * (2 * m + p + 2)))
+
+
+# (sigma, rho): half-odd, integer and other sigma, rho of either sign
+SIGMA_RHO = [(F(3, 2), F(1, 16)), (F(7, 2), F(-1, 4)), (F(2), F(1, 9)),
+             (F(4), F(-1, 4)), (F(5, 3), F(4, 7)), (F(11, 18), F(-1, 324))]
+TAYLOR = [taylor(F(1, 2), True, -1), taylor(F(1), False, -1),
+          taylor(F(-3, 5), True, 1), taylor(F(2, 3), False, 1),
+          (F(1), lambda m: F(-2) / (m + 1))]
+
+
+class TestBinarySplitting:
+    @pytest.mark.parametrize("digits", [5, 60, 400])
+    @pytest.mark.parametrize("sigma,rho", SIGMA_RHO)
+    def test_series_ab_matches_naive_sum(self, sigma, rho, digits):
+        for t0, ratio in series_a_b(sigma, rho):
+            partial, tail, n = _sum_ratio_series(t0, ratio, digits)
+            assert partial == naive_sum(t0, ratio, n)
+            assert 0 < tail < abs(partial) * F(1, 10 ** digits)
+            # every deeper partial sum stays inside the ball
+            assert abs(naive_sum(t0, ratio, n + 40) - partial) <= tail
+
+    @pytest.mark.parametrize("series", TAYLOR)
+    def test_taylor_matches_naive_sum(self, series):
+        t0, ratio = series
+        partial, tail, n = _sum_ratio_series(t0, ratio, 80)
+        assert partial == naive_sum(t0, ratio, n)
+        assert abs(naive_sum(t0, ratio, n + 40) - partial) <= tail
+
+    @pytest.mark.parametrize("sigma,rho", SIGMA_RHO)
+    def test_series_ab_balls_contain_naive_sums(self, sigma, rho):
+        sv = series_AB(sigma, rho, 50)
+        (a0, ra), (b0, rb) = series_a_b(sigma, rho)
+        deep = sv.terms_used + 40
+        assert sv.A.lo <= naive_sum(a0, ra, deep) <= sv.A.hi
+        assert sv.B.lo <= naive_sum(b0, rb, deep) <= sv.B.hi
+
+    def test_taylor_kernel_balls_contain_definitions(self):
+        def series(x, sign, p, step):  # sum sign^k x^(step k+p)/(step k+p)!
+            return sum(F(sign) ** k * x ** (step * k + p)
+                       / math.factorial(step * k + p) for k in range(90))
+        cases = [(sin_prec, F(1, 2), -1, 1, 2), (cos_prec, F(1), -1, 0, 2),
+                 (sinh_prec, F(-3, 5), 1, 1, 2), (cosh_prec, F(2, 3), 1, 0, 2),
+                 (exp_prec, F(-2), 1, 0, 1)]
+        for fn, x, sign, p, step in cases:
+            ball = fn(x, 60)
+            assert ball.lo <= series(x, sign, p, step) <= ball.hi, fn.__name__
+            assert ball.rel_err() < F(1, 10 ** 60)
+
+    def test_cancelling_terms_still_certify(self):
+        # exp(-30): terms reach 10^11 while the sum is ~10^-13
+        ball = exp_prec(F(-30), 20)
+        assert ball.rel_err() < F(1, 10 ** 20)
+        ref = naive_sum(F(1), lambda m: F(-30) / (m + 1), 200)
+        assert ball.lo <= ref <= ball.hi
+
+    def test_terminating_series_is_exact(self):
+        def ratio(m):
+            return F(0) if m == 3 else F(1, m + 1)
+        assert _sum_ratio_series(F(1), ratio, 20) == (F(8, 3), 0, 4)
+        assert _sum_ratio_series(F(0), ratio, 20) == (0, 0, 0)
+
+    def test_non_decaying_series_is_refused(self):
+        with pytest.raises(PrecisionExhausted):
+            _sum_ratio_series(F(1), lambda m: F(-1), 5)
+
+
+class TestCertify:
+    def test_digits_below_one_refused(self):
+        for digits in (0, -5):
+            with pytest.raises(ValueError):
+                xi_limit(CFParams(1, 2, 2, 3, 2), digits)
+
+    def test_cap_checked_before_the_first_attempt(self, monkeypatch):
+        monkeypatch.setenv("HURWITZ_MAX_PRECISION", "2000")
+        calls = []
+        monkeypatch.setattr(limits, "series_AB",
+                            lambda *a: calls.append(a))
+        with pytest.raises(PrecisionExhausted):
+            xi_limit(CFParams(1, 2, 2, 3, 2), 1000)
+        assert calls == []
+
+    def test_e_minus_one_10000_digits_against_decimal(self):
+        digits = 10000
+        ball = xi_limit(CFParams(1, 2, 2, 3, 2), digits)
+        assert ball.rel_err() <= F(1, 10 ** digits)
+        with localcontext() as ctx:
+            ctx.prec = digits + 30
+            ref = F(Decimal(1).exp() - 1)   # within 10^-(digits+28)
+        slack = F(1, 10 ** (digits + 28))
+        assert ball.lo - slack <= ref <= ball.hi + slack
 
 
 class TestHalfOddBessel:
