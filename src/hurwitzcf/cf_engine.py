@@ -13,7 +13,6 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import IndexTooLarge
-from .fibpoly import _even_subsets
 
 DenomStream = Callable[[int], int]
 
@@ -87,10 +86,21 @@ def euler_mindig(a: DenomStream, n: int, naive: bool = False) -> Convergent:
                 if is_even_set(set(universe) - set(s)):
                     total += math.prod(vals[i] for i in s)
         else:
-            for even in _even_subsets(lo, n):
-                excluded = set(even)
-                total += math.prod(vals[i] for i in range(lo, n + 1)
-                                   if i not in excluded)
+            # Walk the even sets of {lo..n} position by position, carrying
+            # the product of the elements left out of the set: at i, either
+            # i is outside the set, or an even run i..end starts there and
+            # end+1 is outside it.  One leaf per even set.
+            stack = [(lo, 1)]
+            while stack:
+                i, prod = stack.pop()
+                if i > n:
+                    total += prod
+                    continue
+                stack.append((i + 1, prod * vals[i]))
+                for end in range(i + 1, n + 1, 2):
+                    gap = end + 1
+                    stack.append((gap + 1, prod * vals[gap]) if gap <= n
+                                 else (gap, prod))
         return total
 
     return Convergent(n, em_sum(0), em_sum(1))

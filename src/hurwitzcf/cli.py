@@ -37,6 +37,8 @@ def _params_dict(params) -> dict:
 def _cmd_conv(args) -> int:
     params = _params(args)
     n = args.n
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     index = n * params.d + params.r - 1
     if args.method == "closed":
         conv = hurwitz.closed_form_convergent(params, n)

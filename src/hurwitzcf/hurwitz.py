@@ -11,13 +11,14 @@ convolution recurrence, and - via cf_engine - the plain convergent recurrence.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from .cf_engine import Convergent, DenomStream
 from .errors import NonIntegerResult
-from .exactnum import PrecReal, falling_factorial, gbinom, to_prec_real
+from .exactnum import PrecReal, _split, falling_factorial, to_prec_real
 from .fibpoly import fib_eval, lucas_eval
 
 
@@ -84,28 +85,24 @@ def _closed_form_sums(params: CFParams, n: int) -> tuple[Fraction, Fraction]:
 
     first  = sum_{k<=n/2}     ((n-k)!/k!)   C(n+sigma-1-k, n-2k)   rho^k
     second = sum_{k<=(n-1)/2} ((n-k-1)!/k!) C(n+sigma-1-k, n-2k-1) rho^(k+1)
+           = rho * (first at n-1 and sigma+1)
     """
     sigma, rho = magic(params)
-    first = Fraction(0)
-    fact = 1  # running k!
-    for k in range(n // 2 + 1):
-        if k:
-            fact *= k
-        first += Fraction(_ifact(n - k), fact) \
-            * gbinom(n + sigma - 1 - k, n - 2 * k) * rho ** k
-    second = Fraction(0)
-    fact = 1
-    for k in range((n - 1) // 2 + 1):
-        if k:
-            fact *= k
-        second += Fraction(_ifact(n - k - 1), fact) \
-            * gbinom(n + sigma - 1 - k, n - 2 * k - 1) * rho ** (k + 1)
-    return first, second
+    second = rho * _first_sum(n - 1, sigma + 1, rho) if n else Fraction(0)
+    return _first_sum(n, sigma, rho), second
 
 
-def _ifact(n: int) -> int:
-    import math
-    return math.factorial(n)
+def _first_sum(n: int, sigma: Fraction, rho: Fraction) -> Fraction:
+    """first: t_0 = (sigma)_n (rising) and t_{k+1}/t_k =
+    rho (n-2k)(n-2k-1) / ((n-k)(k+1)(n+sigma-1-k)(sigma+k)), an integer
+    pair with sigma = p/q and rho = u/v; summed by binary splitting."""
+    p, q = sigma.numerator, sigma.denominator
+    u, v = rho.numerator, rho.denominator
+    t0 = Fraction(math.prod(p + j * q for j in range(n)), q ** n)
+    _, Q, T = _split([(u * q * q * (n - 2 * k) * (n - 2 * k - 1),
+                       v * (n - k) * (k + 1) * ((n - 1 - k) * q + p)
+                       * (k * q + p)) for k in range(n // 2)], 0, n // 2)
+    return t0 * Fraction(Q + T, Q)
 
 
 def closed_form_convergent(params: CFParams, n: int) -> Convergent:
@@ -142,12 +139,13 @@ def prec_recurrence_p(params: CFParams, n_max: int) -> list[int]:
         raise ValueError("n_max must be >= 0")
     a, b0, b1, d, r = (params.alpha, params.beta0, params.beta1,
                        params.d, params.r)
-    out = [fib_eval(r + 1, a)]
-    for n in range(1, n_max + 1):
-        acc = fib_eval(n * d + r + 1, a)
-        for k in range(n):
-            acc += out[k] * (b0 + b1 * k - a) * fib_eval((n - k) * d, a)
-        out.append(acc)
+    fib = [0, 1]  # F_j(a) for j = 0 .. n_max d + r + 1
+    while len(fib) < n_max * d + r + 2:
+        fib.append(a * fib[-1] + fib[-2])
+    out: list[int] = []
+    for n in range(n_max + 1):
+        out.append(fib[n * d + r + 1] + sum(
+            out[k] * (b0 + b1 * k - a) * fib[(n - k) * d] for k in range(n)))
     return out
 
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Callable, Literal
 
 from .errors import PrecisionExhausted, UnsupportedOrder
-from .exactnum import PrecReal, mantissa_bits
+from .exactnum import PrecReal, _split, mantissa_bits
 from .fibpoly import fib_eval
 from .hurwitz import CFParams, magic
 
@@ -27,25 +27,16 @@ _TAIL_GUARD_DIGITS = 10
 
 
 def _max_precision_bits() -> int:
-    return int(os.environ.get("HURWITZ_MAX_PRECISION", "131072"))
+    text = os.environ.get("HURWITZ_MAX_PRECISION", "131072")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"HURWITZ_MAX_PRECISION must be an integer number "
+                         f"of bits, got {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
 # certified rational series (binary splitting)
-
-
-def _split(pairs: list[tuple[int, int]], i: int,
-           j: int) -> tuple[int, int, int]:
-    """(P, Q, T) over ratios i..j-1, with ratio k = a_k/b_k:
-    P = prod a_k, Q = prod b_k and T/Q = sum over n = i+1..j of the
-    partial products r_i r_{i+1} ... r_{n-1}.  Balanced product tree."""
-    if j - i == 1:
-        a, b = pairs[i]
-        return a, b, a
-    mid = (i + j) // 2
-    p1, q1, t1 = _split(pairs, i, mid)
-    p2, q2, t2 = _split(pairs, mid, j)
-    return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
 
 
 def _sum_ratio_series(t0: Fraction, ratio: Callable[[int], Fraction],

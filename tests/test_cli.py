@@ -39,6 +39,19 @@ class TestConv:
         p = int(out().out.split("p=")[1].split()[0])
         assert p > 10 ** 50
 
+    @pytest.mark.parametrize("method", ["recurrence", "closed",
+                                        "euler-mindig", "prec-recurrence"])
+    def test_negative_n_refused(self, out, method):
+        assert run(["conv", *E_FLAGS, "--n", "-3", "--method", method]) == 2
+        assert "n must be >= 0" in out().err
+
+    @pytest.mark.parametrize("method", ["recurrence", "closed",
+                                        "euler-mindig", "prec-recurrence"])
+    def test_index_minus_one(self, out, method):
+        flags = ["--alpha", "1", "--b0", "2", "--b1", "2", "--d", "3",
+                 "--r", "0", "--n", "0", "--method", method]
+        assert run(["conv", *flags]) == 0
+        assert out().out.strip() == "index=-1 p=1 q=0"
 
     def test_integers_beyond_the_str_digit_limit(self, out):
         # index 4501: p and q have more than 4300 digits
@@ -70,6 +83,12 @@ class TestLimit:
         monkeypatch.setattr(limits, "series_AB", None)
         assert run(["limit", *E_FLAGS, "--digits", "1000"]) == 2
         assert "HURWITZ_MAX_PRECISION" in out().err
+
+    def test_malformed_precision_cap_exit_2(self, out, monkeypatch):
+        monkeypatch.setenv("HURWITZ_MAX_PRECISION", "abc")
+        assert run(["limit", *E_FLAGS, "--digits", "10"]) == 2
+        err = out().err
+        assert "HURWITZ_MAX_PRECISION" in err and "'abc'" in err
 
     def test_series_digits(self, out):
         assert run(["limit", *E_FLAGS, "--digits", "30"]) == 0

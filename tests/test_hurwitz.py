@@ -1,12 +1,16 @@
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hurwitzcf.cf_engine import convergents, eval_finite
-from hurwitzcf.hurwitz import (CFParams, closed_form_convergent, denom_stream,
-                               magic, normalized_numerator, prec_recurrence_p)
+from hurwitzcf.cf_engine import convergents, euler_mindig, eval_finite
+from hurwitzcf.exactnum import gbinom
+from hurwitzcf.hurwitz import (CFParams, _closed_form_sums,
+                               closed_form_convergent, denom_stream, magic,
+                               normalized_numerator, prec_recurrence_p)
 
 E_MINUS_1 = CFParams(1, 2, 2, 3, 2)
 TAN_1 = CFParams(1, 1, 2, 2, 1)
@@ -89,6 +93,42 @@ class TestClosedForm:
         assert (c.p, c.q) == (ref.p, ref.q)
 
 
+def naive_closed_form_sums(params, n):
+    """The two inner sums term by term, straight from their definition."""
+    sigma, rho = magic(params)
+    first = sum((Fraction(math.factorial(n - k), math.factorial(k))
+                 * gbinom(n + sigma - 1 - k, n - 2 * k) * rho ** k
+                 for k in range(n // 2 + 1)), Fraction(0))
+    second = sum((Fraction(math.factorial(n - k - 1), math.factorial(k))
+                  * gbinom(n + sigma - 1 - k, n - 2 * k - 1) * rho ** (k + 1)
+                  for k in range((n - 1) // 2 + 1)), Fraction(0))
+    return first, second
+
+
+class TestClosedFormSums:
+    @pytest.mark.parametrize("params", [E_MINUS_1, TAN_1, UGLY,
+                                        CFParams(2, 5, 3, 4, 1),
+                                        CFParams(3, 1, 4, 1, 0)])
+    def test_equals_term_by_term_sums(self, params):
+        for n in range(41):
+            assert _closed_form_sums(params, n) \
+                == naive_closed_form_sums(params, n), (params, n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 8), st.integers(1, 8),
+           st.integers(1, 5), st.integers(0, 4), st.integers(0, 60))
+    def test_random_guaranteed_params(self, a, b0, b1, d, r, n):
+        params = CFParams(a, b0, b1, d, r % d)
+        assert _closed_form_sums(params, n) \
+            == naive_closed_form_sums(params, n)
+
+    def test_large_index_against_recurrence(self):
+        for params in (E_MINUS_1, UGLY):
+            cf = closed_form_convergent(params, 1000)
+            ref = convergents(denom_stream(params), cf.n)[-1]
+            assert (cf.p, cf.q) == (ref.p, ref.q), params
+
+
 class TestPrecRecurrence:
     def test_initial_value(self):
         assert prec_recurrence_p(E_MINUS_1, 0) == [2]  # F_{r+1}(alpha)
@@ -125,6 +165,16 @@ def test_three_way_agreement_small_grid():
             ref = convs[cf.n + 1]
             assert (cf.p, cf.q) == (ref.p, ref.q), (params, n)
             assert ps[n] == ref.p, (params, n)
+
+
+def test_euler_mindig_at_its_guard():
+    # indices 19..22: up to the enumeration guard of the non-naive path
+    for params in (E_MINUS_1, TAN_1, UGLY):
+        stream = denom_stream(params)
+        convs = convergents(stream, 22)
+        for idx in range(19, 23):
+            em = euler_mindig(stream, idx)
+            assert (em.p, em.q) == (convs[idx + 1].p, convs[idx + 1].q)
 
 
 def test_sigma_positive_and_falling_factorial_positive():

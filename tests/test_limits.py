@@ -192,6 +192,11 @@ class TestCertify:
             xi_limit(CFParams(1, 2, 2, 3, 2), 1000)
         assert calls == []
 
+    def test_malformed_cap_named_in_the_error(self, monkeypatch):
+        monkeypatch.setenv("HURWITZ_MAX_PRECISION", "abc")
+        with pytest.raises(ValueError, match="HURWITZ_MAX_PRECISION.*'abc'"):
+            xi_limit(CFParams(1, 2, 2, 3, 2), 10)
+
     def test_e_minus_one_10000_digits_against_decimal(self):
         digits = 10000
         ball = xi_limit(CFParams(1, 2, 2, 3, 2), digits)
