@@ -8,13 +8,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Literal
 
 from .errors import TheoremMismatch, UnsupportedD
 from .fibpoly import fib_eval, lucas_eval
-from .hurwitz import CFParams, magic
-
-SigmaTag = Literal["half-odd", "integer", "other"]
+from .hurwitz import CFParams, SigmaTag, magic, sigma_tag
 
 
 @dataclass(frozen=True)
@@ -23,25 +20,9 @@ class SigmaClass:
     witness: Fraction
 
 
-def _classify_sigma(sigma: Fraction) -> SigmaTag:
-    if sigma.denominator == 1:
-        return "integer"
-    if sigma.denominator == 2:
-        return "half-odd"
-    return "other"
-
-
 def sigma_class(params: CFParams) -> SigmaClass:
     sigma = magic(params).sigma
-    return SigmaClass(_classify_sigma(sigma), sigma)
-
-
-def _is_half_odd(v: Fraction) -> bool:
-    return v.denominator == 2
-
-
-def _is_integer(v: Fraction) -> bool:
-    return v.denominator == 1
+    return SigmaClass(sigma_tag(sigma), sigma)
 
 
 # Case lists of the two theorems; r is irrelevant (sigma does not depend on
@@ -50,28 +31,28 @@ def _is_integer(v: Fraction) -> bool:
 _HALF_ODD_CASES = (
     ("d=3, alpha=1, (b0+1)/b1 half-odd",
      lambda a, b0, b1, d: d == 3 and a == 1
-     and _is_half_odd(Fraction(b0 + 1, b1))),
+     and sigma_tag(Fraction(b0 + 1, b1)) == "half-odd"),
     ("d=2, alpha=1, (b0+2)/b1 half-odd",
      lambda a, b0, b1, d: d == 2 and a == 1
-     and _is_half_odd(Fraction(b0 + 2, b1))),
+     and sigma_tag(Fraction(b0 + 2, b1)) == "half-odd"),
     ("d=2, alpha=2, (b0+1)/b1 half-odd",
      lambda a, b0, b1, d: d == 2 and a == 2
-     and _is_half_odd(Fraction(b0 + 1, b1))),
+     and sigma_tag(Fraction(b0 + 1, b1)) == "half-odd"),
     ("d=2, alpha=4, (2b0+1)/b1 integer",
      lambda a, b0, b1, d: d == 2 and a == 4
-     and _is_integer(Fraction(2 * b0 + 1, b1))),
+     and sigma_tag(Fraction(2 * b0 + 1, b1)) == "integer"),
 )
 
 _INTEGER_CASES = (
     ("d=3, alpha=1, (b0+1)/b1 integer",
      lambda a, b0, b1, d: d == 3 and a == 1
-     and _is_integer(Fraction(b0 + 1, b1))),
+     and sigma_tag(Fraction(b0 + 1, b1)) == "integer"),
     ("d=2, alpha=1, (b0+2)/b1 integer",
      lambda a, b0, b1, d: d == 2 and a == 1
-     and _is_integer(Fraction(b0 + 2, b1))),
+     and sigma_tag(Fraction(b0 + 2, b1)) == "integer"),
     ("d=2, alpha=2, (b0+1)/b1 integer",
      lambda a, b0, b1, d: d == 2 and a == 2
-     and _is_integer(Fraction(b0 + 1, b1))),
+     and sigma_tag(Fraction(b0 + 1, b1)) == "integer"),
 )
 
 
@@ -135,7 +116,7 @@ def brute_force_sweep(alpha_max: int, d_max: int, beta_max: int,
             for b1 in range(1, beta_max + 1):
                 for b0 in range(1, beta_max + 1):
                     sigma = Fraction((b0 - a) * fd + ld, b1 * fd)
-                    tag = _classify_sigma(sigma)
+                    tag = sigma_tag(sigma)
                     params = CFParams(a, b0, b1, d, 0)
                     hits61 = _matching_cases(_HALF_ODD_CASES, params)
                     hits71 = _matching_cases(_INTEGER_CASES, params)

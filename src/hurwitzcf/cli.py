@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, replace
 from fractions import Fraction
 
 from . import cf_engine, classify, fibpoly, hurwitz, identities, limits
@@ -29,37 +30,32 @@ def _params(args) -> hurwitz.CFParams:
     return hurwitz.CFParams(args.alpha, args.b0, args.b1, args.d, args.r)
 
 
-def _params_dict(params) -> dict:
-    return {"alpha": params.alpha, "beta0": params.beta0,
-            "beta1": params.beta1, "d": params.d, "r": params.r}
-
-
 def _cmd_conv(args) -> int:
     params = _params(args)
     n = args.n
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     index = n * params.d + params.r - 1
-    if args.method == "closed":
+    if index < 0:  # n = 0 and r = 0
+        conv = cf_engine.Convergent(-1, 1, 0)
+    elif args.method == "closed":
         conv = hurwitz.closed_form_convergent(params, n)
     elif args.method == "recurrence":
-        if index < 0:
-            conv = cf_engine.Convergent(-1, 1, 0)
-        else:
-            conv = cf_engine.convergents(hurwitz.denom_stream(params),
-                                         index)[-1]
+        conv = cf_engine.convergents(hurwitz.denom_stream(params), index)[-1]
     elif args.method == "euler-mindig":
-        if index < 0:
-            conv = cf_engine.Convergent(-1, 1, 0)
-        else:
-            conv = cf_engine.euler_mindig(hurwitz.denom_stream(params), index)
+        conv = cf_engine.euler_mindig(hurwitz.denom_stream(params), index)
     else:  # prec-recurrence
-        p = hurwitz.prec_recurrence_p(params, n)[n]
-        q = hurwitz.closed_form_convergent(params, n).q
-        conv = cf_engine.Convergent(index, p, q)
+        # q_N of [a_0; a_1, ...] is p_{N-1} of [a_1; a_2, ...], which is
+        # again in the family: drop one alpha, or at r = 0 drop beta0
+        shifted, m = ((replace(params, r=params.r - 1), n) if params.r else
+                      (replace(params, beta0=params.beta0 + params.beta1,
+                               r=params.d - 1), n - 1))
+        conv = cf_engine.Convergent(
+            index, hurwitz.prec_recurrence_p(params, n)[n],
+            hurwitz.prec_recurrence_p(shifted, m)[m])
     p, q = int_text(conv.p), int_text(conv.q)
     if args.json:
-        print(json.dumps({"params": _params_dict(params), "index": conv.n,
+        print(json.dumps({"params": asdict(params), "index": conv.n,
                           "p": p, "q": q}))
     else:
         print(f"index={conv.n} p={p} q={q}")
@@ -74,14 +70,14 @@ def _cmd_limit(args) -> int:
         val = limits.xi_bessel(params, args.digits)
     else:  # elementary: force the half-odd closed-form route
         sigma = hurwitz.magic(params).sigma
-        if sigma.denominator != 2:
+        if hurwitz.sigma_tag(sigma) != "half-odd":
             print(f"error: sigma={sigma} is not half of an odd integer; "
                   "no elementary form", file=sys.stderr)
             return 2
         val = limits.xi_bessel(params, args.digits)
     text = val.decimal(args.digits)
     if args.json:
-        print(json.dumps({"params": _params_dict(params),
+        print(json.dumps({"params": asdict(params),
                           "digits": args.digits, "value": text,
                           "certified": True}))
     else:
@@ -92,7 +88,7 @@ def _cmd_limit(args) -> int:
 def _cmd_classify(args) -> int:
     params = _params(args)
     sc = classify.sigma_class(params)
-    out = {"params": _params_dict(params), "sigma": str(sc.witness),
+    out = {"params": asdict(params), "sigma": str(sc.witness),
            "tag": sc.tag}
     if params.d >= 2:
         out["theorem_half_odd"] = classify.theorem61_predicate(params)

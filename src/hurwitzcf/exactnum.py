@@ -171,16 +171,6 @@ class PrecReal:
 
     # -- rounding / rendering ---------------------------------------------
 
-    def compress(self, bits: int) -> "PrecReal":
-        """Shrink the center to ~bits significant bits, folding the rounding
-        error into the bound.  Keeps long ball computations tractable."""
-        v, rerr = _round_to_bits(self.value, bits)
-        e, _ = _round_to_bits(self.err + rerr, 32)
-        # round the bound itself upward
-        if e < self.err + rerr:
-            e = self.err + rerr
-        return PrecReal(v, e)
-
     def certified_decimal_digits(self) -> int:
         """Largest D with err < |value| * 10^-D (0 if none)."""
         r = self.rel_err()

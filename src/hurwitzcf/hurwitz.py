@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Literal, NamedTuple
 
 from .cf_engine import Convergent, DenomStream
 from .errors import NonIntegerResult
@@ -42,8 +42,7 @@ class CFParams:
         return self.r <= self.d - 1
 
     def to_json(self) -> str:
-        return json.dumps({"alpha": self.alpha, "beta0": self.beta0,
-                           "beta1": self.beta1, "d": self.d, "r": self.r})
+        return json.dumps(asdict(self))
 
     @classmethod
     def from_json(cls, s: str) -> "CFParams":
@@ -54,6 +53,18 @@ class CFParams:
 class MagicPair(NamedTuple):
     sigma: Fraction
     rho: Fraction
+
+
+SigmaTag = Literal["half-odd", "integer", "other"]
+
+
+def sigma_tag(sigma: Fraction) -> SigmaTag:
+    """Whether a rational is an integer, half of an odd integer, or neither."""
+    if sigma.denominator == 1:
+        return "integer"
+    if sigma.denominator == 2:
+        return "half-odd"
+    return "other"
 
 
 def denom_stream(params: CFParams) -> DenomStream:
@@ -78,6 +89,17 @@ def magic(params: CFParams) -> MagicPair:
         + Fraction(lucas_eval(d, a), params.beta1 * fd)
     rho = Fraction((-1) ** (d - 1), (params.beta1 * fd) ** 2)
     return MagicPair(sigma, rho)
+
+
+def fib_transform(params: CFParams) -> tuple[tuple[int, int], tuple[int, int]]:
+    """((F_{r+1}, g F_{d-r-1}), (F_r, -g F_{d-r})) at alpha, with
+    g = (-1)^(d-r) F_d(alpha) beta1: maps the closed form's two sums to
+    (p, q) / (F_d beta1)^n, and the series (A, B) to the limit's numerator
+    and denominator.  r >= d uses fib_eval's negative indices."""
+    a, d, r = params.alpha, params.d, params.r
+    g = fib_eval(d, a) * params.beta1 * (-1 if (d - r) % 2 else 1)
+    return ((fib_eval(r + 1, a), g * fib_eval(d - r - 1, a)),
+            (fib_eval(r, a), -g * fib_eval(d - r, a)))
 
 
 def _closed_form_sums(params: CFParams, n: int) -> tuple[Fraction, Fraction]:
@@ -113,18 +135,14 @@ def closed_form_convergent(params: CFParams, n: int) -> Convergent:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    a, b1, d, r = params.alpha, params.beta1, params.d, params.r
-    fd = fib_eval(d, a)
     first, second = _closed_form_sums(params, n)
-    scale = Fraction(fd * b1) ** n
-    sign_p = -1 if (d - r) % 2 else 1
-    p_rat = scale * (fib_eval(r + 1, a) * first
-                     + sign_p * fib_eval(d - r - 1, a) * fd * b1 * second)
-    q_rat = scale * (fib_eval(r, a) * first
-                     - sign_p * fib_eval(d - r, a) * fd * b1 * second)
+    scale = Fraction(fib_eval(params.d, params.alpha) * params.beta1) ** n
+    (p1, p2), (q1, q2) = fib_transform(params)
+    p_rat = scale * (p1 * first + p2 * second)
+    q_rat = scale * (q1 * first + q2 * second)
     if p_rat.denominator != 1 or q_rat.denominator != 1:
         raise NonIntegerResult(f"{params} n={n}: {p_rat}, {q_rat}")
-    return Convergent(n * d + r - 1, int(p_rat), int(q_rat))
+    return Convergent(n * params.d + params.r - 1, int(p_rat), int(q_rat))
 
 
 def prec_recurrence_p(params: CFParams, n_max: int) -> list[int]:

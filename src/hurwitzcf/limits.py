@@ -21,7 +21,7 @@ from typing import Callable, Literal
 from .errors import PrecisionExhausted, UnsupportedOrder
 from .exactnum import PrecReal, _split, mantissa_bits
 from .fibpoly import fib_eval
-from .hurwitz import CFParams, magic
+from .hurwitz import CFParams, fib_transform, magic, sigma_tag
 
 _TAIL_GUARD_DIGITS = 10
 
@@ -270,23 +270,19 @@ def elementary_half_odd(kind: BesselKind, k: int, z: Fraction,
     return pref * _half_odd_bracket(kind, k, z, w)
 
 
-def _is_half_odd(nu: Fraction) -> bool:
-    return Fraction(nu).denominator == 2
-
-
 def bessel_I(nu, z, digits: int) -> PrecReal:
     """Standalone modified Bessel value; only half-odd orders have an
     elementary form, anything else is refused (ratios go through series_AB
     and never need this)."""
     nu = Fraction(nu)
-    if not _is_half_odd(nu):
+    if sigma_tag(nu) != "half-odd":
         raise UnsupportedOrder(f"I_{nu} has no elementary standalone form")
     return elementary_half_odd("I", int(nu - Fraction(1, 2)), z, digits)
 
 
 def bessel_J(nu, z, digits: int) -> PrecReal:
     nu = Fraction(nu)
-    if not _is_half_odd(nu):
+    if sigma_tag(nu) != "half-odd":
         raise UnsupportedOrder(f"J_{nu} has no elementary standalone form")
     return elementary_half_odd("J", int(nu - Fraction(1, 2)), z, digits)
 
@@ -300,12 +296,12 @@ def bessel_ratio_I(sigma: Fraction, rho: Fraction, digits: int) -> PrecReal:
     root = Fraction(math.isqrt(rho.numerator), math.isqrt(rho.denominator))
     if root * root != rho:
         raise ValueError("rho must be the square of a rational")
-    return _certify(lambda w: _ratio_from_series(sigma, rho, root, w), digits)
 
+    def compute(w: int) -> PrecReal:
+        sv = series_AB(sigma, rho, w)
+        return sv.A * root / sv.B
 
-def _ratio_from_series(sigma, rho, root, w) -> PrecReal:
-    sv = series_AB(sigma, rho, w)
-    return sv.A * root / sv.B
+    return _certify(compute, digits)
 
 
 # ---------------------------------------------------------------------------
@@ -337,22 +333,15 @@ def _certify(compute: Callable[[int], PrecReal], digits: int) -> PrecReal:
         w *= 2
 
 
-def _xi_from_AB(params: CFParams, A: PrecReal, B: PrecReal) -> PrecReal:
-    a, b1, d, r = params.alpha, params.beta1, params.d, params.r
-    fd = fib_eval(d, a)
-    s = -1 if (d - r) % 2 else 1
-    num = fib_eval(r + 1, a) * A + s * fib_eval(d - r - 1, a) * fd * b1 * B
-    den = fib_eval(r, a) * A - s * fib_eval(d - r, a) * fd * b1 * B
-    return num / den
-
-
 def xi_limit(params: CFParams, digits: int) -> PrecReal:
-    """The limit of the continued fraction, from the two rational series."""
+    """The limit of the continued fraction, from the two rational series:
+    the rows of fib_transform applied to (A, B), divided."""
     sigma, rho = magic(params)
+    (m00, m01), (m10, m11) = fib_transform(params)
 
     def compute(w: int) -> PrecReal:
         sv = series_AB(sigma, rho, w)
-        return _xi_from_AB(params, sv.A, sv.B)
+        return (m00 * sv.A + m01 * sv.B) / (m10 * sv.A + m11 * sv.B)
 
     return _certify(compute, digits)
 
@@ -361,40 +350,28 @@ def xi_bessel(params: CFParams, digits: int) -> PrecReal:
     """The limit via the Bessel-function statement: the I-form for odd d,
     the J-form for even d, at the rational argument 2/(beta1 F_d(alpha)).
 
-    For a half-odd magic sum the value is assembled entirely from the
-    elementary closed forms (prefactors cancel in the ratio); otherwise the
-    two Bessel values are produced from the series with the common Gamma
-    factor cancelled.
+    Only a half-odd magic sum has a route of its own: the Bessel values of
+    orders sigma - 1 and sigma are assembled from the elementary closed
+    forms (the sqrt(2/(pi z)) prefactors cancel in the ratio), and the
+    bracket of order sigma stands in for (-1)^(d+1) F_d beta1 B in
+    fib_transform.  At every other order the Bessel ratio is the series
+    ratio, so the value is xi_limit's.
     """
-    sigma, rho = magic(params)
-    a, b1, d, r = params.alpha, params.beta1, params.d, params.r
+    sigma, _ = magic(params)
+    if sigma_tag(sigma) != "half-odd":
+        return xi_limit(params, digits)
+    a, b1, d = params.alpha, params.beta1, params.d
     fd = fib_eval(d, a)
     z = Fraction(2, b1 * fd)  # = 2 sqrt(|rho|)
     kind: BesselKind = "I" if d % 2 == 1 else "J"
+    k_low = int(sigma - Fraction(3, 2))  # order sigma - 1 = k_low + 1/2
+    to_b = Fraction(1 if d % 2 == 1 else -1, b1 * fd)
+    (m00, m01), (m10, m11) = fib_transform(params)
 
-    if _is_half_odd(sigma):
-        k_low = int(sigma - Fraction(3, 2))  # order sigma - 1 = k_low + 1/2
-
-        def compute(w: int) -> PrecReal:
-            low = _half_odd_bracket(kind, k_low, z, w)
-            high = _half_odd_bracket(kind, k_low + 1, z, w)
-            num = fib_eval(r + 1, a) * low \
-                + (-1) ** (r + 1) * fib_eval(d - r - 1, a) * high
-            den = fib_eval(r, a) * low \
-                + (-1) ** r * fib_eval(d - r, a) * high
-            return num / den
-    else:
-        def compute(w: int) -> PrecReal:
-            sv = series_AB(sigma, rho, w)
-            # I_{sigma-1} : A, I_sigma : B / sqrt(rho) up to shared factors
-            sgn = 1 if kind == "I" else -1
-            low = sv.A
-            high = sgn * sv.B * b1 * fd
-            num = fib_eval(r + 1, a) * low \
-                + (-1) ** (r + 1) * fib_eval(d - r - 1, a) * high
-            den = fib_eval(r, a) * low \
-                + (-1) ** r * fib_eval(d - r, a) * high
-            return num / den
+    def compute(w: int) -> PrecReal:
+        low = _half_odd_bracket(kind, k_low, z, w)
+        high = to_b * _half_odd_bracket(kind, k_low + 1, z, w)
+        return (m00 * low + m01 * high) / (m10 * low + m11 * high)
 
     return _certify(compute, digits)
 
@@ -403,10 +380,8 @@ def lehmer_d1(beta0: int, beta1: int, digits: int) -> PrecReal:
     """[b0, b0+b1, b0+2b1, ...] = I_{b0/b1-1}(2/b1) / I_{b0/b1}(2/b1)."""
     if beta0 < 1 or beta1 < 1:
         raise ValueError("beta0, beta1 must be >= 1")
-    sigma = Fraction(beta0, beta1)
-    rho = Fraction(1, beta1 * beta1)
-    root = Fraction(1, beta1)
-    return _certify(lambda w: _ratio_from_series(sigma, rho, root, w), digits)
+    return bessel_ratio_I(Fraction(beta0, beta1), Fraction(1, beta1 * beta1),
+                          digits)
 
 
 def perron_d1(beta0: int, beta1: int, digits: int) -> PrecReal:

@@ -3,7 +3,7 @@ from decimal import Decimal
 
 import pytest
 
-from hurwitzcf import limits
+from hurwitzcf import cf_engine, hurwitz, limits
 from hurwitzcf.cli import run
 
 
@@ -38,6 +38,25 @@ class TestConv:
         assert run(["conv", *E_FLAGS, "--n", "40", "--method", "closed"]) == 0
         p = int(out().out.split("p=")[1].split()[0])
         assert p > 10 ** 50
+
+    @pytest.mark.parametrize("t", [(1, 2, 2, 3), (2, 1, 3, 4), (3, 3, 1, 2),
+                                   (1, 1, 1, 1)])
+    def test_prec_recurrence_across_r(self, out, t):
+        # p and q both come from the compact recurrence, q on the tuple
+        # shifted by one term; checked against the plain recurrence
+        d = t[3]
+        for r in range(d):
+            params = hurwitz.CFParams(*t, r)
+            convs = cf_engine.convergents(hurwitz.denom_stream(params),
+                                          8 * d + r - 1)
+            flags = ["--alpha", str(t[0]), "--b0", str(t[1]), "--b1",
+                     str(t[2]), "--d", str(d), "--r", str(r)]
+            for n in range(1, 9):
+                assert run(["conv", *flags, "--n", str(n), "--method",
+                            "prec-recurrence"]) == 0
+                ref = convs[n * d + r]
+                assert out().out.strip() \
+                    == f"index={ref.n} p={ref.p} q={ref.q}", (r, n)
 
     @pytest.mark.parametrize("method", ["recurrence", "closed",
                                         "euler-mindig", "prec-recurrence"])
@@ -169,6 +188,65 @@ class TestPoly:
         assert run(["poly", "--family", "q", "--n-max", "2", "--json"]) == 0
         doc = json.loads(out().out)
         assert doc["coefficients"][2] == ["2", "1"]
+
+
+# Exact output of verbs that the tests above check only in part.
+INT_FLAGS = ["--alpha", "1", "--b0", "1", "--b1", "1", "--d", "3", "--r", "2"]
+OTHER_FLAGS = ["--alpha", "2", "--b0", "1", "--b1", "3", "--d", "4",
+               "--r", "2"]
+INT_JSON_PARAMS = '{"alpha": 1, "beta0": 1, "beta1": 1, "d": 3, "r": 2}'
+OTHER_JSON_PARAMS = '{"alpha": 2, "beta0": 1, "beta1": 3, "d": 4, "r": 2}'
+INT_VALUE = "1.612651283026086290439022549723"      # sigma = 2
+OTHER_VALUE = "2.369467348875835312728599188701"    # sigma = 11/18
+GOLDEN = [
+    (["limit", *INT_FLAGS, "--digits", "30", "--method", "bessel"],
+     f"{INT_VALUE}  (30 certified digits)\n"),
+    (["limit", *INT_FLAGS, "--digits", "30", "--method", "bessel", "--json"],
+     f'{{"params": {INT_JSON_PARAMS}, "digits": 30, "value": "{INT_VALUE}", '
+     '"certified": true}\n'),
+    (["limit", *OTHER_FLAGS, "--digits", "30", "--method", "bessel"],
+     f"{OTHER_VALUE}  (30 certified digits)\n"),
+    (["limit", *OTHER_FLAGS, "--digits", "30", "--method", "bessel",
+      "--json"],
+     f'{{"params": {OTHER_JSON_PARAMS}, "digits": 30, '
+     f'"value": "{OTHER_VALUE}", "certified": true}}\n'),
+    (["limit", *OTHER_FLAGS, "--digits", "25", "--method", "series",
+      "--json"],
+     f'{{"params": {OTHER_JSON_PARAMS}, "digits": 25, '
+     '"value": "2.3694673488758353127285992", "certified": true}\n'),
+    (["classify", *E_FLAGS],
+     "params: {'alpha': 1, 'beta0': 2, 'beta1': 2, 'd': 3, 'r': 2}\n"
+     "sigma: 3/2\ntag: half-odd\ntheorem_half_odd: True\n"
+     "theorem_integer: False\n"),
+    (["classify", *OTHER_FLAGS],
+     "params: {'alpha': 2, 'beta0': 1, 'beta1': 3, 'd': 4, 'r': 2}\n"
+     "sigma: 11/18\ntag: other\ntheorem_half_odd: False\n"
+     "theorem_integer: False\n"),
+    (["classify", "--alpha", "1", "--b0", "3", "--b1", "2", "--d", "1",
+      "--r", "0"],
+     "params: {'alpha': 1, 'beta0': 3, 'beta1': 2, 'd': 1, 'r': 0}\n"
+     "sigma: 3/2\ntag: half-odd\n"),
+    (["poly", "--family", "lucas", "--n-max", "6"],
+     "lucas[0]: 2\nlucas[1]: 0 1\nlucas[2]: 2 0 1\nlucas[3]: 0 3 0 1\n"
+     "lucas[4]: 2 0 4 0 1\nlucas[5]: 0 5 0 5 0 1\n"
+     "lucas[6]: 2 0 9 0 6 0 1\n"),
+    (["poly", "--family", "p", "--n-max", "5"],
+     "p[0]: 0\np[1]: 0 1\np[2]: 0 2\np[3]: 0 6 1\np[4]: 0 24 6\n"
+     "p[5]: 0 120 36 1\n"),
+    (["poly", "--family", "lucas", "--n-max", "4", "--json"],
+     '{"family": "lucas", "coefficients": [["2"], ["0", "1"], '
+     '["2", "0", "1"], ["0", "3", "0", "1"], ["2", "0", "4", "0", "1"]]}\n'),
+    (["poly", "--family", "p", "--n-max", "4", "--json"],
+     '{"family": "p", "coefficients": [[], ["0", "1"], ["0", "2"], '
+     '["0", "6", "1"], ["0", "24", "6"]]}\n'),
+]
+
+
+@pytest.mark.parametrize("argv, expected", GOLDEN,
+                         ids=[" ".join(a) for a, _ in GOLDEN])
+def test_golden_output(out, argv, expected):
+    assert run(argv) == 0
+    assert out().out == expected
 
 
 class TestErrors:

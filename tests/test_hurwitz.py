@@ -4,13 +4,15 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hurwitzcf.cf_engine import convergents, euler_mindig, eval_finite
 from hurwitzcf.exactnum import gbinom
+from hurwitzcf.fibpoly import fib_eval
 from hurwitzcf.hurwitz import (CFParams, _closed_form_sums,
-                               closed_form_convergent, denom_stream, magic,
-                               normalized_numerator, prec_recurrence_p)
+                               closed_form_convergent, denom_stream,
+                               fib_transform, magic, normalized_numerator,
+                               prec_recurrence_p)
 
 E_MINUS_1 = CFParams(1, 2, 2, 3, 2)
 TAN_1 = CFParams(1, 1, 2, 2, 1)
@@ -72,6 +74,24 @@ class TestMagic:
     def test_rho_sign_follows_d_parity(self):
         assert magic(E_MINUS_1).rho > 0
         assert magic(TAN_1).rho < 0
+
+
+class TestFibTransform:
+    def test_e_example(self):
+        # F_3 = 2, F_0 = 0, F_2 = 1, F_1 = 1 at alpha = 1; g = -F_3 beta1
+        assert fib_transform(E_MINUS_1) == ((2, 0), (1, 4))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 8), st.integers(1, 6),
+           st.integers(0, 8))
+    @example(1, 2, 1, 2)    # r = d
+    @example(2, 3, 2, 5)    # r = d + 2
+    def test_determinant(self, a, b1, d, r):
+        # F_d = F_{r+1} F_{d-r} + F_r F_{d-r-1}, also at negative indices
+        (m00, m01), (m10, m11) = fib_transform(CFParams(a, 1, b1, d, r))
+        sign = -1 if (d - r) % 2 else 1
+        assert m00 * m11 - m01 * m10 == -sign * fib_eval(d, a) ** 2 * b1
+        assert all(type(x) is int for x in (m00, m01, m10, m11))
 
 
 class TestClosedForm:
