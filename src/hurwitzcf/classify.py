@@ -1,7 +1,9 @@
 """Classification of the magic sum: half-odd, integer, or neither.
 
-The two characterization theorems (d >= 2) are encoded verbatim as case
-lists and confirmed against the direct sigma computation by brute force.
+The two characterization theorems (d >= 2) are one case table, `_CASES`.
+`brute_force_sweep` confirms it one tuple at a time: `hurwitz.sigma_tag` of
+the integer pair N/D = ((b0 - alpha) F_d + L_d) / (b1 F_d), at alpha, must be
+the tag claimed by exactly the matching rows.  Boxes over SWEEP_GUARD refused.
 """
 
 from __future__ import annotations
@@ -13,6 +15,9 @@ from .errors import TheoremMismatch, UnsupportedD
 from .fibpoly import fib_eval, lucas_eval
 from .hurwitz import CFParams, SigmaTag, magic, sigma_tag
 
+# most tuples brute_force_sweep accepts: 2-4 s at small d on a 2-core box
+SWEEP_GUARD = 4_000_000
+
 
 @dataclass(frozen=True)
 class SigmaClass:
@@ -22,55 +27,51 @@ class SigmaClass:
 
 def sigma_class(params: CFParams) -> SigmaClass:
     sigma = magic(params).sigma
-    return SigmaClass(sigma_tag(sigma), sigma)
+    return SigmaClass(sigma_tag(sigma.numerator, sigma.denominator), sigma)
 
 
-# Case lists of the two theorems; r is irrelevant (sigma does not depend on
-# it) and d = 1 is out of scope (sigma = beta0/beta1 can be anything).
-
-_HALF_ODD_CASES = (
-    ("d=3, alpha=1, (b0+1)/b1 half-odd",
-     lambda a, b0, b1, d: d == 3 and a == 1
-     and sigma_tag(Fraction(b0 + 1, b1)) == "half-odd"),
-    ("d=2, alpha=1, (b0+2)/b1 half-odd",
-     lambda a, b0, b1, d: d == 2 and a == 1
-     and sigma_tag(Fraction(b0 + 2, b1)) == "half-odd"),
-    ("d=2, alpha=2, (b0+1)/b1 half-odd",
-     lambda a, b0, b1, d: d == 2 and a == 2
-     and sigma_tag(Fraction(b0 + 1, b1)) == "half-odd"),
-    ("d=2, alpha=4, (2b0+1)/b1 integer",
-     lambda a, b0, b1, d: d == 2 and a == 4
-     and sigma_tag(Fraction(2 * b0 + 1, b1)) == "integer"),
-)
-
-_INTEGER_CASES = (
-    ("d=3, alpha=1, (b0+1)/b1 integer",
-     lambda a, b0, b1, d: d == 3 and a == 1
-     and sigma_tag(Fraction(b0 + 1, b1)) == "integer"),
-    ("d=2, alpha=1, (b0+2)/b1 integer",
-     lambda a, b0, b1, d: d == 2 and a == 1
-     and sigma_tag(Fraction(b0 + 2, b1)) == "integer"),
-    ("d=2, alpha=2, (b0+1)/b1 integer",
-     lambda a, b0, b1, d: d == 2 and a == 2
-     and sigma_tag(Fraction(b0 + 1, b1)) == "integer"),
-)
+# The tag each theorem claims for sigma -> its case rows (name, d, alpha, c,
+# e, want): at this d and alpha, the theorem claims it iff (c*b0 + e)/b1 has
+# tag `want`.  r is irrelevant (sigma does not depend on it) and d = 1 is
+# out of scope (sigma = beta0/beta1 can be anything).
+_CASES = {
+    "half-odd": (
+        ("d=3, alpha=1, (b0+1)/b1 half-odd", 3, 1, 1, 1, "half-odd"),
+        ("d=2, alpha=1, (b0+2)/b1 half-odd", 2, 1, 1, 2, "half-odd"),
+        ("d=2, alpha=2, (b0+1)/b1 half-odd", 2, 2, 1, 1, "half-odd"),
+        ("d=2, alpha=4, (2b0+1)/b1 integer", 2, 4, 2, 1, "integer"),
+    ),
+    "integer": (
+        ("d=3, alpha=1, (b0+1)/b1 integer", 3, 1, 1, 1, "integer"),
+        ("d=2, alpha=1, (b0+2)/b1 integer", 2, 1, 1, 2, "integer"),
+        ("d=2, alpha=2, (b0+1)/b1 integer", 2, 2, 1, 1, "integer"),
+    ),
+}
 
 
-def _matching_cases(cases, params: CFParams) -> list[int]:
+def _rows_at(alpha: int, d: int) -> list:
+    """(claimed tag, row index, c, e, want) of the case rows at alpha, d."""
+    return [(claim, i, c, e, want) for claim, rows in _CASES.items()
+            for i, (_, rd, ra, c, e, want) in enumerate(rows)
+            if (rd, ra) == (d, alpha)]
+
+
+def _claims(params: CFParams) -> set:
     if params.d < 2:
         raise UnsupportedD("the characterizations assume d >= 2")
-    a, b0, b1, d = params.alpha, params.beta0, params.beta1, params.d
-    return [i for i, (_, pred) in enumerate(cases) if pred(a, b0, b1, d)]
+    b0, b1 = params.beta0, params.beta1
+    return {claim for claim, _, c, e, want in _rows_at(params.alpha, params.d)
+            if sigma_tag(c * b0 + e, b1) == want}
 
 
 def theorem61_predicate(params: CFParams) -> bool:
-    """True iff sigma must be half of an odd integer, per the case list."""
-    return bool(_matching_cases(_HALF_ODD_CASES, params))
+    """True iff sigma must be half of an odd integer, per the case table."""
+    return "half-odd" in _claims(params)
 
 
 def theorem71_predicate(params: CFParams) -> bool:
-    """True iff sigma must be an integer, per the case list."""
-    return bool(_matching_cases(_INTEGER_CASES, params))
+    """True iff sigma must be an integer, per the case table."""
+    return "integer" in _claims(params)
 
 
 @dataclass
@@ -88,12 +89,10 @@ class SweepReport:
             "bounds": {"alpha_max": self.alpha_max, "d_max": self.d_max,
                        "beta_max": self.beta_max},
             "tuples_checked": self.tuples_checked,
-            "cases": {
-                "half_odd": {_HALF_ODD_CASES[i][0]: c
-                             for i, c in enumerate(self.half_odd_case_hits)},
-                "integer": {_INTEGER_CASES[i][0]: c
-                            for i, c in enumerate(self.integer_case_hits)},
-            },
+            "cases": {key: {row[0]: c for row, c in zip(_CASES[claim], hits)}
+                      for key, claim, hits in (
+                          ("half_odd", "half-odd", self.half_odd_case_hits),
+                          ("integer", "integer", self.integer_case_hits))},
             "mismatches": self.mismatches,
         }
 
@@ -104,33 +103,33 @@ def brute_force_sweep(alpha_max: int, d_max: int, beta_max: int,
     alpha <= alpha_max, 2 <= d <= d_max, beta0, beta1 <= beta_max."""
     if alpha_max < 2 or d_max < 2 or beta_max < 2:
         raise ValueError("all bounds must be >= 2")
-    report = SweepReport(alpha_max, d_max, beta_max,
-                         half_odd_case_hits=[0] * len(_HALF_ODD_CASES),
-                         integer_case_hits=[0] * len(_INTEGER_CASES))
-    fib_lucas = {(a, d): (fib_eval(d, a), lucas_eval(d, a))
-                 for a in range(1, alpha_max + 1)
-                 for d in range(2, d_max + 1)}
+    size = alpha_max * (d_max - 1) * beta_max ** 2
+    if size > SWEEP_GUARD:
+        raise ValueError(f"{size} tuples exceed SWEEP_GUARD = {SWEEP_GUARD}")
+    hits = {claim: [0] * len(rows) for claim, rows in _CASES.items()}
+    report = SweepReport(alpha_max, d_max, beta_max, 0, hits["half-odd"],
+                         hits["integer"])
+    betas, checked = range(1, beta_max + 1), 0
     for a in range(1, alpha_max + 1):
         for d in range(2, d_max + 1):
-            fd, ld = fib_lucas[a, d]
-            for b1 in range(1, beta_max + 1):
-                for b0 in range(1, beta_max + 1):
-                    sigma = Fraction((b0 - a) * fd + ld, b1 * fd)
-                    tag = sigma_tag(sigma)
-                    params = CFParams(a, b0, b1, d, 0)
-                    hits61 = _matching_cases(_HALF_ODD_CASES, params)
-                    hits71 = _matching_cases(_INTEGER_CASES, params)
-                    for i in hits61:
-                        report.half_odd_case_hits[i] += 1
-                    for i in hits71:
-                        report.integer_case_hits[i] += 1
-                    ok = ((tag == "half-odd") == bool(hits61)
-                          and (tag == "integer") == bool(hits71))
-                    report.tuples_checked += 1
-                    if not ok:
-                        entry = {"alpha": a, "beta0": b0, "beta1": b1,
-                                 "d": d, "sigma": str(sigma), "tag": tag}
+            fd, ld = fib_eval(d, a), lucas_eval(d, a)
+            rows = _rows_at(a, d)
+            for b1 in betas:
+                den = b1 * fd
+                for b0 in betas:
+                    num = (b0 - a) * fd + ld
+                    tag = sigma_tag(num, den)
+                    claim = "other"  # tag claimed by matching rows, or "both"
+                    for th, i, c, e, want in rows:
+                        if sigma_tag(c * b0 + e, b1) == want:
+                            hits[th][i] += 1
+                            claim = th if claim in ("other", th) else "both"
+                    checked += 1
+                    if claim != tag:
+                        entry = {"alpha": a, "beta0": b0, "beta1": b1, "d": d,
+                                 "sigma": str(Fraction(num, den)), "tag": tag}
                         report.mismatches.append(entry)
                         if raise_on_mismatch:
                             raise TheoremMismatch(entry)
+    report.tuples_checked = checked
     return report

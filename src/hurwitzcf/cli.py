@@ -70,7 +70,7 @@ def _cmd_limit(args) -> int:
         val = limits.xi_bessel(params, args.digits)
     else:  # elementary: force the half-odd closed-form route
         sigma = hurwitz.magic(params).sigma
-        if hurwitz.sigma_tag(sigma) != "half-odd":
+        if hurwitz.sigma_tag(sigma.numerator, sigma.denominator) != "half-odd":
             print(f"error: sigma={sigma} is not half of an odd integer; "
                   "no elementary form", file=sys.stderr)
             return 2

@@ -58,11 +58,12 @@ class MagicPair(NamedTuple):
 SigmaTag = Literal["half-odd", "integer", "other"]
 
 
-def sigma_tag(sigma: Fraction) -> SigmaTag:
-    """Whether a rational is an integer, half of an odd integer, or neither."""
-    if sigma.denominator == 1:
+def sigma_tag(num: int, den: int) -> SigmaTag:
+    """Whether num/den (den >= 1, not necessarily in lowest terms) is an
+    integer, half of an odd integer, or neither."""
+    if num % den == 0:
         return "integer"
-    if sigma.denominator == 2:
+    if 2 * num % den == 0:
         return "half-odd"
     return "other"
 

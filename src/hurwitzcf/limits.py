@@ -275,14 +275,14 @@ def bessel_I(nu, z, digits: int) -> PrecReal:
     elementary form, anything else is refused (ratios go through series_AB
     and never need this)."""
     nu = Fraction(nu)
-    if sigma_tag(nu) != "half-odd":
+    if sigma_tag(nu.numerator, nu.denominator) != "half-odd":
         raise UnsupportedOrder(f"I_{nu} has no elementary standalone form")
     return elementary_half_odd("I", int(nu - Fraction(1, 2)), z, digits)
 
 
 def bessel_J(nu, z, digits: int) -> PrecReal:
     nu = Fraction(nu)
-    if sigma_tag(nu) != "half-odd":
+    if sigma_tag(nu.numerator, nu.denominator) != "half-odd":
         raise UnsupportedOrder(f"J_{nu} has no elementary standalone form")
     return elementary_half_odd("J", int(nu - Fraction(1, 2)), z, digits)
 
@@ -358,7 +358,7 @@ def xi_bessel(params: CFParams, digits: int) -> PrecReal:
     ratio, so the value is xi_limit's.
     """
     sigma, _ = magic(params)
-    if sigma_tag(sigma) != "half-odd":
+    if sigma_tag(sigma.numerator, sigma.denominator) != "half-odd":
         return xi_limit(params, digits)
     a, b1, d = params.alpha, params.beta1, params.d
     fd = fib_eval(d, a)

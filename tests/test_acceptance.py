@@ -143,14 +143,22 @@ def test_criterion_7_cross_formula_consistency():
         b = perron_d1(b0, b1, 25)
         ratio_ok &= abs(a.value - b.value) + a.err + b.err < F(1, 10 ** 25)
 
-    xi_ok = True
+    xi_ok = bracket_ok = True
     for params in _EXAMPLES:
         u = xi_bessel(params, 25)
         v = xi_limit(params, 25)
         xi_ok &= abs(u.value - v.value) + u.err + v.err < F(1, 10 ** 24)
-    _report("arithmetic-progression fraction by two formulas to 25 digits "
-            "and Bessel = series limit on all worked examples",
-            ratio_ok and xi_ok)
+        # off half-odd sigma u is v, so also check both against the
+        # convergents p_N/q_N, p_{N+1}/q_{N+1} that bracket the limit, at
+        # the first N with q_N q_{N+1} > 10**27 (no code shared with series)
+        convs = convergents(denom_stream(params), 200)[1:]
+        c, c1 = next((c, c1) for c, c1 in zip(convs, convs[1:])
+                     if c.q * c1.q > 10 ** 27)
+        lo, hi = sorted((F(c.p, c.q), F(c1.p, c1.q)))
+        bracket_ok &= all(w.lo <= hi and lo <= w.hi for w in (u, v))
+    _report("arithmetic-progression fraction by two formulas to 25 digits, "
+            "Bessel = series limit on all worked examples, and both inside "
+            "the convergent bracket", ratio_ok and xi_ok and bracket_ok)
 
 
 def test_criterion_8_gcf_limit():

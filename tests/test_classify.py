@@ -2,13 +2,109 @@ from fractions import Fraction
 
 import pytest
 
-from hurwitzcf.classify import (SigmaClass, brute_force_sweep, sigma_class,
-                                theorem61_predicate, theorem71_predicate)
-from hurwitzcf.errors import UnsupportedD
+from hurwitzcf import classify
+from hurwitzcf.classify import (SWEEP_GUARD, SigmaClass, brute_force_sweep,
+                                sigma_class, theorem61_predicate,
+                                theorem71_predicate)
+from hurwitzcf.cli import run
+from hurwitzcf.errors import TheoremMismatch, UnsupportedD
 from hurwitzcf.fibpoly import fib_eval, lucas_eval
 from hurwitzcf.hurwitz import CFParams
 
 F = Fraction
+
+
+# Reference sweep: the per-tuple Fraction + CFParams + lambda sweep that
+# brute_force_sweep replaced, kept verbatim (with its own Fraction tag) to
+# check the integer-pair sweep against.
+
+def _fraction_tag(sigma: Fraction) -> str:
+    if sigma.denominator == 1:
+        return "integer"
+    if sigma.denominator == 2:
+        return "half-odd"
+    return "other"
+
+
+def _ref_case(d0, a0, c, e, want):
+    return lambda a, b0, b1, d: d == d0 and a == a0 \
+        and _fraction_tag(Fraction(c * b0 + e, b1)) == want
+
+
+_REF_HALF_ODD_CASES = [
+    ("d=3, alpha=1, (b0+1)/b1 half-odd",
+     lambda a, b0, b1, d: d == 3 and a == 1
+     and _fraction_tag(Fraction(b0 + 1, b1)) == "half-odd"),
+    ("d=2, alpha=1, (b0+2)/b1 half-odd",
+     lambda a, b0, b1, d: d == 2 and a == 1
+     and _fraction_tag(Fraction(b0 + 2, b1)) == "half-odd"),
+    ("d=2, alpha=2, (b0+1)/b1 half-odd",
+     lambda a, b0, b1, d: d == 2 and a == 2
+     and _fraction_tag(Fraction(b0 + 1, b1)) == "half-odd"),
+    ("d=2, alpha=4, (2b0+1)/b1 integer",
+     lambda a, b0, b1, d: d == 2 and a == 4
+     and _fraction_tag(Fraction(2 * b0 + 1, b1)) == "integer"),
+]
+
+_REF_INTEGER_CASES = [
+    ("d=3, alpha=1, (b0+1)/b1 integer",
+     lambda a, b0, b1, d: d == 3 and a == 1
+     and _fraction_tag(Fraction(b0 + 1, b1)) == "integer"),
+    ("d=2, alpha=1, (b0+2)/b1 integer",
+     lambda a, b0, b1, d: d == 2 and a == 1
+     and _fraction_tag(Fraction(b0 + 2, b1)) == "integer"),
+    ("d=2, alpha=2, (b0+1)/b1 integer",
+     lambda a, b0, b1, d: d == 2 and a == 2
+     and _fraction_tag(Fraction(b0 + 1, b1)) == "integer"),
+]
+
+
+def _ref_matching(cases, params):
+    a, b0, b1, d = params.alpha, params.beta0, params.beta1, params.d
+    return [i for i, (_, pred) in enumerate(cases) if pred(a, b0, b1, d)]
+
+
+def reference_sweep(alpha_max, d_max, beta_max, half_odd_cases=None,
+                    integer_cases=None, raise_on_mismatch=True) -> dict:
+    half_odd_cases = half_odd_cases or _REF_HALF_ODD_CASES
+    integer_cases = integer_cases or _REF_INTEGER_CASES
+    half_hits, int_hits = [0] * len(half_odd_cases), [0] * len(integer_cases)
+    checked, mismatches = 0, []
+    for a in range(1, alpha_max + 1):
+        for d in range(2, d_max + 1):
+            fd, ld = fib_eval(d, a), lucas_eval(d, a)
+            for b1 in range(1, beta_max + 1):
+                for b0 in range(1, beta_max + 1):
+                    sigma = Fraction((b0 - a) * fd + ld, b1 * fd)
+                    tag = _fraction_tag(sigma)
+                    params = CFParams(a, b0, b1, d, 0)
+                    hits61 = _ref_matching(half_odd_cases, params)
+                    hits71 = _ref_matching(integer_cases, params)
+                    for i in hits61:
+                        half_hits[i] += 1
+                    for i in hits71:
+                        int_hits[i] += 1
+                    ok = ((tag == "half-odd") == bool(hits61)
+                          and (tag == "integer") == bool(hits71))
+                    checked += 1
+                    if not ok:
+                        entry = {"alpha": a, "beta0": b0, "beta1": b1,
+                                 "d": d, "sigma": str(sigma), "tag": tag}
+                        mismatches.append(entry)
+                        if raise_on_mismatch:
+                            raise TheoremMismatch(entry)
+    return {
+        "bounds": {"alpha_max": alpha_max, "d_max": d_max,
+                   "beta_max": beta_max},
+        "tuples_checked": checked,
+        "cases": {
+            "half_odd": {half_odd_cases[i][0]: c
+                         for i, c in enumerate(half_hits)},
+            "integer": {integer_cases[i][0]: c
+                        for i, c in enumerate(int_hits)},
+        },
+        "mismatches": mismatches,
+    }
 
 
 class TestSigmaClass:
@@ -71,6 +167,51 @@ class TestSweep:
     def test_bounds_guard(self):
         with pytest.raises(ValueError):
             brute_force_sweep(1, 4, 4)
+
+    @pytest.mark.parametrize("box", [(40, 10, 14), (8, 5, 8), (6, 4, 6),
+                                     (2, 2, 2)])
+    def test_matches_reference_sweep(self, box):
+        assert brute_force_sweep(*box).to_dict() == reference_sweep(*box)
+
+    # one row given a wrong `want`, on both sides: the sweeps must report
+    # the same mismatches (the integer case row at d=2, alpha=1, and a
+    # half-odd row that then overlaps an integer row at d=3, alpha=1)
+    @pytest.mark.parametrize("claim, index, want", [
+        ("integer", 1, "half-odd"), ("half-odd", 0, "integer")])
+    def test_wrong_case_row_matches_reference(self, monkeypatch, claim,
+                                              index, want):
+        rows = list(classify._CASES[claim])
+        name, d, a, c, e, _ = rows[index]
+        rows[index] = (name, d, a, c, e, want)
+        monkeypatch.setitem(classify._CASES, claim, tuple(rows))
+        ref_cases = {"half-odd": list(_REF_HALF_ODD_CASES),
+                     "integer": list(_REF_INTEGER_CASES)}
+        ref_cases[claim][index] = (name, _ref_case(d, a, c, e, want))
+        ref_args = (ref_cases["half-odd"], ref_cases["integer"])
+
+        box = (8, 5, 8)
+        got = brute_force_sweep(*box, raise_on_mismatch=False).to_dict()
+        want_doc = reference_sweep(*box, *ref_args, raise_on_mismatch=False)
+        assert got["mismatches"]
+        assert got == want_doc
+        with pytest.raises(TheoremMismatch) as raised:
+            brute_force_sweep(*box)
+        assert raised.value.params == want_doc["mismatches"][0]
+        with pytest.raises(TheoremMismatch) as ref_raised:
+            reference_sweep(*box, *ref_args)
+        assert str(ref_raised.value) == str(raised.value)
+
+    def test_size_guard(self, capsys):
+        # about 10^12 tuples: refused before any tuple is classified
+        box = (10 ** 4, 10 ** 4 + 1, 10 ** 2)
+        assert box[0] * (box[1] - 1) * box[2] ** 2 == 10 ** 12
+        with pytest.raises(ValueError, match="SWEEP_GUARD"):
+            brute_force_sweep(*box)
+        assert run(["sweep", "--alpha-max", str(box[0]), "--d-max",
+                    str(box[1]), "--beta-max", str(box[2])]) == 2
+        assert "SWEEP_GUARD" in capsys.readouterr().err
+        # criterion 6's box stays well inside the guard
+        assert 10 * 60 * 11 * 20 ** 2 <= SWEEP_GUARD
 
 
 class TestStructuralInequalities:

@@ -12,7 +12,7 @@ from hurwitzcf.fibpoly import fib_eval
 from hurwitzcf.hurwitz import (CFParams, _closed_form_sums,
                                closed_form_convergent, denom_stream,
                                fib_transform, magic, normalized_numerator,
-                               prec_recurrence_p)
+                               prec_recurrence_p, sigma_tag)
 
 E_MINUS_1 = CFParams(1, 2, 2, 3, 2)
 TAN_1 = CFParams(1, 1, 2, 2, 1)
@@ -74,6 +74,29 @@ class TestMagic:
     def test_rho_sign_follows_d_parity(self):
         assert magic(E_MINUS_1).rho > 0
         assert magic(TAN_1).rho < 0
+
+
+class TestSigmaTag:
+    @staticmethod
+    def reduced_tag(num: int, den: int) -> str:
+        q = Fraction(num, den).denominator
+        return "integer" if q == 1 else "half-odd" if q == 2 else "other"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6))
+    @example(0, 5)
+    @example(2, 4)      # unreduced half-odd
+    @example(-3, 2)
+    @example(6, 4)      # unreduced 3/2
+    @example(4, 2)      # unreduced integer
+    def test_matches_reduced_fraction(self, num, den):
+        assert sigma_tag(num, den) == self.reduced_tag(num, den)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(-10 ** 3, 10 ** 3), st.integers(1, 10 ** 3),
+           st.integers(2, 10 ** 3))
+    def test_common_factor_ignored(self, num, den, k):
+        assert sigma_tag(k * num, k * den) == self.reduced_tag(num, den)
 
 
 class TestFibTransform:

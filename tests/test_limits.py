@@ -22,6 +22,16 @@ def overlap(a, b):
     return a.lo <= b.hi and b.lo <= a.hi
 
 
+def convergent_bracket(params):
+    """p_N/q_N and p_{N+1}/q_{N+1}, sorted, at the first N with
+    q_N q_{N+1} > 10**27.  The limit lies between them, so a ball for it
+    must meet this bracket; only the plain recurrence is used, no series."""
+    convs = convergents(denom_stream(params), 200)[1:]
+    c, c1 = next((c, c1) for c, c1 in zip(convs, convs[1:])
+                 if c.q * c1.q > 10 ** 27)
+    return sorted((F(c.p, c.q), F(c1.p, c1.q)))
+
+
 def close_to_float(ball, x, tol=1e-12):
     assert ball.err < F(1, 10 ** 13)
     assert abs(float(ball.value) - x) < tol
@@ -363,6 +373,10 @@ class TestXiBessel:
         b = xi_limit(params, 25)
         assert overlap(a, b)
         assert abs(a.value - b.value) < F(1, 10 ** 24)
+        # off half-odd sigma a is b; the convergents check both independently
+        lo, hi = convergent_bracket(params)
+        assert a.lo <= hi and lo <= a.hi
+        assert b.lo <= hi and lo <= b.hi
 
 
 class TestWlang:
