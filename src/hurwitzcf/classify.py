@@ -3,7 +3,9 @@
 The two characterization theorems (d >= 2) are one case table, `_CASES`.
 `brute_force_sweep` confirms it one tuple at a time: `hurwitz.sigma_tag` of
 the integer pair N/D = ((b0 - alpha) F_d + L_d) / (b1 F_d), at alpha, must be
-the tag claimed by exactly the matching rows.  Boxes over SWEEP_GUARD refused.
+the tag claimed by exactly the matching rows.  F_d and L_d are carried
+forward across d.  A box whose cost (tuples, weighted by the length of
+F_d) exceeds SWEEP_GUARD is refused.
 """
 
 from __future__ import annotations
@@ -12,10 +14,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import TheoremMismatch, UnsupportedD
-from .fibpoly import fib_eval, lucas_eval
 from .hurwitz import CFParams, SigmaTag, magic, sigma_tag
 
-# most tuples brute_force_sweep accepts: 2-4 s at small d on a 2-core box
+# the most work brute_force_sweep accepts, in tuples at small d (see the
+# cost in brute_force_sweep): a few seconds on a 2-core box
 SWEEP_GUARD = 4_000_000
 
 
@@ -104,15 +106,19 @@ def brute_force_sweep(alpha_max: int, d_max: int, beta_max: int,
     if alpha_max < 2 or d_max < 2 or beta_max < 2:
         raise ValueError("all bounds must be >= 2")
     size = alpha_max * (d_max - 1) * beta_max ** 2
-    if size > SWEEP_GUARD:
-        raise ValueError(f"{size} tuples exceed SWEEP_GUARD = {SWEEP_GUARD}")
+    # a tuple works on F_d(alpha), about d log2(alpha) bits long; each
+    # 64-bit word of it adds about 1/50 of the tuple's fixed cost
+    cost = size * (1 + d_max * alpha_max.bit_length() // 3200)
+    if cost > SWEEP_GUARD:
+        raise ValueError(f"{size} tuples up to d = {d_max} (cost {cost}) "
+                         f"exceed SWEEP_GUARD = {SWEEP_GUARD}")
     hits = {claim: [0] * len(rows) for claim, rows in _CASES.items()}
     report = SweepReport(alpha_max, d_max, beta_max, 0, hits["half-odd"],
                          hits["integer"])
     betas, checked = range(1, beta_max + 1), 0
     for a in range(1, alpha_max + 1):
+        f1, fd, l1, ld = 1, a, a, a * a + 2  # F_{d-1}, F_d, L_{d-1}, L_d
         for d in range(2, d_max + 1):
-            fd, ld = fib_eval(d, a), lucas_eval(d, a)
             rows = _rows_at(a, d)
             for b1 in betas:
                 den = b1 * fd
@@ -131,5 +137,6 @@ def brute_force_sweep(alpha_max: int, d_max: int, beta_max: int,
                         report.mismatches.append(entry)
                         if raise_on_mismatch:
                             raise TheoremMismatch(entry)
+            f1, fd, l1, ld = fd, a * fd + f1, ld, a * ld + l1
     report.tuples_checked = checked
     return report

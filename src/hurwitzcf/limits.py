@@ -1,8 +1,10 @@
 """Certified evaluation of the family's limits.
 
 Everything here reduces to exact rational series with rigorous truncation
-bounds: the magic numbers sigma, rho are rational, so the two hypergeometric
-series A and B have rational terms with term ratio rho / ((m+1)(sigma+m)).
+bounds.  With sigma, rho rational the two series are A = 0F1(; sigma; rho)
+and B = rho/sigma 0F1(; sigma+1; rho), and cos, sin, cosh, sinh are the same
+series at sigma = 1/2, 3/2.  One term ratio, `_0f1`, gives all of them as
+integer pairs, the format of every ratio passed to `_sum_ratio_series`.
 Limits come out as rational balls (PrecReal).
 
 Bessel functions appear only in Gamma-free ratios or at half-odd orders,
@@ -39,18 +41,19 @@ def _max_precision_bits() -> int:
 # certified rational series (binary splitting)
 
 
-def _sum_ratio_series(t0: Fraction, ratio: Callable[[int], Fraction],
+def _sum_ratio_series(t0: Fraction, ratio: Callable[[int], tuple[int, int]],
                       digits: int) -> tuple[Fraction, Fraction, int]:
     """Sum t0 + t0*ratio(0) + t0*ratio(0)*ratio(1) + ... with a certified
     tail bound.  Returns (partial, tail_bound, terms_used).
 
-    ratio(m) = t_{m+1}/t_m.  Tail contract: |ratio(m)| must be
-    nonincreasing from the stop point N on, where N is the number of ratios
-    applied (the partial sum holds t_0..t_N).  The stop is accepted once
-    |t_N| is below 10^-(digits+guard) relative to the partial sum and
-    q = |ratio(N)| <= 1/2; the tail is then at most |t_N| q / (1 - q).  A
-    series whose ratio grows in absolute value (Machin's arctan) must bound
-    its own tail.
+    ratio(m) = (a, b) with b > 0 is the integer pair a/b = t_{m+1}/t_m; it
+    need not be reduced, and a = 0 ends the series.  Tail contract:
+    |ratio(m)| must be nonincreasing from the stop point N on, where N is
+    the number of ratios applied (the partial sum holds t_0..t_N).  The stop
+    is accepted once |t_N| is below 10^-(digits+guard) relative to the
+    partial sum and q = |ratio(N)| <= 1/2; the tail is then at most
+    |t_N| q / (1 - q).  A series whose ratio grows in absolute value
+    (Machin's arctan) must bound its own tail.
 
     N is first picked from float log-magnitudes of the terms; that is only a
     hint, and the stop condition is checked in exact arithmetic, extending N
@@ -69,27 +72,23 @@ def _sum_ratio_series(t0: Fraction, ratio: Callable[[int], Fraction],
     log_t = log_top = math.log(abs(t0n)) - math.log(t0d)
     pairs: list[tuple[int, int]] = []  # ratio(m) = a_m / b_m
     P, Q, T = 1, 1, 0  # over the ratios folded so far, 0..n-1
-    n = 0
-    m = 0
+    n = m = 0
     while True:
-        r = ratio(m)
-        if r != 0:
-            a, b = r.numerator, r.denominator
-            pairs.append((a, b))
-            candidate = (m > 0 and log_t < log_top + log_thresh
-                         and 2 * abs(a) <= b)
-        if r == 0 or candidate:
+        a, b = ratio(m)
+        pairs.append((a, b))
+        if not a or (m > 0 and log_t < log_top + log_thresh
+                     and 2 * abs(a) <= b):
             # fold the ratios n..m-1: the partial sum is t_0 .. t_m
             if m > n:
                 p2, q2, t2 = _split(pairs, n, m)
                 P, Q, T = P * p2, Q * q2, T * q2 + P * t2
                 n = m
             s_num, den = t0n * (Q + T), t0d * Q
-            if r == 0:  # every term after t_m is 0
-                return Fraction(s_num, den), Fraction(0), m + 1
             last = t0n * P  # t_m = last / den
-            # |t_m| < 10^-(digits+guard) * max(|S|, 10^-(digits+guard))
-            if abs(last) * scale * scale < max(abs(s_num) * scale, den):
+            # |t_m| < 10^-(digits+guard) * max(|S|, 10^-(digits+guard)),
+            # or every term after t_m is 0 (the tail below is then 0)
+            if not a or (abs(last) * scale * scale
+                         < max(abs(s_num) * scale, den)):
                 tail = Fraction(abs(last * a), den * (b - abs(a)))
                 return Fraction(s_num, den), tail, m + 1
             if s_num:  # the terms cancel: aim below the true partial sum
@@ -99,6 +98,22 @@ def _sum_ratio_series(t0: Fraction, ratio: Callable[[int], Fraction],
         m += 1
         if m > 100 * (digits + 20):
             raise PrecisionExhausted("series did not certify")
+
+
+def _0f1(sigma: Fraction, rho: Fraction) -> Callable[[int], tuple[int, int]]:
+    """The term ratio of 0F1(; sigma; rho) = sum_m rho^m / (m! (sigma)_m),
+    rho / ((m+1)(sigma+m)), as the unreduced integer pair
+    (u q, v (m+1)(p + q m)) for sigma = p/q > 0 and rho = u/v."""
+    p, q = sigma.numerator, sigma.denominator
+    u, v = rho.numerator, rho.denominator
+    return lambda m: (u * q, v * (m + 1) * (p + q * m))
+
+
+def _ball(t0, ratio: Callable[[int], tuple[int, int]],
+          digits: int) -> PrecReal:
+    """The series of _sum_ratio_series as a certified ball."""
+    partial, tail, _ = _sum_ratio_series(Fraction(t0), ratio, digits)
+    return PrecReal(partial, tail)
 
 
 @dataclass(frozen=True)
@@ -119,55 +134,38 @@ def series_AB(sigma: Fraction, rho: Fraction, digits: int) -> SeriesValue:
         raise ValueError("sigma must be positive")
     if rho == 0:
         return SeriesValue(PrecReal(1), PrecReal(0), 1, Fraction(0))
-    a_sum, a_tail, a_terms = _sum_ratio_series(
-        Fraction(1), lambda m: rho / ((m + 1) * (sigma + m)), digits)
-    b_sum, b_tail, b_terms = _sum_ratio_series(
-        rho / sigma, lambda m: rho / ((m + 1) * (sigma + m + 1)), digits)
+    a_sum, a_tail, a_terms = _sum_ratio_series(Fraction(1), _0f1(sigma, rho),
+                                               digits)
+    b_sum, b_tail, b_terms = _sum_ratio_series(rho / sigma,
+                                               _0f1(sigma + 1, rho), digits)
     return SeriesValue(PrecReal(a_sum, a_tail), PrecReal(b_sum, b_tail),
                        max(a_terms, b_terms), max(a_tail, b_tail))
 
 
 # ---------------------------------------------------------------------------
-# elementary kernels (certified Taylor sums at rational arguments)
-
-
-def _taylor_pair(x: Fraction, digits: int, odd: bool,
-                 alternating: bool) -> PrecReal:
-    """sum x^(2k+p)/ (2k+p)! with p = 1 if odd else 0, optionally with
-    alternating signs: covers sinh/cosh (plain) and sin/cos (alternating)."""
-    p = 1 if odd else 0
-    t0 = x if odd else Fraction(1)
-    s = 1 if not alternating else -1
-
-    def ratio(m: int) -> Fraction:
-        k = 2 * m + p
-        return s * x * x / ((k + 1) * (k + 2))
-
-    partial, tail, _ = _sum_ratio_series(t0, ratio, digits)
-    return PrecReal(partial, tail)
+# elementary kernels (certified Taylor sums at rational arguments):
+# cos, cosh = 0F1(; 1/2; -+x^2/4) and sin, sinh = x 0F1(; 3/2; -+x^2/4)
 
 
 def sin_prec(x: Fraction, digits: int) -> PrecReal:
-    return _taylor_pair(Fraction(x), digits, odd=True, alternating=True)
+    return _ball(x, _0f1(Fraction(3, 2), -Fraction(x) ** 2 / 4), digits)
 
 
 def cos_prec(x: Fraction, digits: int) -> PrecReal:
-    return _taylor_pair(Fraction(x), digits, odd=False, alternating=True)
+    return _ball(1, _0f1(Fraction(1, 2), -Fraction(x) ** 2 / 4), digits)
 
 
 def sinh_prec(x: Fraction, digits: int) -> PrecReal:
-    return _taylor_pair(Fraction(x), digits, odd=True, alternating=False)
+    return _ball(x, _0f1(Fraction(3, 2), Fraction(x) ** 2 / 4), digits)
 
 
 def cosh_prec(x: Fraction, digits: int) -> PrecReal:
-    return _taylor_pair(Fraction(x), digits, odd=False, alternating=False)
+    return _ball(1, _0f1(Fraction(1, 2), Fraction(x) ** 2 / 4), digits)
 
 
 def exp_prec(x: Fraction, digits: int) -> PrecReal:
     x = Fraction(x)
-    partial, tail, _ = _sum_ratio_series(
-        Fraction(1), lambda m: x / (m + 1), digits)
-    return PrecReal(partial, tail)
+    return _ball(1, lambda m: (x.numerator, x.denominator * (m + 1)), digits)
 
 
 def _arctan_inv(x: int, digits: int) -> PrecReal:
@@ -176,12 +174,8 @@ def _arctan_inv(x: int, digits: int) -> PrecReal:
     |ratio| grows toward 1/x^2, outside the geometric tail contract; the
     series alternates with decreasing terms, so the tail is bounded by the
     first omitted term instead."""
-    inv2 = Fraction(1, x * x)
-
-    def ratio(m: int) -> Fraction:
-        return -inv2 * (2 * m + 1) / (2 * m + 3)
-
-    partial, _, n = _sum_ratio_series(Fraction(1, x), ratio, digits)
+    partial, _, n = _sum_ratio_series(
+        Fraction(1, x), lambda m: (-(2 * m + 1), x * x * (2 * m + 3)), digits)
     return PrecReal(partial, Fraction(1, (2 * n + 1) * x ** (2 * n + 1)))
 
 
@@ -223,39 +217,26 @@ def _half_odd_bracket(kind: BesselKind, k: int, z: Fraction,
     """The elementary part of I_{k+1/2}(z) or J_{k+1/2}(z), i.e. the value
     without the common sqrt(2/(pi z)) prefactor.
 
-    Seeds: I: (cosh z, sinh z) at orders -1/2, 1/2; J: (cos z, sin z).
-    Raised or lowered by the three-term order recurrences.
+    With s = +1 for I and -1 for J, the seeds at orders -1/2, 1/2 are
+    0F1(; 1/2; s z^2/4) and z 0F1(; 3/2; s z^2/4), i.e. (cosh z, sinh z) or
+    (cos z, sin z).  The order recurrences X_{j+3/2} = s (X_{j-1/2} -
+    (2j+1)/z X_{j+1/2}) and X_{j-3/2} = s X_{j+1/2} + (2j-1)/z X_{j-1/2}
+    raise or lower them.
     """
     z = Fraction(z)
     if z == 0:
         raise ValueError("z must be nonzero")
-    w = digits + 2 * abs(k) + 10
-    if kind == "I":
-        below, at = cosh_prec(z, w), sinh_prec(z, w)  # orders -1/2, 1/2
-    elif kind == "J":
-        below, at = cos_prec(z, w), sin_prec(z, w)
-    else:
+    if kind not in ("I", "J"):
         raise ValueError(f"kind must be 'I' or 'J', got {kind!r}")
-    if k >= 0:
-        j = 0  # `at` holds order j + 1/2
-        while j < k:
-            coef = Fraction(2 * j + 1, 1) / z
-            if kind == "I":
-                nxt = below - coef * at
-            else:
-                nxt = -below + coef * at
-            below, at = at, nxt
-            j += 1
-        return at
-    j = 0
-    while j > k:
-        # lower the order: solve the recurrence for the (j-3/2) term
-        if kind == "I":
-            lower = at + Fraction(2 * j - 1, 1) / z * below
-        else:
-            lower = -at + Fraction(2 * j - 1, 1) / z * below
-        at, below = below, lower
-        j -= 1
+    s = 1 if kind == "I" else -1
+    w = digits + 2 * abs(k) + 10
+    rho = s * z * z / 4
+    below = _ball(1, _0f1(Fraction(1, 2), rho), w)
+    at = _ball(z, _0f1(Fraction(3, 2), rho), w)  # `at` holds order j + 1/2
+    for j in range(k):
+        below, at = at, s * (below - Fraction(2 * j + 1) / z * at)
+    for j in range(0, k, -1):
+        below, at = s * at + Fraction(2 * j - 1) / z * below, below
     return at
 
 
@@ -270,21 +251,23 @@ def elementary_half_odd(kind: BesselKind, k: int, z: Fraction,
     return pref * _half_odd_bracket(kind, k, z, w)
 
 
+def _bessel_half_odd(kind: BesselKind, nu, z, digits: int) -> PrecReal:
+    nu = Fraction(nu)
+    if sigma_tag(nu.numerator, nu.denominator) != "half-odd":
+        raise UnsupportedOrder(
+            f"{kind}_{nu} has no elementary standalone form")
+    return elementary_half_odd(kind, int(nu - Fraction(1, 2)), z, digits)
+
+
 def bessel_I(nu, z, digits: int) -> PrecReal:
     """Standalone modified Bessel value; only half-odd orders have an
     elementary form, anything else is refused (ratios go through series_AB
     and never need this)."""
-    nu = Fraction(nu)
-    if sigma_tag(nu.numerator, nu.denominator) != "half-odd":
-        raise UnsupportedOrder(f"I_{nu} has no elementary standalone form")
-    return elementary_half_odd("I", int(nu - Fraction(1, 2)), z, digits)
+    return _bessel_half_odd("I", nu, z, digits)
 
 
 def bessel_J(nu, z, digits: int) -> PrecReal:
-    nu = Fraction(nu)
-    if sigma_tag(nu.numerator, nu.denominator) != "half-odd":
-        raise UnsupportedOrder(f"J_{nu} has no elementary standalone form")
-    return elementary_half_odd("J", int(nu - Fraction(1, 2)), z, digits)
+    return _bessel_half_odd("J", nu, z, digits)
 
 
 def bessel_ratio_I(sigma: Fraction, rho: Fraction, digits: int) -> PrecReal:
@@ -385,22 +368,19 @@ def lehmer_d1(beta0: int, beta1: int, digits: int) -> PrecReal:
 
 
 def perron_d1(beta0: int, beta1: int, digits: int) -> PrecReal:
-    """The same arithmetic-progression fraction by the older two-series
-    formula, with the shared Gamma factor cancelled through rising
-    factorials.  Summed independently of series_AB as a cross-check."""
+    """The same arithmetic-progression fraction by Perron's formula,
+    b1 sigma 0F1(; sigma; rho) / 0F1(; sigma+1; rho) at sigma = b0/b1,
+    rho = 1/b1^2.  These are the two series behind lehmer_d1 (its A and
+    B = rho/sigma 0F1(; sigma+1; rho)), so the two values agree by
+    construction and do not check each other."""
     if beta0 < 1 or beta1 < 1:
         raise ValueError("beta0, beta1 must be >= 1")
     sigma = Fraction(beta0, beta1)
-    inv = Fraction(1, beta1 * beta1)
+    rho = Fraction(1, beta1 * beta1)
 
     def compute(w: int) -> PrecReal:
-        # numerator terms 1/(b1^2n n! (sigma)(sigma+1)...(sigma+n-1))
-        n_sum, n_tail, _ = _sum_ratio_series(
-            Fraction(1), lambda m: inv / ((m + 1) * (sigma + m)), w)
-        d_sum, d_tail, _ = _sum_ratio_series(
-            Fraction(1, 1) / sigma,
-            lambda m: inv / ((m + 1) * (sigma + m + 1)), w)
-        return beta1 * PrecReal(n_sum, n_tail) / PrecReal(d_sum, d_tail)
+        return beta1 * _ball(1, _0f1(sigma, rho), w) \
+            / _ball(1 / sigma, _0f1(sigma + 1, rho), w)
 
     return _certify(compute, digits)
 

@@ -168,8 +168,10 @@ class TestSweep:
         with pytest.raises(ValueError):
             brute_force_sweep(1, 4, 4)
 
+    # (3, 120, 4) checks the F_d, L_d carried across d against fib_eval and
+    # lucas_eval at large d
     @pytest.mark.parametrize("box", [(40, 10, 14), (8, 5, 8), (6, 4, 6),
-                                     (2, 2, 2)])
+                                     (2, 2, 2), (3, 120, 4)])
     def test_matches_reference_sweep(self, box):
         assert brute_force_sweep(*box).to_dict() == reference_sweep(*box)
 
@@ -212,6 +214,20 @@ class TestSweep:
         assert "SWEEP_GUARD" in capsys.readouterr().err
         # criterion 6's box stays well inside the guard
         assert 10 * 60 * 11 * 20 ** 2 <= SWEEP_GUARD
+
+    # few tuples, but F_d(2) of 50000 and 500000 bits: refused by their cost
+    @pytest.mark.parametrize("box", [(2, 50000, 2), (2, 500000, 2)])
+    def test_size_guard_counts_long_integers(self, monkeypatch, capsys, box):
+        assert box[0] * (box[1] - 1) * box[2] ** 2 <= SWEEP_GUARD
+        calls = []
+        monkeypatch.setattr(classify, "_rows_at",
+                            lambda *a: calls.append(a) or [])
+        with pytest.raises(ValueError, match="SWEEP_GUARD"):
+            brute_force_sweep(*box)
+        assert run(["sweep", "--alpha-max", str(box[0]), "--d-max",
+                    str(box[1]), "--beta-max", str(box[2])]) == 2
+        assert "SWEEP_GUARD" in capsys.readouterr().err
+        assert calls == []
 
 
 class TestStructuralInequalities:

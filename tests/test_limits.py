@@ -1,8 +1,10 @@
+import hashlib
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hurwitzcf import limits
 from hurwitzcf.cf_engine import convergents
@@ -22,13 +24,13 @@ def overlap(a, b):
     return a.lo <= b.hi and b.lo <= a.hi
 
 
-def convergent_bracket(params):
+def convergent_bracket(denoms, bound=10 ** 27):
     """p_N/q_N and p_{N+1}/q_{N+1}, sorted, at the first N with
-    q_N q_{N+1} > 10**27.  The limit lies between them, so a ball for it
+    q_N q_{N+1} > bound.  The limit lies between them, so a ball for it
     must meet this bracket; only the plain recurrence is used, no series."""
-    convs = convergents(denom_stream(params), 200)[1:]
+    convs = convergents(denoms, 200)[1:]
     c, c1 = next((c, c1) for c, c1 in zip(convs, convs[1:])
-                 if c.q * c1.q > 10 ** 27)
+                 if c.q * c1.q > bound)
     return sorted((F(c.p, c.q), F(c1.p, c1.q)))
 
 
@@ -100,27 +102,35 @@ class TestSeries:
         assert sv.B.value < 0
 
 
+def pair(ratio):
+    """A Fraction term ratio m -> t_{m+1}/t_m as the kernel's integer pair."""
+    def as_pair(m):
+        r = F(ratio(m))
+        return r.numerator, r.denominator
+    return as_pair
+
+
 def naive_sum(t0, ratio, terms):
     """Term-by-term Fraction sum of the first ``terms`` terms: the oracle
     for the binary-splitting kernel."""
     total = term = F(t0)
     for m in range(terms - 1):
-        term *= ratio(m)
+        term *= F(*ratio(m))
         total += term
     return total
 
 
 def series_a_b(sigma, rho):
     """(t0, ratio) of the two series behind series_AB."""
-    return ((F(1), lambda m: rho / ((m + 1) * (sigma + m))),
-            (rho / sigma, lambda m: rho / ((m + 1) * (sigma + m + 1))))
+    return ((F(1), pair(lambda m: rho / ((m + 1) * (sigma + m)))),
+            (rho / sigma, pair(lambda m: rho / ((m + 1) * (sigma + m + 1)))))
 
 
 def taylor(x, odd, sign):
     """(t0, ratio) of sum sign^k x^(2k+p) / (2k+p)!, p = 1 if odd."""
     p = 1 if odd else 0
     return (x if odd else F(1),
-            lambda m: sign * x * x / ((2 * m + p + 1) * (2 * m + p + 2)))
+            pair(lambda m: sign * x * x / ((2 * m + p + 1) * (2 * m + p + 2))))
 
 
 # (sigma, rho): half-odd, integer and other sigma, rho of either sign
@@ -128,7 +138,8 @@ SIGMA_RHO = [(F(3, 2), F(1, 16)), (F(7, 2), F(-1, 4)), (F(2), F(1, 9)),
              (F(4), F(-1, 4)), (F(5, 3), F(4, 7)), (F(11, 18), F(-1, 324))]
 TAYLOR = [taylor(F(1, 2), True, -1), taylor(F(1), False, -1),
           taylor(F(-3, 5), True, 1), taylor(F(2, 3), False, 1),
-          (F(1), lambda m: F(-2) / (m + 1))]
+          (F(1), pair(lambda m: F(-2) / (m + 1)))]
+ALL_SERIES = [s for sr in SIGMA_RHO for s in series_a_b(*sr)] + TAYLOR
 
 
 class TestBinarySplitting:
@@ -173,18 +184,30 @@ class TestBinarySplitting:
         # exp(-30): terms reach 10^11 while the sum is ~10^-13
         ball = exp_prec(F(-30), 20)
         assert ball.rel_err() < F(1, 10 ** 20)
-        ref = naive_sum(F(1), lambda m: F(-30) / (m + 1), 200)
+        ref = naive_sum(F(1), pair(lambda m: F(-30) / (m + 1)), 200)
         assert ball.lo <= ref <= ball.hi
 
     def test_terminating_series_is_exact(self):
         def ratio(m):
-            return F(0) if m == 3 else F(1, m + 1)
+            return (0, 1) if m == 3 else (1, m + 1)
         assert _sum_ratio_series(F(1), ratio, 20) == (F(8, 3), 0, 4)
         assert _sum_ratio_series(F(0), ratio, 20) == (0, 0, 0)
 
     def test_non_decaying_series_is_refused(self):
         with pytest.raises(PrecisionExhausted):
-            _sum_ratio_series(F(1), lambda m: F(-1), 5)
+            _sum_ratio_series(F(1), lambda m: (-1, 1), 5)
+
+    # the pairs of _0f1 are not reduced: a common factor must change nothing
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 10 ** 12), st.sampled_from(range(len(ALL_SERIES))),
+           st.sampled_from([5, 60]))
+    @example(2, 0, 60)
+    @example(10 ** 6, len(ALL_SERIES) - 1, 60)
+    def test_scaled_pairs_change_nothing(self, k, index, digits):
+        t0, ratio = ALL_SERIES[index]
+        scaled = _sum_ratio_series(
+            t0, lambda m: tuple(k * x for x in ratio(m)), digits)
+        assert scaled == _sum_ratio_series(t0, ratio, digits)
 
 
 class TestCertify:
@@ -295,6 +318,10 @@ class TestArithmeticProgression:
         b = perron_d1(b0, b1, 30)
         assert overlap(a, b)
         assert abs(a.value - b.value) < F(1, 10 ** 29)
+        # both sum the same two series; [b0, b0+b1, b0+2b1, ...] checks them
+        lo, hi = convergent_bracket(lambda i: b0 + i * b1, 10 ** 32)
+        assert a.lo <= hi and lo <= a.hi
+        assert b.lo <= hi and lo <= b.hi
 
     def test_lehmer_1_1_vs_convergents(self):
         # [1, 2, 3, 4, ...] directly
@@ -374,7 +401,7 @@ class TestXiBessel:
         assert overlap(a, b)
         assert abs(a.value - b.value) < F(1, 10 ** 24)
         # off half-odd sigma a is b; the convergents check both independently
-        lo, hi = convergent_bracket(params)
+        lo, hi = convergent_bracket(denom_stream(params))
         assert a.lo <= hi and lo <= a.hi
         assert b.lo <= hi and lo <= b.hi
 
@@ -395,3 +422,29 @@ def test_certified_digits_scale():
     for digits in (10, 40, 80):
         v = xi_limit(CFParams(1, 2, 2, 3, 2), digits)
         assert v.rel_err() <= F(1, 10 ** digits)
+
+
+# The ten limits of the benchmark's limits-deep workload (every sigma class,
+# d = 1..4, both Bessel forms).  LIMITS_GOLDEN is the sha256 of the rendered
+# 500-digit xi_limit and xi_bessel of each, then the 25-digit lehmer_d1 and
+# perron_d1 for b0 = 1..9, b1 = 1..3, one line each, recorded while every
+# ratio was still a Fraction: a change of the summation kernel or of the
+# ratio format must leave the text unchanged.
+GOLDEN_TUPLES = [(1, 2, 2, 3, 2), (1, 1, 2, 2, 1), (4, 3, 1, 2, 1),
+                 (1, 3, 2, 3, 1), (2, 3, 1, 2, 0), (1, 3, 2, 1, 0),
+                 (2, 5, 3, 1, 0), (1, 1, 1, 4, 0), (2, 1, 3, 4, 2),
+                 (3, 2, 5, 3, 1)]
+LIMITS_GOLDEN = \
+    "5a96a25c327d42c6e83e405010107988d844038199d038441d7e633a9bb0d75c"
+
+
+def test_limits_golden_text():
+    h = hashlib.sha256()
+    for t in GOLDEN_TUPLES:
+        for fn in (xi_limit, xi_bessel):
+            h.update(fn(CFParams(*t), 500).decimal(500).encode() + b"\n")
+    for b0 in range(1, 10):
+        for b1 in range(1, 4):
+            for fn in (lehmer_d1, perron_d1):
+                h.update(fn(b0, b1, 25).decimal(25).encode() + b"\n")
+    assert h.hexdigest() == LIMITS_GOLDEN
