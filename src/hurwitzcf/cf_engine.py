@@ -47,6 +47,20 @@ def convergents(a: DenomStream, n_max: int) -> list[Convergent]:
     return out
 
 
+def _last_convergent(a: DenomStream, n: int) -> Convergent:
+    """The convergent at n alone, by the recurrence of `convergents`
+    without keeping the earlier ones."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    p_prev, q_prev = 1, 0
+    p, q = a(0), 1
+    for i in range(1, n + 1):
+        ai = a(i)
+        p, p_prev = ai * p + p_prev, p
+        q, q_prev = ai * q + q_prev, q
+    return Convergent(n, p, q)
+
+
 def is_even_set(s) -> bool:
     """True iff s decomposes into maximal runs of even length."""
     elems = sorted(set(s))
@@ -86,21 +100,22 @@ def euler_mindig(a: DenomStream, n: int, naive: bool = False) -> Convergent:
                 if is_even_set(set(universe) - set(s)):
                     total += math.prod(vals[i] for i in s)
         else:
-            # Walk the even sets of {lo..n} position by position, carrying
-            # the product of the elements left out of the set: at i, either
-            # i is outside the set, or an even run i..end starts there and
-            # end+1 is outside it.  One leaf per even set.
-            stack = [(lo, 1)]
-            while stack:
-                i, prod = stack.pop()
-                if i > n:
-                    total += prod
-                    continue
-                stack.append((i + 1, prod * vals[i]))
-                for end in range(i + 1, n + 1, 2):
-                    gap = end + 1
-                    stack.append((gap + 1, prod * vals[gap]) if gap <= n
-                                 else (gap, prod))
+            # Walk the even sets of {lo..n} position by position, in
+            # batches: waiting[i] holds one product (of the elements left
+            # out of the set) per partial even set whose next undecided
+            # position is i.  At i, an even run i..gap-1 (possibly empty)
+            # starts there and gap is outside the set, or the run i..n ends
+            # the set.  Products are never merged: one leaf per even set.
+            waiting = [[] for _ in range(n + 2)]
+            waiting[lo].append(1)
+            for i in range(lo, n + 1):
+                prods = waiting[i]
+                for gap in range(i, n + 1, 2):
+                    v = vals[gap]
+                    waiting[gap + 1] += [p * v for p in prods]
+                if (n - i) % 2:
+                    waiting[n + 1] += prods
+            total = sum(waiting[n + 1])
         return total
 
     return Convergent(n, em_sum(0), em_sum(1))
@@ -121,6 +136,5 @@ def shift_check(a: DenomStream, n: int) -> bool:
     [a_1, a_2, ...]."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    qn = convergents(a, n)[-1].q
     shifted = lambda i: a(i + 1)
-    return qn == convergents(shifted, n - 1)[-1].p
+    return _last_convergent(a, n).q == _last_convergent(shifted, n - 1).p

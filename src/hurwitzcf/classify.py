@@ -107,11 +107,12 @@ def brute_force_sweep(alpha_max: int, d_max: int, beta_max: int,
         raise ValueError("all bounds must be >= 2")
     size = alpha_max * (d_max - 1) * beta_max ** 2
     # a tuple works on F_d(alpha), about d log2(alpha) bits long; each
-    # 64-bit word of it adds about 1/50 of the tuple's fixed cost
-    cost = size * (1 + d_max * alpha_max.bit_length() // 3200)
-    if cost > SWEEP_GUARD:
-        raise ValueError(f"{size} tuples up to d = {d_max} (cost {cost}) "
-                         f"exceed SWEEP_GUARD = {SWEEP_GUARD}")
+    # 64-bit word of it adds about 1/50 of the tuple's fixed cost.  The
+    # weight 1 + bits/3200 is compared unrounded, scaled by 3200.
+    cost = size * (3200 + d_max * alpha_max.bit_length())
+    if cost > SWEEP_GUARD * 3200:
+        raise ValueError(f"{size} tuples up to d = {d_max} (cost "
+                         f"{cost // 3200}) exceed SWEEP_GUARD = {SWEEP_GUARD}")
     hits = {claim: [0] * len(rows) for claim, rows in _CASES.items()}
     report = SweepReport(alpha_max, d_max, beta_max, 0, hits["half-odd"],
                          hits["integer"])

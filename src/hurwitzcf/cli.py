@@ -41,7 +41,7 @@ def _cmd_conv(args) -> int:
     elif args.method == "closed":
         conv = hurwitz.closed_form_convergent(params, n)
     elif args.method == "recurrence":
-        conv = cf_engine.convergents(hurwitz.denom_stream(params), index)[-1]
+        conv = cf_engine._last_convergent(hurwitz.denom_stream(params), index)
     elif args.method == "euler-mindig":
         conv = cf_engine.euler_mindig(hurwitz.denom_stream(params), index)
     else:  # prec-recurrence

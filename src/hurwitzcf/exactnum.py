@@ -23,6 +23,12 @@ def int_text(n: int) -> str:
     return format(Decimal(n), "f")
 
 
+def _fraction_text(q: Fraction) -> str:
+    """str(q), through int_text, so of any length."""
+    num = int_text(q.numerator)
+    return num if q.denominator == 1 else f"{num}/{int_text(q.denominator)}"
+
+
 def falling_factorial(x: Rat, k: int) -> Fraction:
     """(x)_k = x (x-1) ... (x-k+1); the empty product for k = 0."""
     if k < 0:
@@ -167,7 +173,8 @@ class PrecReal:
         return PrecReal(abs(self.value), self.err)
 
     def __repr__(self):
-        return f"PrecReal({self.value} ± {self.err})"
+        return f"PrecReal({_fraction_text(self.value)} ± " \
+               f"{_fraction_text(self.err)})"
 
     # -- rounding / rendering ---------------------------------------------
 

@@ -81,11 +81,18 @@ class BivarPoly:
 
 def falling_factorial_poly(shift: int, k: int) -> BivarPoly:
     """(y + shift)_k as a polynomial in y."""
-    acc = BivarPoly.const(1)
-    y = BivarPoly.y()
+    coeffs = [1]  # integer coefficients of y^0, y^1, ...
     for j in range(k):
-        acc = acc * (y + (shift - j))
-    return acc
+        a = shift - j  # times (y + a): c'_i = a c_i + c_{i-1}
+        coeffs = [a * c + c_lo for c, c_lo in zip(coeffs + [0], [0] + coeffs)]
+    return BivarPoly({(0, i): c for i, c in enumerate(coeffs)})
+
+
+def _add_scaled(acc: dict, poly: BivarPoly, dx: int, c) -> None:
+    """acc += c * x^dx * poly, on the coefficient dict acc."""
+    for (i, j), v in poly.coeffs.items():
+        key = (i + dx, j)
+        acc[key] = acc.get(key, 0) + c * v
 
 
 def symbolic_binom(shift: int, k: int) -> BivarPoly:
@@ -100,14 +107,11 @@ def r_poly(n: int) -> BivarPoly:
     """R_n(x, y) = sum_{k<=n} x^k (y+n)_{n-k} / k!."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    x = BivarPoly.x()
-    acc = BivarPoly()
-    xk = BivarPoly.const(1)
+    acc = {}
     for k in range(n + 1):
-        acc = acc + xk * falling_factorial_poly(n, n - k) \
-            * Fraction(1, math.factorial(k))
-        xk = xk * x
-    return acc
+        _add_scaled(acc, falling_factorial_poly(n, n - k), k,
+                    Fraction(1, math.factorial(k)))
+    return BivarPoly(acc)
 
 
 @lru_cache(maxsize=None)
@@ -115,14 +119,11 @@ def s_poly(n: int) -> BivarPoly:
     """S_n(x, y) = sum_{k<=n-1} x^(k+1) (y+n)_{n-k-1} / k!."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    x = BivarPoly.x()
-    acc = BivarPoly()
-    xk = x
+    acc = {}
     for k in range(n):
-        acc = acc + xk * falling_factorial_poly(n, n - k - 1) \
-            * Fraction(1, math.factorial(k))
-        xk = xk * x
-    return acc
+        _add_scaled(acc, falling_factorial_poly(n, n - k - 1), k + 1,
+                    Fraction(1, math.factorial(k)))
+    return BivarPoly(acc)
 
 
 def r_poly_binom_form(n: int) -> BivarPoly:
@@ -153,15 +154,11 @@ def s_poly_binom_form(n: int) -> BivarPoly:
 
 def _lhs_sum(n: int, poly) -> BivarPoly:
     """sum_{m<=n} ((-x)^(n-m)/(n-m)!) * poly(m)."""
-    x = BivarPoly.x()
-    acc = BivarPoly()
+    acc = {}
     for m in range(n + 1):
-        scale = Fraction((-1) ** (n - m), math.factorial(n - m))
-        power = BivarPoly.const(1)
-        for _ in range(n - m):
-            power = power * x
-        acc = acc + power * poly(m) * scale
-    return acc
+        _add_scaled(acc, poly(m), n - m,
+                    Fraction((-1) ** (n - m), math.factorial(n - m)))
+    return BivarPoly(acc)
 
 
 def verify_rsum(n: int) -> bool:
@@ -169,28 +166,26 @@ def verify_rsum(n: int) -> bool:
     = sum_{k<=n/2} ((n-k)!/k!) binom(n+y-k, n-2k) x^k, exactly."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    x = BivarPoly.x()
-    rhs = BivarPoly()
-    xk = BivarPoly.const(1)
+    # ((n-k)!/k!) binom(n+y-k, n-2k) = ((n-k)!/(k!(n-2k)!)) (y+n-k)_{n-2k},
+    # and (n-k)!/(k!(n-2k)!) = comb(n-k, k)
+    rhs = {}
     for k in range(n // 2 + 1):
-        c = Fraction(math.factorial(n - k), math.factorial(k))
-        rhs = rhs + xk * symbolic_binom(n - k, n - 2 * k) * c
-        xk = xk * x
-    return _lhs_sum(n, r_poly) == rhs
+        _add_scaled(rhs, falling_factorial_poly(n - k, n - 2 * k), k,
+                    math.comb(n - k, k))
+    return _lhs_sum(n, r_poly) == BivarPoly(rhs)
 
 
 def verify_ssum(n: int) -> bool:
     """The companion identity for S_n (powers x^(k+1), width n-2k-1)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    x = BivarPoly.x()
-    rhs = BivarPoly()
-    xk = x
+    # ((n-k-1)!/k!) binom(n+y-k, n-2k-1)
+    #     = comb(n-k-1, k) (y+n-k)_{n-2k-1}
+    rhs = {}
     for k in range((n - 1) // 2 + 1):
-        c = Fraction(math.factorial(n - k - 1), math.factorial(k))
-        rhs = rhs + xk * symbolic_binom(n - k, n - 2 * k - 1) * c
-        xk = xk * x
-    return _lhs_sum(n, s_poly) == rhs
+        _add_scaled(rhs, falling_factorial_poly(n - k, n - 2 * k - 1), k + 1,
+                    math.comb(n - k - 1, k))
+    return _lhs_sum(n, s_poly) == BivarPoly(rhs)
 
 
 # ---------------------------------------------------------------------------

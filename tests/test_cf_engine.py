@@ -2,10 +2,11 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from hurwitzcf.cf_engine import (convergents, euler_mindig, eval_finite,
-                                 is_even_set, shift_check, stream_from_list)
+from hurwitzcf.cf_engine import (_last_convergent, convergents, euler_mindig,
+                                 eval_finite, is_even_set, shift_check,
+                                 stream_from_list)
 from hurwitzcf.errors import IndexTooLarge
 
 E_STREAM = [2, 1, 2, 1, 1, 4, 1, 1, 6, 1, 1, 8, 1, 1, 10, 1, 1, 12]
@@ -76,6 +77,34 @@ def test_naive_euler_mindig_agrees_with_run_enumeration():
         fast = euler_mindig(s, n)
         slow = euler_mindig(s, n, naive=True)
         assert fast == slow
+
+
+# the batched walk against the subset enumeration, n = len(a) - 1 <= 14
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(1, 50), min_size=1, max_size=15))
+@example([7])
+@example(list(range(50, 35, -1)))
+def test_batched_walk_equals_naive(a):
+    s = stream_from_list(a)
+    n = len(a) - 1
+    assert euler_mindig(s, n) == euler_mindig(s, n, naive=True)
+
+
+def test_euler_mindig_counts_one_leaf_per_even_set():
+    # on the all-ones stream every product is 1, so p_n counts the even
+    # sets of {0..n}: F_{n+2} of them (and q_n = F_{n+1})
+    fib = [0, 1]
+    while len(fib) < 26:
+        fib.append(fib[-1] + fib[-2])
+    s = stream_from_list([1] * 23)
+    for n in range(23):
+        assert euler_mindig(s, n) == (n, fib[n + 2], fib[n + 1])
+
+
+@given(st.lists(st.integers(1, 9), min_size=1, max_size=30))
+def test_last_convergent_is_the_last_of_convergents(a):
+    s = stream_from_list(a)
+    assert _last_convergent(s, len(a) - 1) == convergents(s, len(a) - 1)[-1]
 
 
 def test_eval_finite_examples():

@@ -215,8 +215,11 @@ class TestSweep:
         # criterion 6's box stays well inside the guard
         assert 10 * 60 * 11 * 20 ** 2 <= SWEEP_GUARD
 
-    # few tuples, but F_d(2) of 50000 and 500000 bits: refused by their cost
-    @pytest.mark.parametrize("box", [(2, 50000, 2), (2, 500000, 2)])
+    # few tuples, but F_d(2) of 50000 and 500000 bits: refused by their
+    # cost; (2, 1599, 35) is just under the tuple guard with F_d of 1600
+    # bits, a weight of 1.5 that must not round down to 1
+    @pytest.mark.parametrize("box", [(2, 50000, 2), (2, 500000, 2),
+                                     (2, 1599, 35)])
     def test_size_guard_counts_long_integers(self, monkeypatch, capsys, box):
         assert box[0] * (box[1] - 1) * box[2] ** 2 <= SWEEP_GUARD
         calls = []
@@ -228,6 +231,15 @@ class TestSweep:
                     str(box[1]), "--beta-max", str(box[2])]) == 2
         assert "SWEEP_GUARD" in capsys.readouterr().err
         assert calls == []
+
+    # (40, 10, 14) is the bench box, (60, 12, 20) criterion 6's, and
+    # (2, 24000, 2) has few tuples with F_d of 24000 bits
+    @pytest.mark.parametrize("box", [(40, 10, 14), (60, 12, 20),
+                                     (2, 24000, 2)])
+    def test_size_guard_admits(self, box):
+        report = brute_force_sweep(*box)
+        assert report.tuples_checked == box[0] * (box[1] - 1) * box[2] ** 2
+        assert report.mismatches == []
 
 
 class TestStructuralInequalities:

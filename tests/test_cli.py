@@ -1,5 +1,10 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
@@ -82,6 +87,31 @@ class TestConv:
         assert len(doc["q"]) > 4300
         ratio = Decimal(doc["p"]) / Decimal(doc["q"])
         assert str(ratio).startswith("1.71828182845904523536")
+
+
+    # index 30001: the recurrence keeps only the last convergent, so the
+    # child's peak memory stays small (it was 532 MB when every convergent
+    # was kept); the sha256 of the output was recorded before that change
+    @pytest.mark.parametrize("flags, digest", [
+        ([],
+         "275796be40f272ea4865ca551a54dc5a00cf6f169de095ac145d0930256da45d"),
+        (["--json"],
+         "bf2649f6f29944536ccf83de0e818183891d4f221e41b2e27ce3ef4f6a2ebac9"),
+    ])
+    def test_deep_recurrence_memory(self, flags, digest):
+        src = str(Path(cf_engine.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        child = subprocess.Popen(
+            [sys.executable, "-m", "hurwitzcf.cli", "conv", *E_FLAGS,
+             "--n", "10000", *flags], stdout=subprocess.PIPE, env=env)
+        text = child.stdout.read()
+        child.stdout.close()
+        # wait4 gives this child's own rusage; tell Popen it was reaped
+        _, status, usage = os.wait4(child.pid, 0)
+        child.returncode = os.waitstatus_to_exitcode(status)
+        assert child.returncode == 0
+        assert usage.ru_maxrss < 64 * 1024  # kilobytes
+        assert hashlib.sha256(text).hexdigest() == digest
 
 
 class TestLimit:

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import example, given, strategies as st
 
 from hurwitzcf.exactnum import (PrecReal, falling_factorial, gbinom,
                                 to_prec_real)
+from hurwitzcf.hurwitz import CFParams
+from hurwitzcf.limits import xi_limit
 
 F = Fraction
 
@@ -106,6 +109,21 @@ class TestPrecReal:
     def test_certified_digits(self):
         v = PrecReal(F(1), F(1, 10 ** 7))
         assert 6 <= v.certified_decimal_digits() <= 7
+
+    def test_repr(self):
+        assert repr(PrecReal(F(-1, 3), F(1, 7))) == "PrecReal(-1/3 ± 1/7)"
+        assert repr(PrecReal(3)) == "PrecReal(3 ± 0)"
+
+    def test_repr_beyond_the_str_digit_limit(self):
+        # the radius of a 3000-digit ball has a denominator of more than
+        # 4300 digits; int(str) stops at that limit, Decimal does not
+        v = xi_limit(CFParams(1, 2, 2, 3, 2), 3000)
+        center, radius = repr(v)[len("PrecReal("):-1].split(" ± ")
+        parts = [int(Decimal(t)) for t in center.split("/")
+                 + radius.split("/")]
+        assert len(radius.split("/")[1]) > 4300
+        assert (F(parts[0], parts[1]), F(parts[2], parts[3])) == \
+            (v.value, v.err)
 
     def test_immutability(self):
         v = PrecReal(1)

@@ -5,7 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from hurwitzcf.cf_engine import convergents
 from hurwitzcf.hurwitz import CFParams, denom_stream
+from hurwitzcf import identities
 from hurwitzcf.identities import (BivarPoly, eval_unipoly,
+                                  falling_factorial_poly,
                                   gcf_convergent_check, p_poly, q_poly,
                                   r_poly, r_poly_binom_form, s_poly,
                                   s_poly_binom_form, verify_rsum, verify_ssum)
@@ -26,6 +28,26 @@ class TestBivarPoly:
 
     def test_scalar_mixing(self):
         assert 2 * X + 1 == X + X + BivarPoly.const(1)
+
+
+def falling_factorial_product(shift, k):
+    """(y + shift)_k as a product of linear BivarPoly factors."""
+    acc = BivarPoly.const(1)
+    for j in range(k):
+        acc = acc * (Y + (shift - j))
+    return acc
+
+
+class TestFallingFactorialPoly:
+    def test_matches_product_of_linear_factors(self):
+        for shift in range(-3, 13):
+            for k in range(13):
+                assert falling_factorial_poly(shift, k) == \
+                    falling_factorial_product(shift, k), (shift, k)
+
+    def test_examples(self):
+        assert falling_factorial_poly(5, 0) == BivarPoly.const(1)
+        assert falling_factorial_poly(2, 3) == Y * (Y + 1) * (Y + 2)
 
 
 class TestRS:
@@ -58,6 +80,19 @@ class TestSummationLemmas:
     @pytest.mark.parametrize("n", range(0, 21))
     def test_ssum(self, n):
         assert verify_ssum(n)
+
+
+    # every R_m (or S_m) off by x^n: the left side gains
+    # x^n sum_{j<=n} (-x)^j / j!, so the lemma at n must fail
+    @pytest.mark.parametrize("name, verify", [("r_poly", verify_rsum),
+                                              ("s_poly", verify_ssum)])
+    def test_detects_a_wrong_polynomial(self, monkeypatch, name, verify):
+        true_poly = getattr(identities, name)
+        for n in range(1, 9):
+            x_n = BivarPoly({(n, 0): 1})
+            monkeypatch.setattr(identities, name,
+                                lambda m: true_poly(m) + x_n)
+            assert not verify(n), n
 
 
 class TestPQ:
