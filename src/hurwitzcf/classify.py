@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import TheoremMismatch, UnsupportedD
+from .exactnum import _fraction_text
 from .hurwitz import CFParams, SigmaTag, magic, sigma_tag
 
 # the most work brute_force_sweep accepts, in tuples at small d (see the
@@ -134,7 +135,8 @@ def brute_force_sweep(alpha_max: int, d_max: int, beta_max: int,
                     checked += 1
                     if claim != tag:
                         entry = {"alpha": a, "beta0": b0, "beta1": b1, "d": d,
-                                 "sigma": str(Fraction(num, den)), "tag": tag}
+                                 "sigma": _fraction_text(Fraction(num, den)),
+                                 "tag": tag}
                         report.mismatches.append(entry)
                         if raise_on_mismatch:
                             raise TheoremMismatch(entry)

@@ -178,18 +178,6 @@ class PrecReal:
 
     # -- rounding / rendering ---------------------------------------------
 
-    def certified_decimal_digits(self) -> int:
-        """Largest D with err < |value| * 10^-D (0 if none)."""
-        r = self.rel_err()
-        if r is None:
-            return 0
-        d = 0
-        bound = Fraction(1, 10)
-        while r < bound and d < 100000:
-            d += 1
-            bound /= 10
-        return d
-
     def decimal(self, digits: int) -> str:
         """Decimal rendering of the center with ``digits`` fractional digits."""
         v = self.value

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,8 +9,9 @@ from hurwitzcf.classify import (SWEEP_GUARD, SigmaClass, brute_force_sweep,
                                 theorem71_predicate)
 from hurwitzcf.cli import run
 from hurwitzcf.errors import TheoremMismatch, UnsupportedD
+from hurwitzcf.exactnum import _fraction_text
 from hurwitzcf.fibpoly import fib_eval, lucas_eval
-from hurwitzcf.hurwitz import CFParams
+from hurwitzcf.hurwitz import CFParams, magic
 
 F = Fraction
 
@@ -202,6 +204,25 @@ class TestSweep:
         with pytest.raises(TheoremMismatch) as ref_raised:
             reference_sweep(*box, *ref_args)
         assert str(ref_raised.value) == str(raised.value)
+
+    def test_mismatch_sigma_beyond_the_str_digit_limit(self, monkeypatch):
+        # a wrong row at d = 1700, where sigma's denominator has more than
+        # 640 digits, the lowest limit the interpreter accepts
+        rows = classify._CASES["integer"] + (("wrong", 1700, 2, 1, 0,
+                                                "integer"),)
+        monkeypatch.setitem(classify._CASES, "integer", rows)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            report = brute_force_sweep(2, 1700, 2, raise_on_mismatch=False)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        wrong = [m for m in report.mismatches if m["d"] == 1700]
+        assert len(wrong) == 3  # b0/b1 = 1/1, 2/1, 2/2
+        for m in wrong:
+            sigma = magic(CFParams(2, m["beta0"], m["beta1"], 1700, 0)).sigma
+            assert sigma.denominator > 10 ** 640
+            assert m["sigma"] == _fraction_text(sigma)
 
     def test_size_guard(self, capsys):
         # about 10^12 tuples: refused before any tuple is classified

@@ -1,4 +1,7 @@
+import contextlib
 import hashlib
+import io
+import itertools
 import json
 import os
 import subprocess
@@ -8,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from hurwitzcf import cf_engine, hurwitz, limits
+from hurwitzcf import cf_engine, hurwitz, identities, limits
 from hurwitzcf.cli import run
+from hurwitzcf.exactnum import _fraction_text
 
 
 @pytest.fixture
@@ -68,6 +72,12 @@ class TestConv:
     def test_negative_n_refused(self, out, method):
         assert run(["conv", *E_FLAGS, "--n", "-3", "--method", method]) == 2
         assert "n must be >= 0" in out().err
+
+    def test_index_beyond_the_euler_mindig_guard_exit_2(self, out):
+        # index 25 is over EULER_MINDIG_GUARD = 22: a refused input
+        assert run(["conv", *E_FLAGS, "--n", "8", "--method",
+                    "euler-mindig"]) == 2
+        assert out() == ("", "error: n=25 exceeds enumeration guard 22\n")
 
     @pytest.mark.parametrize("method", ["recurrence", "closed",
                                         "euler-mindig", "prec-recurrence"])
@@ -181,6 +191,15 @@ class TestClassify:
         assert "theorem_half_odd" not in doc
 
 
+    def test_sigma_beyond_the_str_digit_limit(self, out):
+        flags = ["--alpha", "10", "--b0", "1", "--b1", "1", "--d", "5000",
+                 "--r", "0"]
+        assert run(["classify", *flags, "--json"]) == 0
+        sigma = hurwitz.magic(hurwitz.CFParams(10, 1, 1, 5000, 0)).sigma
+        assert sigma.denominator > 10 ** 4300
+        assert json.loads(out().out)["sigma"] == _fraction_text(sigma)
+
+
 class TestSweep:
     def test_small_sweep(self, out):
         assert run(["sweep", "--alpha-max", "4", "--d-max", "3",
@@ -206,6 +225,17 @@ class TestVerify:
         text = out().out
         assert text.count(": ok") == 6
 
+    def test_planted_fault_exits_1(self, out, monkeypatch):
+        monkeypatch.setattr(identities, "verify_rsum", lambda n: False)
+        assert run(["verify", "--suite", "identities", "--n-max", "1"]) == 1
+        assert out().out == ("suite identities: FAIL\n  R-sum at n=0\n"
+                             "  R-sum at n=1\n")
+
+    @pytest.mark.parametrize("suite", ["all", "fibpoly", "hurwitz"])
+    def test_negative_n_max_refused(self, out, suite):
+        assert run(["verify", "--suite", suite, "--n-max", "-1"]) == 2
+        assert out() == ("", "error: n-max must be >= 0, got -1\n")
+
 
 class TestPoly:
     def test_fib_table(self, out):
@@ -218,6 +248,11 @@ class TestPoly:
         assert run(["poly", "--family", "q", "--n-max", "2", "--json"]) == 0
         doc = json.loads(out().out)
         assert doc["coefficients"][2] == ["2", "1"]
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_negative_n_max_refused(self, out, flags):
+        assert run(["poly", "--family", "p", "--n-max", "-2", *flags]) == 2
+        assert out() == ("", "error: n-max must be >= 0, got -2\n")
 
 
 # Exact output of verbs that the tests above check only in part.
@@ -293,3 +328,70 @@ class TestErrors:
         assert run(["conv", "--alpha", "0", "--b0", "1", "--b1", "1",
                     "--d", "1", "--r", "0", "--n", "1"]) == 2
         assert "error:" in out().err
+
+
+# A pinned corpus: every verb, every method, family and suite, in text and
+# --json, the help texts and the error paths.  The sha256 over (argv,
+# stdout, stderr, exit code) was recorded before the verbs became
+# table-driven; argparse's wording (Python 3.11) is part of it.
+def _corpus() -> list:
+    tuples = [(1, 2, 2, 3, 2), (1, 1, 2, 2, 1), (1, 1, 1, 3, 2),
+              (2, 1, 3, 4, 2), (3, 1, 1, 2, 0), (4, 3, 1, 2, 1),
+              (1, 3, 2, 1, 0), (2, 3, 1, 3, 3)]
+    requests = []
+    for t in tuples:
+        flags = [x for name, value in zip(("--alpha", "--b0", "--b1", "--d",
+                                           "--r"), t)
+                 for x in (name, str(value))]
+        for n, method, json_flag in itertools.product(
+                ("0", "1", "4"), ("recurrence", "closed", "euler-mindig",
+                                  "prec-recurrence"), ([], ["--json"])):
+            requests.append(["conv", *flags, "--n", n, "--method", method,
+                             *json_flag])
+        for method, json_flag in itertools.product(
+                ("series", "bessel", "elementary"), ([], ["--json"])):
+            requests.append(["limit", *flags, "--digits", "20", "--method",
+                             method, *json_flag])
+        requests += [["classify", *flags], ["classify", *flags, "--json"]]
+    for family, n_max, json_flag in itertools.product(
+            ("fib", "lucas", "p", "q"), ("0", "6"), ([], ["--json"])):
+        requests.append(["poly", "--family", family, "--n-max", n_max,
+                         *json_flag])
+    for suite in ("all", "fibpoly", "cf", "hurwitz", "identities", "limits",
+                  "classify"):
+        requests.append(["verify", "--suite", suite, "--n-max", "4"])
+    requests += [
+        ["verify"], ["poly", "--family", "q"],
+        ["sweep", "--alpha-max", "3", "--d-max", "3", "--beta-max", "3"],
+        ["sweep", "--alpha-max", "3", "--d-max", "3", "--beta-max", "3",
+         "--json"],
+        ["sweep", "--alpha-max", "2", "--d-max", "1599", "--beta-max", "35"],
+        ["sweep", "--alpha-max", "1"],
+        ["conv", *E_FLAGS, "--n", "-3"],
+        ["limit", *E_FLAGS, "--digits", "0"],
+        ["limit", *E_FLAGS, "--digits", "5", "--method", "nope"],
+        ["conv", *E_FLAGS, "--n", "1", "--method", "nope"],
+        ["poly", "--family", "nope"], ["verify", "--suite", "nope"],
+        ["conv", "--alpha", "1"], ["limit", *E_FLAGS],
+        ["conv", "--alpha", "0", "--b0", "1", "--b1", "1", "--d", "1",
+         "--r", "0", "--n", "1"],
+        [], ["--help"], ["nope"],
+    ]
+    requests += [[verb, "--help"] for verb in ("conv", "limit", "classify",
+                                                "sweep", "verify", "poly")]
+    return requests
+
+
+def test_pinned_corpus(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal
+    digest = hashlib.sha256()
+    for argv in _corpus():
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            code = run(argv)
+        digest.update(json.dumps([argv, stdout.getvalue(), stderr.getvalue(),
+                                  code]).encode())
+    assert len(_corpus()) == 303
+    assert digest.hexdigest() == (
+        "906dec8dbc3c324fe185b08c442917785d4aaeb1d84ab71e3cbeff597741f7e9")

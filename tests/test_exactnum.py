@@ -106,10 +106,6 @@ class TestPrecReal:
         assert PrecReal(F(1, 3)).decimal(6) == "0.333333"
         assert PrecReal(F(-7, 4)).decimal(2) == "-1.75"
 
-    def test_certified_digits(self):
-        v = PrecReal(F(1), F(1, 10 ** 7))
-        assert 6 <= v.certified_decimal_digits() <= 7
-
     def test_repr(self):
         assert repr(PrecReal(F(-1, 3), F(1, 7))) == "PrecReal(-1/3 ± 1/7)"
         assert repr(PrecReal(3)) == "PrecReal(3 ± 0)"
