@@ -131,7 +131,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_poly(args) -> int:
     fam = args.family
-    rows = [[str(c) for c in _POLY[fam](n)] for n in range(args.n_max + 1)]
+    rows = [[_fraction_text(c) for c in _POLY[fam](n)]
+            for n in range(args.n_max + 1)]
     _print(args, {"family": fam, "coefficients": rows},
            [f"{fam}[{n}]: {' '.join(row) or '0'}"
             for n, row in enumerate(rows)])

@@ -1,9 +1,10 @@
 """Exact rational kernels and a certified-error real type.
 
 Integers are Python ints, rationals are ``fractions.Fraction`` (always kept
-reduced, positive denominator).  ``PrecReal`` is a ball: an exact rational
-center together with a rigorous absolute error bound, so every derived
-quantity carries its own certification.
+reduced, positive denominator).  ``PrecReal`` is a ball: a dyadic center
+m 2^e and a radius r 2^e in integers, rounded so that the ball always
+contains the true value, so every derived quantity carries its own
+certification without a gcd.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ def int_text(n: int) -> str:
     return format(Decimal(n), "f")
 
 
-def _fraction_text(q: Fraction) -> str:
-    """str(q), through int_text, so of any length."""
+def _fraction_text(q: Rat) -> str:
+    """str(q) of an int or Fraction, through int_text, so of any length."""
     num = int_text(q.numerator)
     return num if q.denominator == 1 else f"{num}/{int_text(q.denominator)}"
 
@@ -72,75 +73,150 @@ def mantissa_bits(digits: int) -> int:
     return (digits * 10 + 2) // 3 + 64
 
 
-def _round_to_bits(x: Fraction, bits: int) -> tuple[Fraction, Fraction]:
-    """Round x to a dyadic rational with ~bits significant bits.
+# Working bits of a ball that has to be rounded but was given no precision:
+# a non-dyadic exact rational, or a quotient of two exact balls.
+DEFAULT_PREC = 128
 
-    Returns (rounded value, exact rounding error).
-    """
-    if x == 0:
-        return Fraction(0), Fraction(0)
-    shift = bits - (x.numerator.bit_length() - x.denominator.bit_length())
-    unit = Fraction(2) ** -shift  # spacing of the grid x is rounded to
-    rounded = round(x / unit) * unit
-    return rounded, abs(x - rounded)
+
+def _shifted_quotient(num: int, den: int, k: int) -> tuple[int, bool]:
+    """floor(num 2^k / den) for den > 0, and whether it is inexact."""
+    q, rem = divmod(num << k, den) if k >= 0 else divmod(num, den << -k)
+    return q, rem != 0
+
+
+def _dyadic(n: int, e: int) -> Fraction:
+    return Fraction(n << e) if e >= 0 else Fraction(n, 1 << -e)
+
+
+def _is_pow2(n: int) -> bool:
+    return n & (n - 1) == 0
 
 
 class PrecReal:
-    """An exact rational center with a rigorous absolute error bound.
+    """A midpoint-radius ball with a dyadic center: the integers ``m``
+    (mantissa), ``r >= 0`` (radius) and ``e`` (exponent) give the interval
+    [(m - r) 2^e, (m + r) 2^e], which contains the true value.
 
-    Immutable.  All arithmetic is conservative: the true value of any
-    expression is guaranteed to lie within ``err`` of ``value``.
+    ``prec`` is the working precision in bits (Arb's design, Johansson,
+    IEEE TC 2017).  Each operation computes its center and radius in
+    integers, then drops the low bits of ``m`` and ``r`` beyond ``prec``
+    bits: the center is rounded toward minus infinity and the radius up,
+    by one unit for the dropped bits of the center.  A result takes the
+    larger precision of its operands; ``prec`` 0 marks an exact ball,
+    and sums and products of exact balls stay exact.  Quotients and
+    non-dyadic rationals are rounded at ``prec`` (``DEFAULT_PREC`` when 0).
+    ``PrecReal(value, err)`` is exact when both are dyadic.
+
+    Immutable.  ``value``, ``err``, ``lo``, ``hi`` and ``rel_err()`` are
+    ``Fraction`` views, built only when asked for.
     """
 
-    __slots__ = ("value", "err")
+    __slots__ = ("m", "r", "e", "prec")
 
-    def __init__(self, value: Rat, err: Rat = 0):
-        value = Fraction(value)
-        err = Fraction(err)
+    def __new__(cls, value: Rat = 0, err: Rat = 0) -> "PrecReal":
+        """The ball value ± err, exact when both are dyadic."""
+        value, err = Fraction(value), Fraction(err)
         if err < 0:
             raise ValueError("error bound must be nonnegative")
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "err", err)
+        return PrecReal._ratio(value.numerator, value.denominator,
+                               err.numerator, err.denominator)
+
+    @staticmethod
+    def _new(m: int, r: int, e: int, prec: int) -> "PrecReal":
+        """The ball (m ± r) 2^e, cut to ``prec`` bits unless prec is 0."""
+        if prec:
+            drop = max(m.bit_length(), r.bit_length()) - prec
+            if drop > 0:
+                r = -(-r >> drop) + (m & ((1 << drop) - 1) != 0)
+                m >>= drop
+                e += drop
+        ball = object.__new__(PrecReal)
+        setattr_ = object.__setattr__
+        setattr_(ball, "m", m)
+        setattr_(ball, "r", r)
+        setattr_(ball, "e", e)
+        setattr_(ball, "prec", prec)
+        return ball
+
+    @staticmethod
+    def _ratio(num: int, den: int, rad_num: int = 0, rad_den: int = 1,
+               prec: int = 0) -> "PrecReal":
+        """The ball num/den ± rad_num/rad_den (den, rad_den > 0,
+        rad_num >= 0).  Dyadic inputs are held exactly, then cut to prec;
+        otherwise the center is one shifted floor division at prec bits
+        (DEFAULT_PREC when 0) and the radius is rounded up."""
+        if _is_pow2(den) and _is_pow2(rad_den):
+            shift = max(den.bit_length(), rad_den.bit_length()) - 1
+            return PrecReal._new(num << (shift - den.bit_length() + 1),
+                                 rad_num << (shift - rad_den.bit_length() + 1),
+                                 -shift, prec)
+        prec = prec or DEFAULT_PREC
+        top = (num.bit_length() - den.bit_length() if num
+               else rad_num.bit_length() - rad_den.bit_length())
+        k = prec - 1 - top  # |num/den| 2^k < 2^prec: no second rounding
+        m, inexact = _shifted_quotient(num, den, k)
+        r = -_shifted_quotient(-rad_num, rad_den, k)[0] + inexact
+        return PrecReal._new(m, r, -k, prec)
 
     def __setattr__(self, *a):
         raise AttributeError("PrecReal is immutable")
 
-    # -- interval views ----------------------------------------------------
+    # -- Fraction views ----------------------------------------------------
+
+    @property
+    def value(self) -> Fraction:
+        return _dyadic(self.m, self.e)
+
+    @property
+    def err(self) -> Fraction:
+        return _dyadic(self.r, self.e)
 
     @property
     def lo(self) -> Fraction:
-        return self.value - self.err
+        return _dyadic(self.m - self.r, self.e)
 
     @property
     def hi(self) -> Fraction:
-        return self.value + self.err
+        return _dyadic(self.m + self.r, self.e)
 
     def rel_err(self) -> Fraction:
         """Certified relative error bound; inf is represented by None."""
-        mag = abs(self.value) - self.err
+        mag = abs(self.m) - self.r
         if mag <= 0:
             return None
-        return self.err / mag
+        return Fraction(self.r, mag)
+
+    def rel_err_at_most(self, digits: int) -> bool:
+        """Whether rel_err() is at most 10^-digits: |m| > r and
+        r 10^digits <= |m| - r, in integers."""
+        mag = abs(self.m) - self.r
+        return mag > 0 and self.r * 10 ** digits <= mag
 
     def contains_zero(self) -> bool:
-        return abs(self.value) <= self.err
+        return abs(self.m) <= self.r
 
     # -- arithmetic --------------------------------------------------------
 
-    @staticmethod
-    def _coerce(x) -> "PrecReal":
+    def _coerce(self, x) -> "PrecReal":
         if isinstance(x, PrecReal):
             return x
-        return PrecReal(x)
+        if isinstance(x, int):
+            return PrecReal._new(x, 0, 0, 0)
+        x = Fraction(x)
+        return PrecReal._ratio(x.numerator, x.denominator, 0, 1, self.prec)
 
     def __add__(self, other):
         o = self._coerce(other)
-        return PrecReal(self.value + o.value, self.err + o.err)
+        e = min(self.e, o.e)
+        a, b = self.e - e, o.e - e
+        return PrecReal._new((self.m << a) + (o.m << b),
+                             (self.r << a) + (o.r << b), e,
+                             max(self.prec, o.prec))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PrecReal(-self.value, self.err)
+        return PrecReal._new(-self.m, self.r, self.e, self.prec)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -149,57 +225,82 @@ class PrecReal:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other):
+        if isinstance(other, Fraction) and not _is_pow2(other.denominator):
+            return self * other.numerator / other.denominator
         o = self._coerce(other)
-        err = (abs(self.value) * o.err
-               + abs(o.value) * self.err
-               + self.err * o.err)
-        return PrecReal(self.value * o.value, err)
+        r = abs(self.m) * o.r + abs(o.m) * self.r + self.r * o.r
+        return PrecReal._new(self.m * o.m, r, self.e + o.e,
+                             max(self.prec, o.prec))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if isinstance(other, Fraction) and not _is_pow2(other.denominator):
+            return self * other.denominator / other.numerator
         o = self._coerce(other)
         if o.contains_zero():
             raise ZeroDivisionError("divisor interval contains zero")
-        q = self.value / o.value
-        denom_floor = abs(o.value) - o.err
-        err = (self.err + abs(q) * o.err) / denom_floor
-        return PrecReal(q, err)
+        prec = max(self.prec, o.prec) or DEFAULT_PREC
+        num, den = (self.m, o.m) if o.m > 0 else (-self.m, -o.m)
+        # q = floor(num 2^s / den) of at most prec bits
+        s = prec - 1 - max(self.m.bit_length(),
+                           self.r.bit_length()) + den.bit_length()
+        q, inexact = _shifted_quotient(num, den, s)
+        # in units of 2^e: |x/y - q| <= (r 2^s + |t| o.r) / (den - o.r),
+        # plus 1 if q is inexact, where t = num 2^s / den and
+        # |t| <= |q| + 1 (|t| = |q| if exact); each term rounded up
+        low = den - o.r
+        r = (-_shifted_quotient(-self.r, low, s)[0]
+             - (-(abs(q) + inexact) * o.r // low) + inexact)
+        return PrecReal._new(q, r, self.e - o.e - s, prec)
 
     def __rtruediv__(self, other):
+        if isinstance(other, Fraction) and not _is_pow2(other.denominator):
+            return other.numerator / self / other.denominator
         return self._coerce(other) / self
 
     def __abs__(self):
-        return PrecReal(abs(self.value), self.err)
+        return PrecReal._new(abs(self.m), self.r, self.e, self.prec)
 
     def __repr__(self):
         return f"PrecReal({_fraction_text(self.value)} ± " \
                f"{_fraction_text(self.err)})"
 
-    # -- rounding / rendering ---------------------------------------------
+    # -- rendering ---------------------------------------------------------
 
     def decimal(self, digits: int) -> str:
-        """Decimal rendering of the center with ``digits`` fractional digits."""
-        v = self.value
-        sign = "-" if v < 0 else ""
-        v = abs(v)
-        scaled = v * 10 ** digits
-        q = scaled.numerator // scaled.denominator
-        # round half up; exactness of the last digit is governed by err
-        if 2 * (scaled - q) >= 1:
-            q += 1
+        """Decimal rendering of the center with ``digits`` fractional
+        digits, rounded half up: the exact rendering of m 2^e."""
+        sign = "-" if self.m < 0 else ""
+        scaled = abs(self.m) * 10 ** digits
+        if self.e >= 0:
+            q = scaled << self.e
+        else:
+            q = scaled >> -self.e
+            # round half up; exactness of the last digit is governed by r
+            q += (scaled >> (-self.e - 1)) & 1
         s = int_text(q).rjust(digits + 1, "0")
         return f"{sign}{s[:-digits]}.{s[-digits:]}" if digits else f"{sign}{s}"
 
 
 def to_prec_real(r: Rat, digits: int) -> PrecReal:
-    """Render an exact rational as a PrecReal within relative error 10^-digits."""
+    """Round an exact rational to mantissa_bits(digits) bits, to nearest
+    with ties to even: a PrecReal within relative error 10^-digits."""
     if digits < 1:
         raise ValueError("digits must be >= 1")
     r = Fraction(r)
     if r == 0:
         return PrecReal(0)
-    v, err = _round_to_bits(r, mantissa_bits(digits))
-    out = PrecReal(v, err)
-    assert err <= abs(r) * Fraction(1, 10 ** digits)
-    return out
+    bits = mantissa_bits(digits)
+    num, den = r.numerator, r.denominator
+    # |r| 2^k < 2^bits, so q <= 2^bits needs no second rounding
+    k = bits - 1 - (num.bit_length() - den.bit_length())
+    num, den = (num << k, den) if k >= 0 else (num, den << -k)
+    q, rem = divmod(num, den)
+    if 2 * rem > den or (2 * rem == den and q & 1):
+        q += 1
+    radius = rem != 0  # |r - q 2^-k| <= 2^-(k+1)
+    if radius * den * 10 ** digits > abs(num):
+        raise ArithmeticError(f"rounding {r} to {bits} bits misses "
+                              f"relative error 10^-{digits}")
+    return PrecReal._new(q, int(radius), -k, bits)

@@ -83,13 +83,18 @@ def denom_stream(params: CFParams) -> DenomStream:
     return stream
 
 
-def magic(params: CFParams) -> MagicPair:
+def _magic_pairs(params: CFParams) -> tuple[tuple[int, int], tuple[int, int]]:
+    """sigma = (beta0 - a)/beta1 + L_d/(beta1 F_d) and
+    rho = (-1)^(d-1)/(beta1 F_d)^2 as unreduced pairs (num, den), den > 0."""
     a, d = params.alpha, params.d
     fd = fib_eval(d, a)
-    sigma = Fraction(params.beta0 - a, params.beta1) \
-        + Fraction(lucas_eval(d, a), params.beta1 * fd)
-    rho = Fraction((-1) ** (d - 1), (params.beta1 * fd) ** 2)
-    return MagicPair(sigma, rho)
+    return (((params.beta0 - a) * fd + lucas_eval(d, a), params.beta1 * fd),
+            ((-1) ** (d - 1), (params.beta1 * fd) ** 2))
+
+
+def magic(params: CFParams) -> MagicPair:
+    sigma, rho = _magic_pairs(params)
+    return MagicPair(Fraction(*sigma), Fraction(*rho))
 
 
 def fib_transform(params: CFParams) -> tuple[tuple[int, int], tuple[int, int]]:

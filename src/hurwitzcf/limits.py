@@ -5,7 +5,11 @@ bounds.  With sigma, rho rational the two series are A = 0F1(; sigma; rho)
 and B = rho/sigma 0F1(; sigma+1; rho), and cos, sin, cosh, sinh are the same
 series at sigma = 1/2, 3/2.  One term ratio, `_0f1`, gives all of them as
 integer pairs, the format of every ratio passed to `_sum_ratio_series`.
-Limits come out as rational balls (PrecReal).
+Every rational on the way to a limit is such a pair (num, den), unreduced:
+the parameters, the series sums and their tails.  Limits come out as
+dyadic balls (PrecReal) built from the sums, so no Fraction is made and
+no gcd is taken; the public functions turn a Fraction argument into a
+pair once.
 
 Bessel functions appear only in Gamma-free ratios or at half-odd orders,
 where the order recurrences reduce them to sin/cos/sinh/cosh; no Gamma
@@ -21,11 +25,13 @@ from fractions import Fraction
 from typing import Callable, Literal
 
 from .errors import PrecisionExhausted, UnsupportedOrder
-from .exactnum import PrecReal, _split, mantissa_bits
+from .exactnum import PrecReal, _shifted_quotient, _split, mantissa_bits
 from .fibpoly import fib_eval
-from .hurwitz import CFParams, fib_transform, magic, sigma_tag
+from .hurwitz import CFParams, _magic_pairs, fib_transform, sigma_tag
 
 _TAIL_GUARD_DIGITS = 10
+
+Pair = tuple[int, int]  # the rational num/den, den > 0, not reduced
 
 
 def _max_precision_bits() -> int:
@@ -37,14 +43,24 @@ def _max_precision_bits() -> int:
                          f"of bits, got {text!r}") from None
 
 
+def _pair(x) -> Pair:
+    """A rational as the pair (num, den); a pair passes through."""
+    if isinstance(x, tuple):
+        return x
+    x = Fraction(x)
+    return x.numerator, x.denominator
+
+
 # ---------------------------------------------------------------------------
 # certified rational series (binary splitting)
 
 
-def _sum_ratio_series(t0: Fraction, ratio: Callable[[int], tuple[int, int]],
-                      digits: int) -> tuple[Fraction, Fraction, int]:
+def _sum_ratio_series(t0: Pair, ratio: Callable[[int], Pair],
+                      digits: int) -> tuple[int, int, int, int, int]:
     """Sum t0 + t0*ratio(0) + t0*ratio(0)*ratio(1) + ... with a certified
-    tail bound.  Returns (partial, tail_bound, terms_used).
+    tail bound, for the pair t0 = (num, den).  Returns (s_num, den,
+    tail_num, tail_den, terms_used): the partial sum s_num/den and the
+    tail bound tail_num/tail_den, unreduced.
 
     ratio(m) = (a, b) with b > 0 is the integer pair a/b = t_{m+1}/t_m; it
     need not be reduced, and a = 0 ends the series.  Tail contract:
@@ -58,19 +74,20 @@ def _sum_ratio_series(t0: Fraction, ratio: Callable[[int], tuple[int, int]],
     N is first picked from float log-magnitudes of the terms; that is only a
     hint, and the stop condition is checked in exact arithmetic, extending N
     until it holds.  The partial sum is formed by exact binary splitting
-    (Haible & Papanikolaou 1998) with one final division, so it equals the
-    term-by-term sum of the same terms.
+    (Haible & Papanikolaou 1998), so s_num/den equals the term-by-term sum
+    of the same terms.
     """
-    if t0 == 0:
-        return Fraction(0), Fraction(0), 0
-    t0n, t0d = t0.numerator, t0.denominator
+    t0n, t0d = t0
+    if t0n == 0:
+        return 0, 1, 0, 1, 0
     scale = 10 ** (digits + _TAIL_GUARD_DIGITS)
+    scale_bits = scale.bit_length()
     # the hint aims one factor e below the threshold, so the exact check
     # nearly always passes at the first candidate
     log_thresh = -(digits + _TAIL_GUARD_DIGITS) * math.log(10) - 1
     # log |t_m| and an estimate of log |S|
     log_t = log_top = math.log(abs(t0n)) - math.log(t0d)
-    pairs: list[tuple[int, int]] = []  # ratio(m) = a_m / b_m
+    pairs: list[Pair] = []  # ratio(m) = a_m / b_m
     P, Q, T = 1, 1, 0  # over the ratios folded so far, 0..n-1
     n = m = 0
     while True:
@@ -87,10 +104,8 @@ def _sum_ratio_series(t0: Fraction, ratio: Callable[[int], tuple[int, int]],
             last = t0n * P  # t_m = last / den
             # |t_m| < 10^-(digits+guard) * max(|S|, 10^-(digits+guard)),
             # or every term after t_m is 0 (the tail below is then 0)
-            if not a or (abs(last) * scale * scale
-                         < max(abs(s_num) * scale, den)):
-                tail = Fraction(abs(last * a), den * (b - abs(a)))
-                return Fraction(s_num, den), tail, m + 1
+            if not a or _below(last, s_num, den, scale, scale_bits):
+                return s_num, den, abs(last * a), den * (b - abs(a)), m + 1
             if s_num:  # the terms cancel: aim below the true partial sum
                 log_top = math.log(abs(s_num)) - math.log(den)
         log_t += math.log(abs(a)) - math.log(b)
@@ -100,20 +115,35 @@ def _sum_ratio_series(t0: Fraction, ratio: Callable[[int], tuple[int, int]],
             raise PrecisionExhausted("series did not certify")
 
 
-def _0f1(sigma: Fraction, rho: Fraction) -> Callable[[int], tuple[int, int]]:
+def _below(last: int, s_num: int, den: int, scale: int,
+           scale_bits: int) -> bool:
+    """|last| scale^2 < max(|s_num| scale, den), decided from bit lengths
+    and multiplied out only when those are within two bits."""
+    # 2^(lhs_bits - 3) <= lhs < 2^lhs_bits (last != 0) and
+    # 2^(rhs_bits - 2) <= rhs < 2^rhs_bits
+    lhs_bits = last.bit_length() + 2 * scale_bits
+    rhs_bits = max(s_num.bit_length() + scale_bits if s_num else 0,
+                   den.bit_length())
+    if rhs_bits - lhs_bits >= 2:
+        return True
+    if lhs_bits - rhs_bits >= 3:
+        return False
+    return abs(last) * scale * scale < max(abs(s_num) * scale, den)
+
+
+def _0f1(sigma: Pair, rho: Pair) -> Callable[[int], Pair]:
     """The term ratio of 0F1(; sigma; rho) = sum_m rho^m / (m! (sigma)_m),
     rho / ((m+1)(sigma+m)), as the unreduced integer pair
     (u q, v (m+1)(p + q m)) for sigma = p/q > 0 and rho = u/v."""
-    p, q = sigma.numerator, sigma.denominator
-    u, v = rho.numerator, rho.denominator
+    (p, q), (u, v) = sigma, rho
     return lambda m: (u * q, v * (m + 1) * (p + q * m))
 
 
-def _ball(t0, ratio: Callable[[int], tuple[int, int]],
-          digits: int) -> PrecReal:
+def _ball(t0: Pair, ratio: Callable[[int], Pair], digits: int) -> PrecReal:
     """The series of _sum_ratio_series as a certified ball."""
-    partial, tail, _ = _sum_ratio_series(Fraction(t0), ratio, digits)
-    return PrecReal(partial, tail)
+    s_num, den, tail_num, tail_den, _ = _sum_ratio_series(t0, ratio, digits)
+    return PrecReal._ratio(s_num, den, tail_num, tail_den,
+                           mantissa_bits(digits))
 
 
 @dataclass(frozen=True)
@@ -121,25 +151,32 @@ class SeriesValue:
     A: PrecReal
     B: PrecReal
     terms_used: int
-    tail_bound: Fraction
+    tails: tuple[Pair, ...]  # each series' tail bound, num/den
+
+    @property
+    def tail_bound(self) -> Fraction:
+        """The larger tail bound, as a Fraction made on request."""
+        return max(Fraction(*t) for t in self.tails)
 
 
-def series_AB(sigma: Fraction, rho: Fraction, digits: int) -> SeriesValue:
+def series_AB(sigma: Fraction | Pair, rho: Fraction | Pair,
+              digits: int) -> SeriesValue:
     """A = sum_m rho^m / (m! (sigma+m-1)_m) and
     B = sum_m rho^(m+1) / (m! (sigma+m)_(m+1)), certified to the requested
-    precision (the terms decay superfactorially for either sign of rho)."""
-    sigma = Fraction(sigma)
-    rho = Fraction(rho)
-    if sigma <= 0:
+    precision (the terms decay superfactorially for either sign of rho).
+    sigma and rho are rationals or integer pairs (num, den)."""
+    (p, q), (u, v) = sigma, rho = _pair(sigma), _pair(rho)
+    if p <= 0:
         raise ValueError("sigma must be positive")
-    if rho == 0:
-        return SeriesValue(PrecReal(1), PrecReal(0), 1, Fraction(0))
-    a_sum, a_tail, a_terms = _sum_ratio_series(Fraction(1), _0f1(sigma, rho),
-                                               digits)
-    b_sum, b_tail, b_terms = _sum_ratio_series(rho / sigma,
-                                               _0f1(sigma + 1, rho), digits)
-    return SeriesValue(PrecReal(a_sum, a_tail), PrecReal(b_sum, b_tail),
-                       max(a_terms, b_terms), max(a_tail, b_tail))
+    if u == 0:
+        return SeriesValue(PrecReal(1), PrecReal(0), 1, ((0, 1),))
+    prec = mantissa_bits(digits)
+    a = _sum_ratio_series((1, 1), _0f1(sigma, rho), digits)
+    # B's first term is rho / sigma, its ratio that of 0F1(; sigma + 1; rho)
+    b = _sum_ratio_series((u * q, v * p), _0f1((p + q, q), rho), digits)
+    return SeriesValue(PrecReal._ratio(*a[:4], prec),
+                       PrecReal._ratio(*b[:4], prec),
+                       max(a[4], b[4]), (a[2:4], b[2:4]))
 
 
 # ---------------------------------------------------------------------------
@@ -147,25 +184,31 @@ def series_AB(sigma: Fraction, rho: Fraction, digits: int) -> SeriesValue:
 # cos, cosh = 0F1(; 1/2; -+x^2/4) and sin, sinh = x 0F1(; 3/2; -+x^2/4)
 
 
+def _taylor(x, sign: int, odd: bool, digits: int) -> PrecReal:
+    p, q = _pair(x)
+    ratio = _0f1((3, 2) if odd else (1, 2), (sign * p * p, 4 * q * q))
+    return _ball((p, q) if odd else (1, 1), ratio, digits)
+
+
 def sin_prec(x: Fraction, digits: int) -> PrecReal:
-    return _ball(x, _0f1(Fraction(3, 2), -Fraction(x) ** 2 / 4), digits)
+    return _taylor(x, -1, True, digits)
 
 
 def cos_prec(x: Fraction, digits: int) -> PrecReal:
-    return _ball(1, _0f1(Fraction(1, 2), -Fraction(x) ** 2 / 4), digits)
+    return _taylor(x, -1, False, digits)
 
 
 def sinh_prec(x: Fraction, digits: int) -> PrecReal:
-    return _ball(x, _0f1(Fraction(3, 2), Fraction(x) ** 2 / 4), digits)
+    return _taylor(x, 1, True, digits)
 
 
 def cosh_prec(x: Fraction, digits: int) -> PrecReal:
-    return _ball(1, _0f1(Fraction(1, 2), Fraction(x) ** 2 / 4), digits)
+    return _taylor(x, 1, False, digits)
 
 
 def exp_prec(x: Fraction, digits: int) -> PrecReal:
-    x = Fraction(x)
-    return _ball(1, lambda m: (x.numerator, x.denominator * (m + 1)), digits)
+    p, q = _pair(x)
+    return _ball((1, 1), lambda m: (p, q * (m + 1)), digits)
 
 
 def _arctan_inv(x: int, digits: int) -> PrecReal:
@@ -174,9 +217,10 @@ def _arctan_inv(x: int, digits: int) -> PrecReal:
     |ratio| grows toward 1/x^2, outside the geometric tail contract; the
     series alternates with decreasing terms, so the tail is bounded by the
     first omitted term instead."""
-    partial, _, n = _sum_ratio_series(
-        Fraction(1, x), lambda m: (-(2 * m + 1), x * x * (2 * m + 3)), digits)
-    return PrecReal(partial, Fraction(1, (2 * n + 1) * x ** (2 * n + 1)))
+    s_num, den, _, _, n = _sum_ratio_series(
+        (1, x), lambda m: (-(2 * m + 1), x * x * (2 * m + 3)), digits)
+    return PrecReal._ratio(s_num, den, 1, (2 * n + 1) * x ** (2 * n + 1),
+                           mantissa_bits(digits))
 
 
 def pi_prec(digits: int) -> PrecReal:
@@ -185,25 +229,20 @@ def pi_prec(digits: int) -> PrecReal:
 
 
 def sqrt_prec(x, digits: int) -> PrecReal:
-    """Certified square root of a nonnegative rational or PrecReal ball."""
+    """Certified square root of a nonnegative rational or PrecReal ball:
+    with n = floor(v 4^bits) at each end v, isqrt(n) 2^-bits bounds the
+    root of lo from below and (isqrt(n) + 1) 2^-bits that of hi above."""
+    bits = mantissa_bits(digits)
     if isinstance(x, PrecReal):
-        lo, hi = x.lo, x.hi
+        ends = [(x.m - x.r, 1, x.e), (x.m + x.r, 1, x.e)]
     else:
-        lo = hi = Fraction(x)
+        ends = [(*_pair(x), 0)] * 2
+    lo, hi = (_shifted_quotient(num, den, e + 2 * bits)[0]
+              for num, den, e in ends)
     if lo < 0:
         raise ValueError("square root of a possibly-negative value")
-    bits = mantissa_bits(digits)
-
-    def root_lo(v: Fraction) -> Fraction:
-        n = v.numerator * v.denominator << (2 * bits)
-        return Fraction(math.isqrt(n), v.denominator << bits)
-
-    def root_hi(v: Fraction) -> Fraction:
-        n = v.numerator * v.denominator << (2 * bits)
-        return Fraction(math.isqrt(n) + 1, v.denominator << bits)
-
-    a, b = root_lo(lo), root_hi(hi)
-    return PrecReal((a + b) / 2, (b - a) / 2)
+    a, b = math.isqrt(lo), math.isqrt(hi) + 1
+    return PrecReal._new(a + b, b - a, -bits - 1, bits)
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +251,10 @@ def sqrt_prec(x, digits: int) -> PrecReal:
 BesselKind = Literal["I", "J"]
 
 
-def _half_odd_bracket(kind: BesselKind, k: int, z: Fraction,
+def _half_odd_bracket(kind: BesselKind, k: int, z: Pair,
                       digits: int) -> PrecReal:
     """The elementary part of I_{k+1/2}(z) or J_{k+1/2}(z), i.e. the value
-    without the common sqrt(2/(pi z)) prefactor.
+    without the common sqrt(2/(pi z)) prefactor, for z = (num, den) != 0.
 
     With s = +1 for I and -1 for J, the seeds at orders -1/2, 1/2 are
     0F1(; 1/2; s z^2/4) and z 0F1(; 3/2; s z^2/4), i.e. (cosh z, sinh z) or
@@ -223,20 +262,18 @@ def _half_odd_bracket(kind: BesselKind, k: int, z: Fraction,
     (2j+1)/z X_{j+1/2}) and X_{j-3/2} = s X_{j+1/2} + (2j-1)/z X_{j-1/2}
     raise or lower them.
     """
-    z = Fraction(z)
-    if z == 0:
-        raise ValueError("z must be nonzero")
     if kind not in ("I", "J"):
         raise ValueError(f"kind must be 'I' or 'J', got {kind!r}")
     s = 1 if kind == "I" else -1
     w = digits + 2 * abs(k) + 10
-    rho = s * z * z / 4
-    below = _ball(1, _0f1(Fraction(1, 2), rho), w)
-    at = _ball(z, _0f1(Fraction(3, 2), rho), w)  # `at` holds order j + 1/2
+    zn, zd = z
+    rho = (s * zn * zn, 4 * zd * zd)
+    below = _ball((1, 1), _0f1((1, 2), rho), w)
+    at = _ball(z, _0f1((3, 2), rho), w)  # `at` holds order j + 1/2
     for j in range(k):
-        below, at = at, s * (below - Fraction(2 * j + 1) / z * at)
+        below, at = at, s * (below - at * ((2 * j + 1) * zd) / zn)
     for j in range(0, k, -1):
-        below, at = s * at + Fraction(2 * j - 1) / z * below, below
+        below, at = s * at + below * ((2 * j - 1) * zd) / zn, below
     return at
 
 
@@ -248,7 +285,7 @@ def elementary_half_odd(kind: BesselKind, k: int, z: Fraction,
         raise ValueError("z must be positive")
     w = digits + 10
     pref = sqrt_prec(PrecReal(2) / (pi_prec(w) * z), w)
-    return pref * _half_odd_bracket(kind, k, z, w)
+    return pref * _half_odd_bracket(kind, k, _pair(z), w)
 
 
 def _bessel_half_odd(kind: BesselKind, nu, z, digits: int) -> PrecReal:
@@ -276,13 +313,14 @@ def bessel_ratio_I(sigma: Fraction, rho: Fraction, digits: int) -> PrecReal:
     sigma, rho = Fraction(sigma), Fraction(rho)
     if rho <= 0:
         raise ValueError("rho must be positive")
-    root = Fraction(math.isqrt(rho.numerator), math.isqrt(rho.denominator))
-    if root * root != rho:
+    root_n, root_d = math.isqrt(rho.numerator), math.isqrt(rho.denominator)
+    if Fraction(root_n, root_d) ** 2 != rho:
         raise ValueError("rho must be the square of a rational")
+    sigma_p, rho_p = _pair(sigma), _pair(rho)
 
     def compute(w: int) -> PrecReal:
-        sv = series_AB(sigma, rho, w)
-        return sv.A * root / sv.B
+        sv = series_AB(sigma_p, rho_p, w)
+        return sv.A * root_n / root_d / sv.B
 
     return _certify(compute, digits)
 
@@ -297,7 +335,6 @@ def _certify(compute: Callable[[int], PrecReal], digits: int) -> PrecReal:
     precision above HURWITZ_MAX_PRECISION bits."""
     if digits < 1:
         raise ValueError(f"digits must be >= 1, got {digits}")
-    target = Fraction(1, 10 ** digits)
     w = digits + _TAIL_GUARD_DIGITS
     cap = _max_precision_bits()
     while True:
@@ -309,17 +346,15 @@ def _certify(compute: Callable[[int], PrecReal], digits: int) -> PrecReal:
             result = compute(w)
         except ZeroDivisionError:
             result = None
-        if result is not None:
-            rel = result.rel_err()
-            if rel is not None and rel <= target:
-                return result
+        if result is not None and result.rel_err_at_most(digits):
+            return result
         w *= 2
 
 
 def xi_limit(params: CFParams, digits: int) -> PrecReal:
     """The limit of the continued fraction, from the two rational series:
     the rows of fib_transform applied to (A, B), divided."""
-    sigma, rho = magic(params)
+    sigma, rho = _magic_pairs(params)
     (m00, m01), (m10, m11) = fib_transform(params)
 
     def compute(w: int) -> PrecReal:
@@ -340,20 +375,20 @@ def xi_bessel(params: CFParams, digits: int) -> PrecReal:
     fib_transform.  At every other order the Bessel ratio is the series
     ratio, so the value is xi_limit's.
     """
-    sigma, _ = magic(params)
-    if sigma_tag(sigma.numerator, sigma.denominator) != "half-odd":
+    (p, q), _ = _magic_pairs(params)
+    if sigma_tag(p, q) != "half-odd":
         return xi_limit(params, digits)
     a, b1, d = params.alpha, params.beta1, params.d
-    fd = fib_eval(d, a)
-    z = Fraction(2, b1 * fd)  # = 2 sqrt(|rho|)
+    g = b1 * fib_eval(d, a)
+    z = (2, g)  # = 2 sqrt(|rho|)
     kind: BesselKind = "I" if d % 2 == 1 else "J"
-    k_low = int(sigma - Fraction(3, 2))  # order sigma - 1 = k_low + 1/2
-    to_b = Fraction(1 if d % 2 == 1 else -1, b1 * fd)
+    k_low = (2 * p - 3 * q) // (2 * q)  # order sigma - 1 = k_low + 1/2
+    sign = 1 if d % 2 == 1 else -1  # B = sign bracket / g
     (m00, m01), (m10, m11) = fib_transform(params)
 
     def compute(w: int) -> PrecReal:
         low = _half_odd_bracket(kind, k_low, z, w)
-        high = to_b * _half_odd_bracket(kind, k_low + 1, z, w)
+        high = _half_odd_bracket(kind, k_low + 1, z, w) * sign / g
         return (m00 * low + m01 * high) / (m10 * low + m11 * high)
 
     return _certify(compute, digits)
@@ -375,12 +410,11 @@ def perron_d1(beta0: int, beta1: int, digits: int) -> PrecReal:
     construction and do not check each other."""
     if beta0 < 1 or beta1 < 1:
         raise ValueError("beta0, beta1 must be >= 1")
-    sigma = Fraction(beta0, beta1)
-    rho = Fraction(1, beta1 * beta1)
+    rho = (1, beta1 * beta1)
 
     def compute(w: int) -> PrecReal:
-        return beta1 * _ball(1, _0f1(sigma, rho), w) \
-            / _ball(1 / sigma, _0f1(sigma + 1, rho), w)
+        return beta1 * _ball((1, 1), _0f1((beta0, beta1), rho), w) \
+            / _ball((beta1, beta0), _0f1((beta0 + beta1, beta1), rho), w)
 
     return _certify(compute, digits)
 

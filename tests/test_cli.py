@@ -3,6 +3,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -253,6 +254,23 @@ class TestPoly:
     def test_negative_n_max_refused(self, out, flags):
         assert run(["poly", "--family", "p", "--n-max", "-2", *flags]) == 2
         assert out() == ("", "error: n-max must be >= 0, got -2\n")
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_coefficients_beyond_the_str_digit_limit(self, out, flags):
+        # p_330 has 330! (685 digits) as its x coefficient; with the
+        # integer-string limit at its minimum, str() refuses it
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert run(["poly", "--family", "p", "--n-max", "330",
+                        *flags]) == 0
+        finally:
+            sys.set_int_max_str_digits(limit)
+        text = out().out
+        coefficient = str(math.factorial(330))
+        row = (json.loads(text)["coefficients"][330] if flags
+               else text.splitlines()[330].split()[1:])
+        assert coefficient in row
 
 
 # Exact output of verbs that the tests above check only in part.

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
+from hurwitzcf import exactnum
 from hurwitzcf.exactnum import (PrecReal, falling_factorial, gbinom,
                                 to_prec_real)
 from hurwitzcf.hurwitz import CFParams
@@ -107,13 +108,14 @@ class TestPrecReal:
         assert PrecReal(F(-7, 4)).decimal(2) == "-1.75"
 
     def test_repr(self):
-        assert repr(PrecReal(F(-1, 3), F(1, 7))) == "PrecReal(-1/3 ± 1/7)"
+        # a dyadic center and radius are held exactly
+        assert repr(PrecReal(F(-3, 8), F(1, 64))) == "PrecReal(-3/8 ± 1/64)"
         assert repr(PrecReal(3)) == "PrecReal(3 ± 0)"
 
     def test_repr_beyond_the_str_digit_limit(self):
-        # the radius of a 3000-digit ball has a denominator of more than
-        # 4300 digits; int(str) stops at that limit, Decimal does not
-        v = xi_limit(CFParams(1, 2, 2, 3, 2), 3000)
+        # the radius of a 5000-digit ball has a denominator 2^-e of more
+        # than 4300 digits; int(str) stops at that limit, Decimal does not
+        v = xi_limit(CFParams(1, 2, 2, 3, 2), 5000)
         center, radius = repr(v)[len("PrecReal("):-1].split(" ± ")
         parts = [int(Decimal(t)) for t in center.split("/")
                  + radius.split("/")]
@@ -125,3 +127,151 @@ class TestPrecReal:
         v = PrecReal(1)
         with pytest.raises(AttributeError):
             v.value = 2
+
+
+def fraction_decimal(v: Fraction, digits: int) -> str:
+    """The exact rendering of a rational with ``digits`` fractional digits,
+    rounded half up, in Fraction arithmetic."""
+    scaled = abs(v) * 10 ** digits
+    q = math.floor(scaled) + (2 * (scaled - math.floor(scaled)) >= 1)
+    s = str(q).rjust(digits + 1, "0")
+    sign = "-" if v < 0 else ""
+    return f"{sign}{s[:-digits]}.{s[-digits:]}" if digits else f"{sign}{s}"
+
+
+def ball_at(v: Fraction, r: Fraction, prec: int) -> PrecReal:
+    """The ball v ± r at prec working bits (0: exact while dyadic)."""
+    v, r = F(v), F(r)
+    return PrecReal._ratio(v.numerator, v.denominator, r.numerator,
+                           r.denominator, prec)
+
+
+def dyadics(lo, hi):
+    """Rationals n / 2^k in [lo, hi] (lo <= 0): a ball holds them exactly,
+    so an exact point can sit on its edge."""
+    return st.builds(lambda n, k: F(n, 2 ** k), st.integers(lo, hi),
+                     st.integers(0, 20))
+
+
+PRECS = st.sampled_from([0, 3, 8, 53, 200])
+CENTERS = st.one_of(st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                                 max_denominator=10 ** 6),
+                    dyadics(-10 ** 6, 10 ** 6))
+RADII = st.one_of(st.just(F(0)), st.fractions(min_value=0, max_value=10,
+                                               max_denominator=10 ** 6),
+                  dyadics(0, 10))
+TINY = st.fractions(min_value=-F(1, 10 ** 9), max_value=F(1, 10 ** 9),
+                    max_denominator=10 ** 15)
+
+
+@st.composite
+def balls_with_point(draw, center=CENTERS):
+    """A ball made from [v - r, v + r] and an exact point x of that
+    interval."""
+    v, r, prec = draw(center), draw(RADII), draw(PRECS)
+    t = draw(st.one_of(st.sampled_from([F(0), F(1)]),
+                       st.fractions(min_value=0, max_value=1,
+                                    max_denominator=97)))
+    return ball_at(v, r, prec), v - r + 2 * r * t
+
+
+@st.composite
+def operand_pairs(draw):
+    """Two balls with points; the second is independent of the first, or
+    centered within 10^-9 of minus or plus the first point, so that a sum
+    or a difference cancels."""
+    a, x = draw(balls_with_point())
+    kind = draw(st.sampled_from(["independent", "-x", "+x"]))
+    if kind == "independent":
+        return a, x, draw(balls_with_point())
+    near = (-x if kind == "-x" else x) + draw(TINY)
+    return a, x, draw(balls_with_point(st.just(near)))
+
+
+OPS = {"+": lambda u, v: u + v, "-": lambda u, v: u - v,
+       "*": lambda u, v: u * v, "/": lambda u, v: u / v}
+
+
+class TestDyadicBall:
+    @given(balls_with_point())
+    @example((ball_at(F(-1, 3), F(1, 7), 3), F(-1, 3) + F(1, 7)))
+    def test_construction_contains_the_interval(self, ball_x):
+        ball, x = ball_x
+        assert ball.lo <= x <= ball.hi
+
+    @given(operand_pairs(), st.sampled_from(sorted(OPS)))
+    @example((ball_at(F(1, 3), 0, 3), F(1, 3),
+              (ball_at(F(-1, 3), 0, 3), F(-1, 3))), "+")
+    @example((ball_at(F(-7, 3), F(1, 5), 8), F(-7, 3),
+              (ball_at(F(7, 3), F(1, 5), 8), F(7, 3) - F(1, 5))), "-")
+    @example((PrecReal(1, F(1, 2)), F(3, 2),
+              (PrecReal(1, F(1, 2)), F(3, 2))), "*")
+    def test_operations_contain_the_exact_result(self, pair, op):
+        a, x, (b, y) = pair
+        if op == "/" and b.contains_zero():
+            with pytest.raises(ZeroDivisionError):
+                a / b
+            return
+        got = OPS[op](a, b)
+        assert got.lo <= OPS[op](x, y) <= got.hi
+        assert got.r >= 0
+
+    @given(balls_with_point(), st.one_of(
+        st.integers(-10 ** 6, 10 ** 6),
+        st.fractions(max_denominator=10 ** 4).filter(bool)))
+    def test_scaling_contains_the_exact_result(self, ball_x, k):
+        ball, x = ball_x
+        for got, exact in ((ball * k, x * k), (k * ball, x * k),
+                           (-ball, -x), (abs(ball), abs(x))):
+            assert got.lo <= exact <= got.hi
+        if k:
+            got = ball / k
+            assert got.lo <= x / k <= got.hi
+        if not ball.contains_zero():
+            got = k / ball
+            assert got.lo <= k / x <= got.hi
+
+    @given(CENTERS, RADII, PRECS)
+    def test_divisor_containing_zero_is_refused(self, v, r, prec):
+        divisor = ball_at(v, abs(v) + r, prec)  # [v - |v| - r, ...] holds 0
+        assert divisor.contains_zero()
+        for dividend in (PrecReal(1), ball_at(F(-5, 3), F(1, 9), 53), 7):
+            with pytest.raises(ZeroDivisionError):
+                dividend / divisor
+
+    @given(CENTERS, CENTERS, st.sampled_from(sorted(OPS)),
+           st.integers(2, 200), st.integers(1, 200))
+    @example(F(1, 3), F(1, 7), "*", 2, 1)
+    @example(F(0), F(3, 65), "/", 2, 1)
+    def test_higher_precision_never_looser(self, u, v, op, prec, more):
+        def at(p):
+            return OPS[op](ball_at(u, 0, p), ball_at(v, 0, p))
+        try:
+            lo = at(prec)
+        except ZeroDivisionError:  # a coarse divisor may touch 0
+            return
+        assert at(prec + more).err <= lo.err
+
+    @given(balls_with_point(), st.integers(0, 60))
+    @example((PrecReal(F(5, 8)), F(5, 8)), 0)
+    @example((PrecReal(F(-1, 8)), F(-1, 8)), 2)
+    def test_decimal_is_the_exact_rendering_of_the_center(self, ball_x,
+                                                          digits):
+        ball, _ = ball_x
+        assert ball.decimal(digits) == fraction_decimal(ball.value, digits)
+
+    def test_certified_digits_test_matches_rel_err(self):
+        for ball in (PrecReal(100, 1), ball_at(F(-1, 3), F(1, 10 ** 6), 80),
+                     PrecReal(1, 1), PrecReal(0)):
+            rel = ball.rel_err()
+            for digits in range(1, 8):
+                assert ball.rel_err_at_most(digits) == (
+                    rel is not None and rel <= F(1, 10 ** digits))
+
+    def test_rounding_check_raises(self, monkeypatch):
+        # with too few mantissa bits the rounding error misses 10^-digits;
+        # the check is an exception, so python -O keeps it
+        monkeypatch.setattr(exactnum, "mantissa_bits", lambda digits: 4)
+        with pytest.raises(ArithmeticError):
+            to_prec_real(F(1, 3), 10)
+        assert to_prec_real(F(1, 4), 10).err == 0

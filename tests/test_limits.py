@@ -110,6 +110,14 @@ def pair(ratio):
     return as_pair
 
 
+def summed(t0, ratio, digits):
+    """_sum_ratio_series with its unreduced pairs read as values:
+    (partial sum, tail bound, terms)."""
+    s_num, den, tail_num, tail_den, n = _sum_ratio_series(
+        (t0.numerator, t0.denominator), ratio, digits)
+    return F(s_num, den), F(tail_num, tail_den), n
+
+
 def naive_sum(t0, ratio, terms):
     """Term-by-term Fraction sum of the first ``terms`` terms: the oracle
     for the binary-splitting kernel."""
@@ -147,7 +155,7 @@ class TestBinarySplitting:
     @pytest.mark.parametrize("sigma,rho", SIGMA_RHO)
     def test_series_ab_matches_naive_sum(self, sigma, rho, digits):
         for t0, ratio in series_a_b(sigma, rho):
-            partial, tail, n = _sum_ratio_series(t0, ratio, digits)
+            partial, tail, n = summed(t0, ratio, digits)
             assert partial == naive_sum(t0, ratio, n)
             assert 0 < tail < abs(partial) * F(1, 10 ** digits)
             # every deeper partial sum stays inside the ball
@@ -156,7 +164,7 @@ class TestBinarySplitting:
     @pytest.mark.parametrize("series", TAYLOR)
     def test_taylor_matches_naive_sum(self, series):
         t0, ratio = series
-        partial, tail, n = _sum_ratio_series(t0, ratio, 80)
+        partial, tail, n = summed(t0, ratio, 80)
         assert partial == naive_sum(t0, ratio, n)
         assert abs(naive_sum(t0, ratio, n + 40) - partial) <= tail
 
@@ -190,14 +198,15 @@ class TestBinarySplitting:
     def test_terminating_series_is_exact(self):
         def ratio(m):
             return (0, 1) if m == 3 else (1, m + 1)
-        assert _sum_ratio_series(F(1), ratio, 20) == (F(8, 3), 0, 4)
-        assert _sum_ratio_series(F(0), ratio, 20) == (0, 0, 0)
+        assert summed(F(1), ratio, 20) == (F(8, 3), 0, 4)
+        assert _sum_ratio_series((0, 1), ratio, 20) == (0, 1, 0, 1, 0)
 
     def test_non_decaying_series_is_refused(self):
         with pytest.raises(PrecisionExhausted):
-            _sum_ratio_series(F(1), lambda m: (-1, 1), 5)
+            _sum_ratio_series((1, 1), lambda m: (-1, 1), 5)
 
-    # the pairs of _0f1 are not reduced: a common factor must change nothing
+    # the pairs of _0f1 are not reduced: a common factor must change no
+    # value (the unreduced pairs it returns do change)
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 10 ** 12), st.sampled_from(range(len(ALL_SERIES))),
            st.sampled_from([5, 60]))
@@ -205,9 +214,8 @@ class TestBinarySplitting:
     @example(10 ** 6, len(ALL_SERIES) - 1, 60)
     def test_scaled_pairs_change_nothing(self, k, index, digits):
         t0, ratio = ALL_SERIES[index]
-        scaled = _sum_ratio_series(
-            t0, lambda m: tuple(k * x for x in ratio(m)), digits)
-        assert scaled == _sum_ratio_series(t0, ratio, digits)
+        scaled = summed(t0, lambda m: tuple(k * x for x in ratio(m)), digits)
+        assert scaled == summed(t0, ratio, digits)
 
 
 class TestCertify:
@@ -448,3 +456,42 @@ def test_limits_golden_text():
             for fn in (lehmer_d1, perron_d1):
                 h.update(fn(b0, b1, 25).decimal(25).encode() + b"\n")
     assert h.hexdigest() == LIMITS_GOLDEN
+
+
+# The sha256 of the rendered xi_limit and xi_bessel of each GOLDEN_TUPLES
+# entry at its digit count in the benchmark's limits-deep workload
+# (1000-3000), one line each, recorded while every ball was still an exact
+# Fraction center with a Fraction radius: the dyadic balls must leave the
+# text unchanged.
+LIMITS_DEEP_DIGITS = [3000, 2500, 2000, 2000, 1000, 1500, 1000, 1500, 1000,
+                      1500]
+LIMITS_DEEP_GOLDEN = \
+    "e54be2e8bf6554619363ab47ec65ab6917a5d01e5e0481a80a6a888fd2fe34b6"
+
+
+def test_limits_deep_golden_text():
+    h = hashlib.sha256()
+    for t, digits in zip(GOLDEN_TUPLES, LIMITS_DEEP_DIGITS):
+        for fn in (xi_limit, xi_bessel):
+            h.update(fn(CFParams(*t), digits).decimal(digits).encode()
+                     + b"\n")
+    assert h.hexdigest() == LIMITS_DEEP_GOLDEN
+
+
+def test_certified_path_takes_no_long_gcd(monkeypatch):
+    # Fraction normalises by math.gcd; a dyadic ball needs none.  Every
+    # gcd on these routes, rendering included, stays on small parameters.
+    long_operands = []
+    gcd = math.gcd
+
+    def guarded(*args):
+        if any(abs(x).bit_length() > 256 for x in args):
+            long_operands.append(max(abs(x).bit_length() for x in args))
+        return gcd(*args)
+
+    monkeypatch.setattr(math, "gcd", guarded)
+    for t in ((1, 2, 2, 3, 2), (1, 1, 2, 2, 1)):
+        for fn in (xi_limit, xi_bessel):
+            fn(CFParams(*t), 2000).decimal(2000)
+    lehmer_d1(3, 2, 500).decimal(500)
+    assert long_operands == []
