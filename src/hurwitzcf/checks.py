@@ -86,8 +86,10 @@ def limits_suite(n_max: int) -> list[str]:
         perron = limits.perron_d1(b0, b1, 25)
         if abs(lehmer.value - perron.value) > Fraction(1, 10 ** 24):
             fails.append(f"lehmer vs perron at ({b0},{b1})")
-    for params in (hurwitz.CFParams(1, 2, 2, 3, 2),
-                   hurwitz.CFParams(1, 1, 2, 2, 1)):
+    # sigma 3/2 (I- and J-form), 1/2 (no walk) and 7/2 (three steps up)
+    for t in ((1, 2, 2, 3, 2), (1, 1, 2, 2, 1), (1, 1, 6, 2, 0),
+              (4, 3, 1, 2, 1)):
+        params = hurwitz.CFParams(*t)
         a = limits.xi_limit(params, 25)
         b = limits.xi_bessel(params, 25)
         if abs(a.value - b.value) > Fraction(1, 10 ** 24):

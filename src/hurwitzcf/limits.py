@@ -22,7 +22,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Literal
+from typing import Callable
 
 from .errors import PrecisionExhausted, UnsupportedOrder
 from .exactnum import PrecReal, _shifted_quotient, _split, mantissa_bits
@@ -41,6 +41,11 @@ def _max_precision_bits() -> int:
     except ValueError:
         raise ValueError(f"HURWITZ_MAX_PRECISION must be an integer number "
                          f"of bits, got {text!r}") from None
+
+
+def _check_digits(digits: int) -> None:
+    if digits < 1:
+        raise ValueError(f"digits must be >= 1, got {digits}")
 
 
 def _pair(x) -> Pair:
@@ -77,6 +82,7 @@ def _sum_ratio_series(t0: Pair, ratio: Callable[[int], Pair],
     (Haible & Papanikolaou 1998), so s_num/den equals the term-by-term sum
     of the same terms.
     """
+    _check_digits(digits)
     t0n, t0d = t0
     if t0n == 0:
         return 0, 1, 0, 1, 0
@@ -165,6 +171,7 @@ def series_AB(sigma: Fraction | Pair, rho: Fraction | Pair,
     B = sum_m rho^(m+1) / (m! (sigma+m)_(m+1)), certified to the requested
     precision (the terms decay superfactorially for either sign of rho).
     sigma and rho are rationals or integer pairs (num, den)."""
+    _check_digits(digits)
     (p, q), (u, v) = sigma, rho = _pair(sigma), _pair(rho)
     if p <= 0:
         raise ValueError("sigma must be positive")
@@ -232,6 +239,7 @@ def sqrt_prec(x, digits: int) -> PrecReal:
     """Certified square root of a nonnegative rational or PrecReal ball:
     with n = floor(v 4^bits) at each end v, isqrt(n) 2^-bits bounds the
     root of lo from below and (isqrt(n) + 1) 2^-bits that of hi above."""
+    _check_digits(digits)
     bits = mantissa_bits(digits)
     if isinstance(x, PrecReal):
         ends = [(x.m - x.r, 1, x.e), (x.m + x.r, 1, x.e)]
@@ -248,63 +256,56 @@ def sqrt_prec(x, digits: int) -> PrecReal:
 # ---------------------------------------------------------------------------
 # half-odd-order Bessel functions (elementary forms)
 
-BesselKind = Literal["I", "J"]
 
+def _half_odd_bracket(s: int, k: int, z: Pair,
+                      w: int) -> tuple[PrecReal, PrecReal]:
+    """The elementary parts of (X_{k-1/2}(z), X_{k+1/2}(z)) for X = I
+    (s = 1) or J (s = -1), i.e. the values without the common
+    sqrt(2/(pi z)) prefactor, for z = (num, den) != 0, at working precision
+    w digits.
 
-def _half_odd_bracket(kind: BesselKind, k: int, z: Pair,
-                      digits: int) -> PrecReal:
-    """The elementary part of I_{k+1/2}(z) or J_{k+1/2}(z), i.e. the value
-    without the common sqrt(2/(pi z)) prefactor, for z = (num, den) != 0.
-
-    With s = +1 for I and -1 for J, the seeds at orders -1/2, 1/2 are
-    0F1(; 1/2; s z^2/4) and z 0F1(; 3/2; s z^2/4), i.e. (cosh z, sinh z) or
-    (cos z, sin z).  The order recurrences X_{j+3/2} = s (X_{j-1/2} -
-    (2j+1)/z X_{j+1/2}) and X_{j-3/2} = s X_{j+1/2} + (2j-1)/z X_{j-1/2}
-    raise or lower them.
+    The seeds at orders -1/2, 1/2 are (cosh z, sinh z) or (cos z, sin z).
+    The order recurrences X_{j+3/2} = s (X_{j-1/2} - (2j+1)/z X_{j+1/2}) and
+    X_{j-3/2} = s X_{j+1/2} + (2j-1)/z X_{j-1/2} raise or lower them; the
+    walk loses digits, so its callers certify it with 2|k| + 10 extra
+    working digits to start from.
     """
-    if kind not in ("I", "J"):
-        raise ValueError(f"kind must be 'I' or 'J', got {kind!r}")
-    s = 1 if kind == "I" else -1
-    w = digits + 2 * abs(k) + 10
     zn, zd = z
-    rho = (s * zn * zn, 4 * zd * zd)
-    below = _ball((1, 1), _0f1((1, 2), rho), w)
-    at = _ball(z, _0f1((3, 2), rho), w)  # `at` holds order j + 1/2
+    below, at = _taylor(z, s, False, w), _taylor(z, s, True, w)
     for j in range(k):
         below, at = at, s * (below - at * ((2 * j + 1) * zd) / zn)
     for j in range(0, k, -1):
         below, at = s * at + below * ((2 * j - 1) * zd) / zn, below
-    return at
+    return below, at
 
 
-def elementary_half_odd(kind: BesselKind, k: int, z: Fraction,
-                        digits: int) -> PrecReal:
-    """I_{k+1/2}(z) or J_{k+1/2}(z) in closed form, prefactor included."""
-    z = Fraction(z)
+def _bessel_half_odd(s: int, nu, z, digits: int) -> PrecReal:
+    """I_nu(z) (s = 1) or J_nu(z) (s = -1) at half-odd nu and z > 0:
+    sqrt(2/(pi z)) times the walk's value of order nu."""
+    nu, z = Fraction(nu), Fraction(z)
+    if sigma_tag(nu.numerator, nu.denominator) != "half-odd":
+        raise UnsupportedOrder(f"{'I' if s == 1 else 'J'}_{nu} has no "
+                               "elementary standalone form")
     if z <= 0:
         raise ValueError("z must be positive")
-    w = digits + 10
-    pref = sqrt_prec(PrecReal(2) / (pi_prec(w) * z), w)
-    return pref * _half_odd_bracket(kind, k, _pair(z), w)
+    k = int(nu - Fraction(1, 2))
 
+    def compute(w: int) -> PrecReal:
+        pref = sqrt_prec(PrecReal(2) / (pi_prec(w) * z), w)
+        return pref * _half_odd_bracket(s, k, _pair(z), w)[1]
 
-def _bessel_half_odd(kind: BesselKind, nu, z, digits: int) -> PrecReal:
-    nu = Fraction(nu)
-    if sigma_tag(nu.numerator, nu.denominator) != "half-odd":
-        raise UnsupportedOrder(
-            f"{kind}_{nu} has no elementary standalone form")
-    return elementary_half_odd(kind, int(nu - Fraction(1, 2)), z, digits)
+    return _certify(compute, digits, 2 * abs(k) + 10)
 
 
 def bessel_I(nu, z, digits: int) -> PrecReal:
     """Standalone modified Bessel value; only half-odd orders have an
     elementary form, anything else is refused (ratios go through series_AB
     and never need this)."""
-    return _bessel_half_odd("I", nu, z, digits)
+    return _bessel_half_odd(1, nu, z, digits)
 
 
 def bessel_J(nu, z, digits: int) -> PrecReal:
-    return _bessel_half_odd("J", nu, z, digits)
+    return _bessel_half_odd(-1, nu, z, digits)
 
 
 def bessel_ratio_I(sigma: Fraction, rho: Fraction, digits: int) -> PrecReal:
@@ -329,13 +330,14 @@ def bessel_ratio_I(sigma: Fraction, rho: Fraction, digits: int) -> PrecReal:
 # limits of the family
 
 
-def _certify(compute: Callable[[int], PrecReal], digits: int) -> PrecReal:
-    """Run compute at escalating working precision until the result is
-    certified to 10^-digits relative error.  No attempt runs at a working
-    precision above HURWITZ_MAX_PRECISION bits."""
-    if digits < 1:
-        raise ValueError(f"digits must be >= 1, got {digits}")
-    w = digits + _TAIL_GUARD_DIGITS
+def _certify(compute: Callable[[int], PrecReal], digits: int,
+             extra: int = 0) -> PrecReal:
+    """Run compute(w) until the result is certified to 10^-digits relative
+    error: w starts at digits + 10 + extra working digits and doubles after
+    each failed attempt.  This is the only place that sets a working
+    precision; no attempt runs above HURWITZ_MAX_PRECISION bits."""
+    _check_digits(digits)
+    w = digits + _TAIL_GUARD_DIGITS + extra
     cap = _max_precision_bits()
     while True:
         if mantissa_bits(w) > cap:
@@ -368,30 +370,27 @@ def xi_bessel(params: CFParams, digits: int) -> PrecReal:
     """The limit via the Bessel-function statement: the I-form for odd d,
     the J-form for even d, at the rational argument 2/(beta1 F_d(alpha)).
 
-    Only a half-odd magic sum has a route of its own: the Bessel values of
-    orders sigma - 1 and sigma are assembled from the elementary closed
+    Only a half-odd magic sum has a route of its own: one walk gives the
+    Bessel values of orders sigma - 1 and sigma from the elementary closed
     forms (the sqrt(2/(pi z)) prefactors cancel in the ratio), and the
-    bracket of order sigma stands in for (-1)^(d+1) F_d beta1 B in
+    value of order sigma stands in for (-1)^(d+1) F_d beta1 B in
     fib_transform.  At every other order the Bessel ratio is the series
     ratio, so the value is xi_limit's.
     """
     (p, q), _ = _magic_pairs(params)
     if sigma_tag(p, q) != "half-odd":
         return xi_limit(params, digits)
-    a, b1, d = params.alpha, params.beta1, params.d
-    g = b1 * fib_eval(d, a)
-    z = (2, g)  # = 2 sqrt(|rho|)
-    kind: BesselKind = "I" if d % 2 == 1 else "J"
-    k_low = (2 * p - 3 * q) // (2 * q)  # order sigma - 1 = k_low + 1/2
-    sign = 1 if d % 2 == 1 else -1  # B = sign bracket / g
+    g = params.beta1 * fib_eval(params.d, params.alpha)
+    s = 1 if params.d % 2 == 1 else -1  # I or J, and B = s bracket / g
+    k = (2 * p - q) // (2 * q)  # sigma = k + 1/2
     (m00, m01), (m10, m11) = fib_transform(params)
 
     def compute(w: int) -> PrecReal:
-        low = _half_odd_bracket(kind, k_low, z, w)
-        high = _half_odd_bracket(kind, k_low + 1, z, w) * sign / g
+        low, high = _half_odd_bracket(s, k, (2, g), w)  # z = 2 sqrt(|rho|)
+        high = high * s / g
         return (m00 * low + m01 * high) / (m10 * low + m11 * high)
 
-    return _certify(compute, digits)
+    return _certify(compute, digits, 2 * abs(k) + 10)
 
 
 def lehmer_d1(beta0: int, beta1: int, digits: int) -> PrecReal:
@@ -423,6 +422,7 @@ def wlang_limit_check(m: int, n: int, digits: int) -> bool:
     """Compare P_n(x)/Q_n(x) at x = 1/(4 m^2) against
     sqrt(x) I_1(2 sqrt(x))/I_0(2 sqrt(x)) (= B/A at sigma = 1, rho = x)."""
     from .identities import eval_unipoly, p_poly, q_poly
+    _check_digits(digits)
     if m < 2:
         raise ValueError("m must be >= 2")
     x = Fraction(1, 4 * m * m)

@@ -14,7 +14,7 @@ import pytest
 
 from hurwitzcf import cf_engine, hurwitz, identities, limits
 from hurwitzcf.cli import run
-from hurwitzcf.exactnum import _fraction_text
+from hurwitzcf.exactnum import _fraction_text, mantissa_bits
 
 
 @pytest.fixture
@@ -142,6 +142,22 @@ class TestLimit:
         monkeypatch.setenv("HURWITZ_MAX_PRECISION", "2000")
         monkeypatch.setattr(limits, "series_AB", None)
         assert run(["limit", *E_FLAGS, "--digits", "1000"]) == 2
+        assert "HURWITZ_MAX_PRECISION" in out().err
+
+    def test_bessel_walk_beyond_the_cap_refused(self, out, monkeypatch):
+        # sigma = 200003/2: the walk's extra digits alone pass the cap, so
+        # no seed series may be asked for more bits than it allows
+        cap = limits._max_precision_bits()
+        right = limits._sum_ratio_series
+
+        def spy(t0, ratio, digits):
+            assert mantissa_bits(digits) <= cap, "series above the cap"
+            return right(t0, ratio, digits)
+
+        monkeypatch.setattr(limits, "_sum_ratio_series", spy)
+        assert run(["limit", "--alpha", "1", "--b0", "200001", "--b1", "2",
+                    "--d", "2", "--r", "1", "--digits", "10",
+                    "--method", "bessel"]) == 2
         assert "HURWITZ_MAX_PRECISION" in out().err
 
     def test_malformed_precision_cap_exit_2(self, out, monkeypatch):

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -9,7 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 from hurwitzcf import limits
 from hurwitzcf.cf_engine import convergents
 from hurwitzcf.errors import PrecisionExhausted, UnsupportedOrder
-from hurwitzcf.hurwitz import CFParams, denom_stream
+from hurwitzcf.exactnum import PrecReal
+from hurwitzcf.hurwitz import CFParams, _magic_pairs, denom_stream, sigma_tag
 from hurwitzcf.limits import (_sum_ratio_series, bessel_I, bessel_J,
                               bessel_ratio_I, cos_prec, cosh_prec, exp_prec,
                               lehmer_d1, perron_d1, pi_prec, series_AB,
@@ -233,6 +235,20 @@ class TestCertify:
             xi_limit(CFParams(1, 2, 2, 3, 2), 1000)
         assert calls == []
 
+    def test_whole_precision_doubles_under_the_cap(self, monkeypatch):
+        # the extra digits of a walk escalate with the rest, and the cap
+        # sees them before every attempt
+        monkeypatch.setenv("HURWITZ_MAX_PRECISION", "4000")
+        tried = []
+
+        def never(w):
+            tried.append(w)
+            return PrecReal(1, 1)
+
+        with pytest.raises(PrecisionExhausted):
+            limits._certify(never, 5, 100)
+        assert tried == [115, 230, 460, 920]
+
     def test_malformed_cap_named_in_the_error(self, monkeypatch):
         monkeypatch.setenv("HURWITZ_MAX_PRECISION", "abc")
         with pytest.raises(ValueError, match="HURWITZ_MAX_PRECISION.*'abc'"):
@@ -249,7 +265,67 @@ class TestCertify:
         assert ball.lo - slack <= ref <= ball.hi + slack
 
 
+# every public function of limits that takes digits, called with it
+DIGITS_TAKERS = {
+    "series_AB": lambda D: series_AB(F(3, 2), F(1, 16), D),
+    "sin_prec": lambda D: sin_prec(F(1), D),
+    "cos_prec": lambda D: cos_prec(F(1), D),
+    "sinh_prec": lambda D: sinh_prec(F(1), D),
+    "cosh_prec": lambda D: cosh_prec(F(1), D),
+    "exp_prec": lambda D: exp_prec(F(1), D),
+    "pi_prec": lambda D: pi_prec(D),
+    "sqrt_prec": lambda D: sqrt_prec(F(2), D),
+    "bessel_I": lambda D: bessel_I(F(3, 2), F(1, 2), D),
+    "bessel_J": lambda D: bessel_J(F(3, 2), F(1, 2), D),
+    "bessel_ratio_I": lambda D: bessel_ratio_I(F(3, 2), F(1, 16), D),
+    "xi_limit": lambda D: xi_limit(CFParams(1, 2, 2, 3, 2), D),
+    "xi_bessel": lambda D: xi_bessel(CFParams(1, 2, 2, 3, 2), D),
+    "lehmer_d1": lambda D: lehmer_d1(3, 2, D),
+    "perron_d1": lambda D: perron_d1(3, 2, D),
+    "wlang_limit_check": lambda D: wlang_limit_check(2, 5, D),
+}
+
+
+def test_digits_takers_are_every_public_kernel():
+    public = {name for name, fn in inspect.getmembers(limits,
+                                                      inspect.isfunction)
+              if not name.startswith("_") and fn.__module__ == limits.__name__
+              and "digits" in inspect.signature(fn).parameters}
+    assert public == set(DIGITS_TAKERS)
+
+
+@pytest.mark.parametrize("digits", [0, -3, -30])
+@pytest.mark.parametrize("name", list(DIGITS_TAKERS))
+def test_digits_below_one_refused_everywhere(name, digits):
+    with pytest.raises(ValueError, match=f"digits must be >= 1, got {digits}"):
+        DIGITS_TAKERS[name](digits)
+
+
+# high orders at small arguments: the walk from the seeds loses more digits
+# than the first attempt's extra ones cover
+SMALL_Z_HIGH_ORDER = [(F(81, 2), F(1, 100)), (F(21, 2), F(1, 1000)),
+                      (F(41, 2), F(1, 10))]
+
+
 class TestHalfOddBessel:
+    @pytest.mark.parametrize("nu,z", SMALL_Z_HIGH_ORDER)
+    @pytest.mark.parametrize("fn", [bessel_I, bessel_J])
+    def test_certified_at_small_argument(self, fn, nu, z):
+        assert fn(nu, z, 30).rel_err_at_most(30)
+
+    @pytest.mark.parametrize("nu,z", SMALL_Z_HIGH_ORDER)
+    def test_small_argument_vs_mpmath(self, nu, z):
+        mpmath = pytest.importorskip("mpmath")
+        for fn, ref in ((bessel_I, mpmath.besseli),
+                        (bessel_J, mpmath.besselj)):
+            ball = fn(nu, z, 30)
+            with mpmath.workdps(60):
+                want = ref(mpmath.mpf(nu.numerator) / nu.denominator,
+                           mpmath.mpf(z.numerator) / z.denominator)
+                got = mpmath.mpf(ball.value.numerator) / ball.value.denominator
+                assert abs(got - want) <= abs(want) * mpmath.mpf(10) ** -29
+
+
     def test_ratio_is_tanh(self):
         for z in (F(1, 2), F(1), F(2, 3)):
             ratio = bessel_I(F(1, 2), z, 25) / bessel_I(F(-1, 2), z, 25)
@@ -414,6 +490,23 @@ class TestXiBessel:
         assert b.lo <= hi and lo <= b.hi
 
 
+def test_one_walk_per_attempt(monkeypatch):
+    # a half-odd attempt sums the two seed series (cos, sin or cosh, sinh)
+    # once, at one precision, for the orders sigma - 1 and sigma together
+    requested = []
+    right = limits._sum_ratio_series
+
+    def spy(t0, ratio, digits):
+        requested.append(digits)
+        return right(t0, ratio, digits)
+
+    monkeypatch.setattr(limits, "_sum_ratio_series", spy)
+    for t in ((1, 2, 2, 3, 2), (1, 1, 2, 2, 1), (4, 3, 1, 2, 1)):
+        requested.clear()
+        xi_bessel(CFParams(*t), 25)
+        assert len(requested) == 2 and len(set(requested)) == 1, t
+
+
 class TestWlang:
     def test_holds_at_depth(self):
         assert wlang_limit_check(2, 50, 20)
@@ -495,3 +588,33 @@ def test_certified_path_takes_no_long_gcd(monkeypatch):
             fn(CFParams(*t), 2000).decimal(2000)
     lehmer_d1(3, 2, 500).decimal(500)
     assert long_operands == []
+
+
+# The sha256 of the rendered xi_bessel of every half-odd tuple with
+# alpha in (1, 2, 4), d = 1..3, r = d - 1 and b0, b1 = 1..12 (113 tuples,
+# sigma 1/2 to 25/2, so walks of 0 to 12 steps), at 25, 300 and 1000
+# digits, one line each, recorded while each order was walked separately:
+# one walk for both orders must leave the text unchanged.
+HALF_ODD_GOLDEN = \
+    "26bffffb5b2b3b7e3be739522b75f3ac3225e9c713d50b964d49513beb611724"
+
+
+def half_odd_grid():
+    for alpha in (1, 2, 4):
+        for d in (1, 2, 3):
+            for b0 in range(1, 13):
+                for b1 in range(1, 13):
+                    params = CFParams(alpha, b0, b1, d, d - 1)
+                    if sigma_tag(*_magic_pairs(params)[0]) == "half-odd":
+                        yield params
+
+
+def test_half_odd_golden_text():
+    grid = list(half_odd_grid())
+    assert len(grid) == 113
+    h = hashlib.sha256()
+    for params in grid:
+        for digits in (25, 300, 1000):
+            h.update(xi_bessel(params, digits).decimal(digits).encode()
+                     + b"\n")
+    assert h.hexdigest() == HALF_ODD_GOLDEN
