@@ -4,7 +4,7 @@ Partial denominators: r copies of alpha, then beta0, then repeating blocks of
 d - 1 copies of alpha followed by beta0 + beta1*n for n = 1, 2, ...
 
 Three independent routes to the (nd+r-1)st convergent numerators live here:
-the closed form (exact rational sums scaled back to integers), the compact
+the closed form (integer sums scaled by powers of beta1 F_d), the compact
 convolution recurrence, and - via cf_engine - the plain convergent recurrence.
 """
 
@@ -18,7 +18,7 @@ from typing import Literal, NamedTuple
 
 from .cf_engine import Convergent, DenomStream
 from .errors import NonIntegerResult
-from .exactnum import PrecReal, _split, falling_factorial, to_prec_real
+from .exactnum import PrecReal, _split, mantissa_bits
 from .fibpoly import fib_eval, lucas_eval
 
 
@@ -84,8 +84,9 @@ def denom_stream(params: CFParams) -> DenomStream:
 
 
 def _magic_pairs(params: CFParams) -> tuple[tuple[int, int], tuple[int, int]]:
-    """sigma = (beta0 - a)/beta1 + L_d/(beta1 F_d) and
-    rho = (-1)^(d-1)/(beta1 F_d)^2 as unreduced pairs (num, den), den > 0."""
+    """sigma = p/q = (beta0 - a)/beta1 + L_d/(beta1 F_d) and rho = s/q^2 as
+    unreduced pairs (num, den): the scale q = beta1 F_d and the sign
+    s = (-1)^(d-1) that every route of the family reads from here."""
     a, d = params.alpha, params.d
     fd = fib_eval(d, a)
     return (((params.beta0 - a) * fd + lucas_eval(d, a), params.beta1 * fd),
@@ -108,47 +109,41 @@ def fib_transform(params: CFParams) -> tuple[tuple[int, int], tuple[int, int]]:
             (fib_eval(r, a), -g * fib_eval(d - r, a)))
 
 
-def _closed_form_sums(params: CFParams, n: int) -> tuple[Fraction, Fraction]:
-    """The two inner sums of the closed form, as exact rationals.
+def _scaled_first_sum(n: int, p: int, q: int, s: int) -> tuple[int, int]:
+    """divmod(q^n first, 1) at sigma = p/q, rho = s/q^2, for the sum
 
-    first  = sum_{k<=n/2}     ((n-k)!/k!)   C(n+sigma-1-k, n-2k)   rho^k
-    second = sum_{k<=(n-1)/2} ((n-k-1)!/k!) C(n+sigma-1-k, n-2k-1) rho^(k+1)
-           = rho * (first at n-1 and sigma+1)
-    """
-    sigma, rho = magic(params)
-    second = rho * _first_sum(n - 1, sigma + 1, rho) if n else Fraction(0)
-    return _first_sum(n, sigma, rho), second
+    first = sum_{k<=n/2} ((n-k)!/k!) C(n+sigma-1-k, n-2k) rho^k.
 
-
-def _first_sum(n: int, sigma: Fraction, rho: Fraction) -> Fraction:
-    """first: t_0 = (sigma)_n (rising) and t_{k+1}/t_k =
-    rho (n-2k)(n-2k-1) / ((n-k)(k+1)(n+sigma-1-k)(sigma+k)), an integer
-    pair with sigma = p/q and rho = u/v; summed by binary splitting."""
-    p, q = sigma.numerator, sigma.denominator
-    u, v = rho.numerator, rho.denominator
-    t0 = Fraction(math.prod(p + j * q for j in range(n)), q ** n)
-    _, Q, T = _split([(u * q * q * (n - 2 * k) * (n - 2 * k - 1),
-                       v * (n - k) * (k + 1) * ((n - 1 - k) * q + p)
-                       * (k * q + p)) for k in range(n // 2)], 0, n // 2)
-    return t0 * Fraction(Q + T, Q)
+    q^n first = X_n(p) = sum_k s^k C(n-k, k) (p+kq)...(p+(n-1-k)q) is an
+    integer: t_0 = prod_{j<n} (p+jq) and t_{k+1}/t_k = s (n-2k)(n-2k-1) /
+    ((n-k)(k+1)(p+(n-1-k)q)(p+kq)), summed by binary splitting."""
+    t0 = math.prod(p + j * q for j in range(n))
+    _, Q, T = _split([(s * (n - 2 * k) * (n - 2 * k - 1),
+                       (n - k) * (k + 1) * (p + (n - 1 - k) * q) * (p + k * q))
+                      for k in range(n // 2)], 0, n // 2)
+    return divmod(t0 * (Q + T), Q)
 
 
 def closed_form_convergent(params: CFParams, n: int) -> Convergent:
-    """The convergent at index nd+r-1 from the explicit formula.
-
-    Both sums are evaluated over exact rationals; the scale factor
-    F_d(alpha)^n beta1^n is multiplied back and integrality asserted.
-    """
+    """The convergent at index nd+r-1 from the explicit formula, in
+    integers.  The second sum is rho (first at n-1 and sigma+1), so with
+    q = beta1 F_d(alpha) the scaled sums are X_n(p) and
+    q^(n+1) second = s X_{n-1}(p+q); fib_transform's second column
+    carries g = +-q, divided out exactly."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    first, second = _closed_form_sums(params, n)
-    scale = Fraction(fib_eval(params.d, params.alpha) * params.beta1) ** n
+    (p, q), (s, _) = _magic_pairs(params)
+    first, rem = _scaled_first_sum(n, p, q, s)
+    second, rem2 = _scaled_first_sum(n - 1, p + q, q, s) if n else (0, 0)
+    if rem or rem2:
+        raise NonIntegerResult(f"{params} n={n}: the scaled "
+                               f"{'first' if rem else 'second'} sum is "
+                               "not an integer")
     (p1, p2), (q1, q2) = fib_transform(params)
-    p_rat = scale * (p1 * first + p2 * second)
-    q_rat = scale * (q1 * first + q2 * second)
-    if p_rat.denominator != 1 or q_rat.denominator != 1:
-        raise NonIntegerResult(f"{params} n={n}: {p_rat}, {q_rat}")
-    return Convergent(n * params.d + params.r - 1, int(p_rat), int(q_rat))
+    second *= s
+    return Convergent(n * params.d + params.r - 1,
+                      p1 * first + p2 // q * second,
+                      q1 * first + q2 // q * second)
 
 
 def prec_recurrence_p(params: CFParams, n_max: int) -> list[int]:
@@ -175,11 +170,15 @@ def prec_recurrence_p(params: CFParams, n_max: int) -> list[int]:
 
 def normalized_numerator(params: CFParams, n: int, digits: int) -> PrecReal:
     """p_{nd+r-1} / (F_d(a)^n beta1^n (sigma+n-1)_n), rendered to the
-    requested precision.  Converges to the series limit as n grows."""
+    requested precision.  Converges to the series limit as n grows.
+
+    With sigma = p/q, q = beta1 F_d(a), the denominator is
+    prod_{j<n} (p + jq), an integer."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    sigma, _ = magic(params)
-    p = prec_recurrence_p(params, n)[n]
-    fd = fib_eval(params.d, params.alpha)
-    denom = Fraction(fd * params.beta1) ** n * falling_factorial(sigma + n - 1, n)
-    return to_prec_real(Fraction(p) / denom, digits)
+    if digits < 1:
+        raise ValueError("digits must be >= 1")
+    (p, q), _ = _magic_pairs(params)
+    return PrecReal._ratio(prec_recurrence_p(params, n)[n],
+                           math.prod(p + j * q for j in range(n)), 0, 1,
+                           mantissa_bits(digits))

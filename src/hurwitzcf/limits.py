@@ -26,7 +26,6 @@ from typing import Callable
 
 from .errors import PrecisionExhausted, UnsupportedOrder
 from .exactnum import PrecReal, _shifted_quotient, _split, mantissa_bits
-from .fibpoly import fib_eval
 from .hurwitz import CFParams, _magic_pairs, fib_transform, sigma_tag
 
 _TAIL_GUARD_DIGITS = 10
@@ -308,24 +307,6 @@ def bessel_J(nu, z, digits: int) -> PrecReal:
     return _bessel_half_odd(-1, nu, z, digits)
 
 
-def bessel_ratio_I(sigma: Fraction, rho: Fraction, digits: int) -> PrecReal:
-    """I_{sigma-1}(2 sqrt(rho)) / I_sigma(2 sqrt(rho)) for rho a square of a
-    rational, via the Gamma-free series identity (= A sqrt(rho) / B)."""
-    sigma, rho = Fraction(sigma), Fraction(rho)
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    root_n, root_d = math.isqrt(rho.numerator), math.isqrt(rho.denominator)
-    if Fraction(root_n, root_d) ** 2 != rho:
-        raise ValueError("rho must be the square of a rational")
-    sigma_p, rho_p = _pair(sigma), _pair(rho)
-
-    def compute(w: int) -> PrecReal:
-        sv = series_AB(sigma_p, rho_p, w)
-        return sv.A * root_n / root_d / sv.B
-
-    return _certify(compute, digits)
-
-
 # ---------------------------------------------------------------------------
 # limits of the family
 
@@ -377,12 +358,10 @@ def xi_bessel(params: CFParams, digits: int) -> PrecReal:
     fib_transform.  At every other order the Bessel ratio is the series
     ratio, so the value is xi_limit's.
     """
-    (p, q), _ = _magic_pairs(params)
-    if sigma_tag(p, q) != "half-odd":
+    (p, g), (s, _) = _magic_pairs(params)  # g = beta1 F_d; s = 1: I, -1: J
+    if sigma_tag(p, g) != "half-odd":
         return xi_limit(params, digits)
-    g = params.beta1 * fib_eval(params.d, params.alpha)
-    s = 1 if params.d % 2 == 1 else -1  # I or J, and B = s bracket / g
-    k = (2 * p - q) // (2 * q)  # sigma = k + 1/2
+    k = (2 * p - g) // (2 * g)  # sigma = k + 1/2, and B = s bracket / g
     (m00, m01), (m10, m11) = fib_transform(params)
 
     def compute(w: int) -> PrecReal:
@@ -394,11 +373,9 @@ def xi_bessel(params: CFParams, digits: int) -> PrecReal:
 
 
 def lehmer_d1(beta0: int, beta1: int, digits: int) -> PrecReal:
-    """[b0, b0+b1, b0+2b1, ...] = I_{b0/b1-1}(2/b1) / I_{b0/b1}(2/b1)."""
-    if beta0 < 1 or beta1 < 1:
-        raise ValueError("beta0, beta1 must be >= 1")
-    return bessel_ratio_I(Fraction(beta0, beta1), Fraction(1, beta1 * beta1),
-                          digits)
+    """[b0, b0+b1, b0+2b1, ...] = I_{b0/b1-1}(2/b1) / I_{b0/b1}(2/b1)
+    (Lehmer 1973): the family at d = 1, where alpha does not occur."""
+    return xi_limit(CFParams(1, beta0, beta1, 1, 0), digits)
 
 
 def perron_d1(beta0: int, beta1: int, digits: int) -> PrecReal:

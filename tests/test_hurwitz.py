@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -6,10 +7,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hurwitzcf.cf_engine import convergents, euler_mindig, eval_finite
+from hurwitzcf import hurwitz
+from hurwitzcf.cf_engine import (_last_convergent, convergents, euler_mindig,
+                                 eval_finite)
+from hurwitzcf.cli import run
+from hurwitzcf.errors import NonIntegerResult
 from hurwitzcf.exactnum import gbinom
 from hurwitzcf.fibpoly import fib_eval
-from hurwitzcf.hurwitz import (CFParams, _closed_form_sums,
+from hurwitzcf.hurwitz import (CFParams, _magic_pairs, _scaled_first_sum,
                                closed_form_convergent, denom_stream,
                                fib_transform, magic, normalized_numerator,
                                prec_recurrence_p, sigma_tag)
@@ -148,28 +153,100 @@ def naive_closed_form_sums(params, n):
     return first, second
 
 
+def scaled_sums(params, n):
+    """q^n first and q^(n+1) second with q = beta1 F_d(alpha), from the
+    integer sums the closed form uses; both must divide exactly."""
+    (p, q), (s, _) = _magic_pairs(params)
+    first, rem = _scaled_first_sum(n, p, q, s)
+    second, rem2 = _scaled_first_sum(n - 1, p + q, q, s) if n else (0, 0)
+    assert rem == rem2 == 0, (params, n)
+    return first, s * second
+
+
+def naive_scaled_sums(params, n):
+    first, second = naive_closed_form_sums(params, n)
+    q = params.beta1 * fib_eval(params.d, params.alpha)
+    return q ** n * first, q ** (n + 1) * second
+
+
+def split_off_by_one(monkeypatch):
+    """Make hurwitz's binary splitting return T + 1: a planted fault."""
+    real = hurwitz._split
+
+    def split(pairs, i, j):
+        P, Q, T = real(pairs, i, j)
+        return P, Q, T + 1
+
+    monkeypatch.setattr(hurwitz, "_split", split)
+
+
 class TestClosedFormSums:
     @pytest.mark.parametrize("params", [E_MINUS_1, TAN_1, UGLY,
                                         CFParams(2, 5, 3, 4, 1),
                                         CFParams(3, 1, 4, 1, 0)])
     def test_equals_term_by_term_sums(self, params):
         for n in range(41):
-            assert _closed_form_sums(params, n) \
-                == naive_closed_form_sums(params, n), (params, n)
+            assert scaled_sums(params, n) \
+                == naive_scaled_sums(params, n), (params, n)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 6), st.integers(1, 8), st.integers(1, 8),
            st.integers(1, 5), st.integers(0, 4), st.integers(0, 60))
     def test_random_guaranteed_params(self, a, b0, b1, d, r, n):
         params = CFParams(a, b0, b1, d, r % d)
-        assert _closed_form_sums(params, n) \
-            == naive_closed_form_sums(params, n)
+        assert scaled_sums(params, n) == naive_scaled_sums(params, n)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 8), st.integers(1, 8),
+           st.integers(1, 5), st.integers(0, 10), st.integers(0, 60))
+    @example(1, 2, 2, 3, 6, 5)   # r = 2d
+    @example(2, 3, 1, 2, 3, 0)   # r >= d at n = 0
+    def test_random_params_against_recurrence(self, a, b0, b1, d, r, n):
+        # r anywhere in [0, 2d], past the theorem's regime r <= d - 1
+        params = CFParams(a, b0, b1, d, r % (2 * d + 1))
+        cf = closed_form_convergent(params, n)
+        if cf.n < 0:
+            assert (cf.p, cf.q) == (1, 0)
+        else:
+            ref = _last_convergent(denom_stream(params), cf.n)
+            assert (cf.p, cf.q) == (ref.p, ref.q), (params, n)
 
     def test_large_index_against_recurrence(self):
         for params in (E_MINUS_1, UGLY):
             cf = closed_form_convergent(params, 1000)
             ref = convergents(denom_stream(params), cf.n)[-1]
             assert (cf.p, cf.q) == (ref.p, ref.q), params
+
+    @pytest.mark.parametrize("n", [5, 3000])
+    def test_non_integer_sum_reported_at_any_index(self, monkeypatch, n):
+        # the message names the input, not the numbers: at n = 3000 these
+        # run past the interpreter's 4300-digit limit on int-to-str
+        split_off_by_one(monkeypatch)
+        with pytest.raises(NonIntegerResult, match=f"n={n}:") as err:
+            closed_form_convergent(E_MINUS_1, n)
+        assert len(str(err.value)) < 200
+
+    def test_non_integer_sum_is_an_internal_error(self, monkeypatch, capsys):
+        split_off_by_one(monkeypatch)
+        assert run(["conv", "--alpha", "1", "--b0", "2", "--b1", "2",
+                    "--d", "3", "--r", "2", "--n", "3000",
+                    "--method", "closed"]) == 1
+        assert "not an integer" in capsys.readouterr().err
+
+    def test_convergent_side_makes_no_fraction(self, monkeypatch):
+        cases = [(E_MINUS_1, 7), (TAN_1, 12), (UGLY, 30),
+                 (CFParams(2, 3, 1, 2, 3), 9)]
+        closed = [closed_form_convergent(p, n) for p, n in cases]
+        normed = [normalized_numerator(p, n, 30) for p, n in cases]
+
+        def no_fraction(*args):
+            raise AssertionError("Fraction made on the convergent side")
+
+        monkeypatch.setattr(hurwitz, "Fraction", no_fraction)
+        assert [closed_form_convergent(p, n) for p, n in cases] == closed
+        for (p, n), ball in zip(cases, normed):
+            again = normalized_numerator(p, n, 30)
+            assert (again.m, again.r, again.e) == (ball.m, ball.r, ball.e)
 
 
 class TestPrecRecurrence:
@@ -252,6 +329,30 @@ def test_normalized_numerator_example():
     p = prec_recurrence_p(TAN_1, 4)[4]
     expect = p / (Fraction(1 * 2) ** 4 * falling_factorial(sigma + 3, 4))
     assert abs(v.value - expect) <= v.err
+
+
+# The sha256 of normalized_numerator(params, n, D).decimal(D) over alpha in
+# (1, 2, 3), beta0 in (1, 2, 5), beta1 in (1, 2, 3), d and r in (1, 2, 3) and
+# (0, 1, 2), n in (1, 5, 40) and D in (10, 30), nested in that order, one
+# line each (1458 texts), recorded while the quotient was an exact Fraction
+# rounded to nearest: the integer quotient must leave the text unchanged.
+NORMALIZED_GOLDEN = \
+    "171f24a3d33b0dd6acbe8e46336804c825d71cee1bc3687cf0a0de3f1e2b093c"
+
+
+def test_normalized_numerator_golden_text():
+    h = hashlib.sha256()
+    for a, b0, b1, d, r, n, digits in itertools.product(
+            (1, 2, 3), (1, 2, 5), (1, 2, 3), (1, 2, 3), (0, 1, 2), (1, 5, 40),
+            (10, 30)):
+        ball = normalized_numerator(CFParams(a, b0, b1, d, r), n, digits)
+        h.update(ball.decimal(digits).encode() + b"\n")
+    assert h.hexdigest() == NORMALIZED_GOLDEN
+
+
+def test_normalized_numerator_refuses_digits_below_one():
+    with pytest.raises(ValueError, match="digits must be >= 1"):
+        normalized_numerator(E_MINUS_1, 3, 0)
 
 
 def test_normalized_sequences_tighten():

@@ -13,10 +13,10 @@ from hurwitzcf.errors import PrecisionExhausted, UnsupportedOrder
 from hurwitzcf.exactnum import PrecReal
 from hurwitzcf.hurwitz import CFParams, _magic_pairs, denom_stream, sigma_tag
 from hurwitzcf.limits import (_sum_ratio_series, bessel_I, bessel_J,
-                              bessel_ratio_I, cos_prec, cosh_prec, exp_prec,
-                              lehmer_d1, perron_d1, pi_prec, series_AB,
-                              sin_prec, sinh_prec, sqrt_prec,
-                              wlang_limit_check, xi_bessel, xi_limit)
+                              cos_prec, cosh_prec, exp_prec, lehmer_d1,
+                              perron_d1, pi_prec, series_AB, sin_prec,
+                              sinh_prec, sqrt_prec, wlang_limit_check,
+                              xi_bessel, xi_limit)
 
 F = Fraction
 
@@ -277,7 +277,6 @@ DIGITS_TAKERS = {
     "sqrt_prec": lambda D: sqrt_prec(F(2), D),
     "bessel_I": lambda D: bessel_I(F(3, 2), F(1, 2), D),
     "bessel_J": lambda D: bessel_J(F(3, 2), F(1, 2), D),
-    "bessel_ratio_I": lambda D: bessel_ratio_I(F(3, 2), F(1, 16), D),
     "xi_limit": lambda D: xi_limit(CFParams(1, 2, 2, 3, 2), D),
     "xi_bessel": lambda D: xi_bessel(CFParams(1, 2, 2, 3, 2), D),
     "lehmer_d1": lambda D: lehmer_d1(3, 2, D),
@@ -385,14 +384,10 @@ class TestHalfOddBessel:
             bessel_J(F(1, 3), F(1, 2), 10)
 
     def test_ratio_vs_elementary(self):
-        # I_{1/2}(1/2) / I_{3/2}(1/2), sigma = 3/2, rho = 1/16
-        r = bessel_ratio_I(F(3, 2), F(1, 16), 25)
-        ref = bessel_I(F(1, 2), F(1, 2), 30) / bessel_I(F(3, 2), F(1, 2), 30)
+        # Lehmer: [3, 5, 7, ...] = I_{1/2}(1) / I_{3/2}(1), sigma = 3/2
+        r = lehmer_d1(3, 2, 25)
+        ref = bessel_I(F(1, 2), 1, 30) / bessel_I(F(3, 2), 1, 30)
         assert overlap(r, ref)
-
-    def test_ratio_requires_square_rho(self):
-        with pytest.raises(ValueError):
-            bessel_ratio_I(F(3, 2), F(1, 3), 10)
 
 
 class TestArithmeticProgression:
@@ -413,16 +408,6 @@ class TestArithmeticProgression:
         proxy = F(convs[-1].p, convs[-1].q)
         v = lehmer_d1(1, 1, 25)
         assert abs(v.value - proxy) < F(1, 10 ** 20)
-
-    def test_lehmer_equals_bessel_ratio(self):
-        v = lehmer_d1(3, 2, 25)
-        r = bessel_ratio_I(F(3, 2), F(1, 4), 25)
-        assert overlap(v, r)
-
-    def test_lehmer_matches_d1_family_limit(self):
-        v = lehmer_d1(2, 3, 25)
-        x = xi_limit(CFParams(1, 2, 3, 1, 0), 25)
-        assert overlap(v, x)
 
 
 class TestXiLimits:
