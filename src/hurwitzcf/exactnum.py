@@ -52,16 +52,18 @@ def _split(pairs: list[tuple[int, int]], i: int,
            j: int) -> tuple[int, int, int]:
     """(P, Q, T) over ratios i..j-1, with ratio k = a_k/b_k:
     P = prod a_k, Q = prod b_k and T/Q = sum over n = i+1..j of the
-    partial products r_i r_{i+1} ... r_{n-1}.  Balanced product tree.
+    partial products r_i r_{i+1} ... r_{n-1}.  Balanced product tree whose
+    leaves are runs of up to 8 ratios, folded left to right: the same
+    integers as single-ratio leaves, with fewer calls.
 
     The one exact summation kernel (binary splitting, Haible & Papanikolaou
     1998): over ratios 0..j-1, t_0 (1 + T/Q) = t_0 + ... + t_j.  It sums the
     certified series of ``limits`` and the closed form of ``hurwitz``."""
-    if j - i == 1:
-        a, b = pairs[i]
-        return a, b, a
-    if j == i:  # no ratios: the sum is t_0 alone
-        return 1, 1, 0
+    if j - i <= 8:  # a short run, folded in place (none: P = Q = 1, T = 0)
+        P, Q, T = 1, 1, 0
+        for a, b in pairs[i:j]:
+            P, Q, T = P * a, Q * b, T * b + P * a
+        return P, Q, T
     mid = (i + j) // 2
     p1, q1, t1 = _split(pairs, i, mid)
     p2, q2, t2 = _split(pairs, mid, j)

@@ -4,7 +4,9 @@ Everything here reduces to exact rational series with rigorous truncation
 bounds.  With sigma, rho rational the two series are A = 0F1(; sigma; rho)
 and B = rho/sigma 0F1(; sigma+1; rho), and cos, sin, cosh, sinh are the same
 series at sigma = 1/2, 3/2.  One term ratio, `_0f1`, gives all of them as
-integer pairs, the format of every ratio passed to `_sum_ratio_series`.
+integer pairs, the format of every ratio passed to `_sum_ratio_series`,
+together with a closed-form estimate of the size of the terms (lgamma),
+from which the kernel chooses the number of terms before summing any.
 Every rational on the way to a limit is such a pair (num, den), unreduced:
 the parameters, the series sums and their tails.  Limits come out as
 dyadic balls (PrecReal) built from the sums, so no Fraction is made and
@@ -22,7 +24,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import PrecisionExhausted, UnsupportedOrder
 from .exactnum import PrecReal, _shifted_quotient, _split, mantissa_bits
@@ -59,27 +61,65 @@ def _pair(x) -> Pair:
 # certified rational series (binary splitting)
 
 
-def _sum_ratio_series(t0: Pair, ratio: Callable[[int], Pair],
+class Ratios(NamedTuple):
+    """A series' term ratios t_{m+1}/t_m, and the size of its terms."""
+    pairs: Callable[[int, int], list[Pair]]  # the ratios i..j-1 as (a, b)
+    log_size: Callable[[int], float]  # a float estimate of log |t_m / t_0|
+
+
+def _first(ok: Callable[[int], bool], lo: int, limit: int,
+           start: int) -> int:
+    """The least m in lo..limit with ok(m), for ok false up to some m and
+    true from there on.  start >= lo is a guess: ok is tried there, then at
+    galloping steps above it, and the last bracket is bisected.  None (ok
+    false at limit, or start > limit) raises PrecisionExhausted."""
+    hi, step = start, 1
+    while hi > limit or not ok(hi):
+        if hi >= limit:
+            raise PrecisionExhausted("series did not certify")
+        lo, hi, step = hi + 1, min(hi + step, limit), 2 * step
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if ok(mid) else (mid + 1, hi)
+    return hi
+
+
+def _sum_ratio_series(t0: Pair, ratios: Ratios,
                       digits: int) -> tuple[int, int, int, int, int]:
     """Sum t0 + t0*ratio(0) + t0*ratio(0)*ratio(1) + ... with a certified
     tail bound, for the pair t0 = (num, den).  Returns (s_num, den,
     tail_num, tail_den, terms_used): the partial sum s_num/den and the
     tail bound tail_num/tail_den, unreduced.
 
-    ratio(m) = (a, b) with b > 0 is the integer pair a/b = t_{m+1}/t_m; it
-    need not be reduced, and a = 0 ends the series.  Tail contract:
-    |ratio(m)| must be nonincreasing from the stop point N on, where N is
-    the number of ratios applied (the partial sum holds t_0..t_N).  The stop
-    is accepted once |t_N| is below 10^-(digits+guard) relative to the
-    partial sum and q = |ratio(N)| <= 1/2; the tail is then at most
-    |t_N| q / (1 - q).  A series whose ratio grows in absolute value
-    (Machin's arctan) must bound its own tail.
+    ratio(m) = (a, b) with b > 0 is the integer pair a/b = t_{m+1}/t_m
+    (ratios.pairs(i, j) lists ratio(i..j-1)); it need not be reduced, and
+    a = 0 ends the series.  Tail contract: |ratio(m)| must be nonincreasing
+    from the stop point N on, where N is the number of ratios applied (the
+    partial sum holds t_0..t_N).  The stop is accepted once |t_N| is below
+    10^-(digits+guard) relative to the partial sum and q = |ratio(N)| <= 1/2;
+    the tail is then at most |t_N| q / (1 - q).  A series whose ratio grows
+    in absolute value (Machin's arctan) must bound its own tail.
 
-    N is first picked from float log-magnitudes of the terms; that is only a
-    hint, and the stop condition is checked in exact arithmetic, extending N
-    until it holds.  The partial sum is formed by exact binary splitting
-    (Haible & Papanikolaou 1998), so s_num/den equals the term-by-term sum
-    of the same terms.
+    N is chosen before any term is summed.  The peak term is at the first m
+    with |ratio(m)| <= 1; from there on, the first m >= 1 whose estimated
+    log |t_m| lies below log |t_peak| + log 10^-(digits+guard) - 1 and whose
+    q <= 1/2 is the candidate.  Galloping and bisection find it, first on
+    the estimate alone and then on the ratios from there, so it costs a few
+    dozen float operations and a few single ratios.  Its ratios are summed
+    by exact binary splitting (Haible & Papanikolaou 1998), so s_num/den
+    equals the term-by-term sum of the same terms.  The stop condition is
+    then checked in exact arithmetic.  If the terms cancel and it fails, the
+    aim moves below the exact partial sum and the search goes on from
+    N + 1, folding only the new ratios.  Every search takes N at most
+    100 (digits + 20) and refuses a series that would need more before
+    building any pairs.
+
+    ratios.log_size is a hint only: certification never rests on it.  An
+    estimate that is off by more than float rounding costs extra terms,
+    extra exact checks or a refusal, never a wrong sum or tail.  For the
+    stop to be the first one that the exact conditions allow, |ratio(m)|
+    must be nonincreasing (so the peak search and q <= 1/2 are monotone) or
+    below 1/2 throughout, and the estimate must decrease from the peak on.
     """
     _check_digits(digits)
     t0n, t0d = t0
@@ -87,37 +127,48 @@ def _sum_ratio_series(t0: Pair, ratio: Callable[[int], Pair],
         return 0, 1, 0, 1, 0
     scale = 10 ** (digits + _TAIL_GUARD_DIGITS)
     scale_bits = scale.bit_length()
-    # the hint aims one factor e below the threshold, so the exact check
+    limit = 100 * (digits + 20)
+    # the aim is one factor e below the threshold, so the exact check
     # nearly always passes at the first candidate
     log_thresh = -(digits + _TAIL_GUARD_DIGITS) * math.log(10) - 1
-    # log |t_m| and an estimate of log |S|
-    log_t = log_top = math.log(abs(t0n)) - math.log(t0d)
-    pairs: list[Pair] = []  # ratio(m) = a_m / b_m
-    P, Q, T = 1, 1, 0  # over the ratios folded so far, 0..n-1
-    n = m = 0
-    while True:
+    log_t0 = math.log(abs(t0n)) - math.log(t0d)
+
+    def ratio(m: int) -> Pair:
+        return ratios.pairs(m, m + 1)[0]
+
+    def past_peak(m: int) -> bool:
         a, b = ratio(m)
-        pairs.append((a, b))
-        if not a or (m > 0 and log_t < log_top + log_thresh
-                     and 2 * abs(a) <= b):
-            # fold the ratios n..m-1: the partial sum is t_0 .. t_m
-            if m > n:
-                p2, q2, t2 = _split(pairs, n, m)
-                P, Q, T = P * p2, Q * q2, T * q2 + P * t2
-                n = m
-            s_num, den = t0n * (Q + T), t0d * Q
-            last = t0n * P  # t_m = last / den
-            # |t_m| < 10^-(digits+guard) * max(|S|, 10^-(digits+guard)),
-            # or every term after t_m is 0 (the tail below is then 0)
-            if not a or _below(last, s_num, den, scale, scale_bits):
-                return s_num, den, abs(last * a), den * (b - abs(a)), m + 1
-            if s_num:  # the terms cancel: aim below the true partial sum
-                log_top = math.log(abs(s_num)) - math.log(den)
-        log_t += math.log(abs(a)) - math.log(b)
-        log_top = max(log_top, log_t)
-        m += 1
-        if m > 100 * (digits + 20):
-            raise PrecisionExhausted("series did not certify")
+        return abs(a) <= b
+
+    def below_aim(m: int) -> bool:  # by the estimate of |t_m|
+        return log_t0 + ratios.log_size(m) < log_top + log_thresh
+
+    def stops(m: int) -> bool:
+        a, b = ratio(m)
+        return not a or (m > 0 and 2 * abs(a) <= b and below_aim(m))
+
+    lo = _first(past_peak, 0, limit, 0)  # the peak: no stop comes before it
+    log_top = log_t0 + ratios.log_size(lo) if lo else log_t0
+    P, Q, T = 1, 1, 0  # over the ratios folded so far, 0..n-1
+    n = 0
+    while True:
+        # the float search alone, then the exact ratios tried from there
+        guess = _first(below_aim, max(lo, 1), limit, max(lo, 1))
+        m = _first(stops, lo, limit, max(guess - 1, lo))
+        # fold the ratios n..m-1: the partial sum is t_0 .. t_m
+        p2, q2, t2 = _split(ratios.pairs(n, m), 0, m - n)
+        P, Q, T, n = P * p2, Q * q2, T * q2 + P * t2, m
+        s_num, den = t0n * (Q + T), t0d * Q
+        last = t0n * P  # t_m = last / den
+        a, b = ratio(m)
+        # |t_m| < 10^-(digits+guard) * max(|S|, 10^-(digits+guard)),
+        # or every term after t_m is 0 (the tail below is then 0)
+        if not a or _below(last, s_num, den, scale, scale_bits):
+            return s_num, den, abs(last * a), den * (b - abs(a)), m + 1
+        if s_num:  # the terms cancel: aim below the true partial sum
+            log_top = max(math.log(abs(s_num)) - math.log(den),
+                          log_t0 + ratios.log_size(m + 1))
+        lo = m + 1
 
 
 def _below(last: int, s_num: int, den: int, scale: int,
@@ -136,17 +187,39 @@ def _below(last: int, s_num: int, den: int, scale: int,
     return abs(last) * scale * scale < max(abs(s_num) * scale, den)
 
 
-def _0f1(sigma: Pair, rho: Pair) -> Callable[[int], Pair]:
+def _0f1(sigma: Pair, rho: Pair) -> Ratios:
     """The term ratio of 0F1(; sigma; rho) = sum_m rho^m / (m! (sigma)_m),
-    rho / ((m+1)(sigma+m)), as the unreduced integer pair
-    (u q, v (m+1)(p + q m)) for sigma = p/q > 0 and rho = u/v."""
+    rho / ((m+1)(sigma+m)), as the unreduced integer pairs
+    (u q, v (m+1)(p + q m)) for sigma = p/q > 0 and rho = u/v, and
+    log |t_m / t_0| = m log |rho| - lgamma(m+1) - log (sigma)_m.
+
+    log (sigma)_m is lgamma(sigma+m) - lgamma(sigma).  Above sigma ~ 2^40
+    that difference drowns in the rounding of lgamma(sigma) (and past the
+    float range sigma has no float), so m log sigma stands in for it; the
+    two differ by about m^2 / (2 sigma)."""
     (p, q), (u, v) = sigma, rho
-    return lambda m: (u * q, v * (m + 1) * (p + q * m))
+    uq = u * q
+    # u = 0: every ratio is 0, and the kernel stops at m = 0 unasked
+    log_rho = math.log(abs(u)) - math.log(v) if u else -math.inf
+    if p.bit_length() - q.bit_length() > 40:
+        log_sigma = math.log(p) - math.log(q)
+
+        def log_size(m: int) -> float:
+            return m * (log_rho - log_sigma) - math.lgamma(m + 1)
+    else:
+        s = p / q
+        lgamma_s = math.lgamma(s)
+
+        def log_size(m: int) -> float:
+            return (m * log_rho - math.lgamma(m + 1) - math.lgamma(m + s)
+                    + lgamma_s)
+    return Ratios(lambda i, j: [(uq, v * (m + 1) * (p + q * m))
+                                for m in range(i, j)], log_size)
 
 
-def _ball(t0: Pair, ratio: Callable[[int], Pair], digits: int) -> PrecReal:
+def _ball(t0: Pair, ratios: Ratios, digits: int) -> PrecReal:
     """The series of _sum_ratio_series as a certified ball."""
-    s_num, den, tail_num, tail_den, _ = _sum_ratio_series(t0, ratio, digits)
+    s_num, den, tail_num, tail_den, _ = _sum_ratio_series(t0, ratios, digits)
     return PrecReal._ratio(s_num, den, tail_num, tail_den,
                            mantissa_bits(digits))
 
@@ -214,7 +287,11 @@ def cosh_prec(x: Fraction, digits: int) -> PrecReal:
 
 def exp_prec(x: Fraction, digits: int) -> PrecReal:
     p, q = _pair(x)
-    return _ball((1, 1), lambda m: (p, q * (m + 1)), digits)
+    # p = 0: every ratio is 0, and the kernel stops at m = 0 unasked
+    log_x = math.log(abs(p)) - math.log(q) if p else -math.inf
+    return _ball((1, 1), Ratios(
+        lambda i, j: [(p, q * (m + 1)) for m in range(i, j)],
+        lambda m: m * log_x - math.lgamma(m + 1)), digits)
 
 
 def _arctan_inv(x: int, digits: int) -> PrecReal:
@@ -223,8 +300,11 @@ def _arctan_inv(x: int, digits: int) -> PrecReal:
     |ratio| grows toward 1/x^2, outside the geometric tail contract; the
     series alternates with decreasing terms, so the tail is bounded by the
     first omitted term instead."""
-    s_num, den, _, _, n = _sum_ratio_series(
-        (1, x), lambda m: (-(2 * m + 1), x * x * (2 * m + 3)), digits)
+    log_x = math.log(x)
+    s_num, den, _, _, n = _sum_ratio_series((1, x), Ratios(
+        lambda i, j: [(-(2 * m + 1), x * x * (2 * m + 3))
+                      for m in range(i, j)],
+        lambda m: -2 * m * log_x - math.log(2 * m + 1)), digits)
     return PrecReal._ratio(s_num, den, 1, (2 * n + 1) * x ** (2 * n + 1),
                            mantissa_bits(digits))
 
@@ -334,15 +414,25 @@ def _certify(compute: Callable[[int], PrecReal], digits: int,
         w *= 2
 
 
+def _transformed(rows, x: PrecReal, y: PrecReal) -> PrecReal:
+    """(m00 x + m01 y) / (m10 x + m11 y) for rows = fib_transform(params).
+    An entry 0 drops its term and an entry 1 its product: at d = 1 the
+    rows are (1, 0) and (0, beta1), so the value is x / (beta1 y)."""
+    def row(c0: int, c1: int) -> PrecReal:
+        terms = [v if c == 1 else c * v for c, v in ((c0, x), (c1, y)) if c]
+        return sum(terms[1:], terms[0])
+    return row(*rows[0]) / row(*rows[1])
+
+
 def xi_limit(params: CFParams, digits: int) -> PrecReal:
     """The limit of the continued fraction, from the two rational series:
     the rows of fib_transform applied to (A, B), divided."""
     sigma, rho = _magic_pairs(params)
-    (m00, m01), (m10, m11) = fib_transform(params)
+    rows = fib_transform(params)
 
     def compute(w: int) -> PrecReal:
         sv = series_AB(sigma, rho, w)
-        return (m00 * sv.A + m01 * sv.B) / (m10 * sv.A + m11 * sv.B)
+        return _transformed(rows, sv.A, sv.B)
 
     return _certify(compute, digits)
 
@@ -362,12 +452,11 @@ def xi_bessel(params: CFParams, digits: int) -> PrecReal:
     if sigma_tag(p, g) != "half-odd":
         return xi_limit(params, digits)
     k = (2 * p - g) // (2 * g)  # sigma = k + 1/2, and B = s bracket / g
-    (m00, m01), (m10, m11) = fib_transform(params)
+    rows = fib_transform(params)
 
     def compute(w: int) -> PrecReal:
         low, high = _half_odd_bracket(s, k, (2, g), w)  # z = 2 sqrt(|rho|)
-        high = high * s / g
-        return (m00 * low + m01 * high) / (m10 * low + m11 * high)
+        return _transformed(rows, low, high * s / g)
 
     return _certify(compute, digits, 2 * abs(k) + 10)
 

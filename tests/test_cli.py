@@ -150,9 +150,9 @@ class TestLimit:
         cap = limits._max_precision_bits()
         right = limits._sum_ratio_series
 
-        def spy(t0, ratio, digits):
+        def spy(t0, ratios, digits):
             assert mantissa_bits(digits) <= cap, "series above the cap"
-            return right(t0, ratio, digits)
+            return right(t0, ratios, digits)
 
         monkeypatch.setattr(limits, "_sum_ratio_series", spy)
         assert run(["limit", "--alpha", "1", "--b0", "200001", "--b1", "2",

@@ -63,6 +63,37 @@ class TestRationalExactness:
                 == a.numerator * b.denominator + b.numerator * a.denominator)
 
 
+def split_reference(pairs, i, j):
+    """Binary splitting with single-ratio leaves, the reference for
+    exactnum._split, whose leaves are runs of up to 8 ratios."""
+    if j - i == 1:
+        a, b = pairs[i]
+        return a, b, a
+    if j == i:
+        return 1, 1, 0
+    mid = (i + j) // 2
+    p1, q1, t1 = split_reference(pairs, i, mid)
+    p2, q2, t2 = split_reference(pairs, mid, j)
+    return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
+
+
+class TestSplit:
+    @given(st.lists(st.tuples(st.integers(-10 ** 6, 10 ** 6),
+                              st.integers(1, 10 ** 6)), max_size=40),
+           st.data())
+    @example([], None)
+    @example([(3, 5)], None)
+    @example([(k - 4, k + 1) for k in range(8)], None)
+    @example([(k - 4, k + 1) for k in range(9)], None)
+    def test_equals_single_ratio_leaves(self, pairs, data):
+        if data is None:  # j - i = len(pairs): 0, 1, 8 and 9
+            i, j = 0, len(pairs)
+        else:
+            i = data.draw(st.integers(0, len(pairs)))
+            j = data.draw(st.integers(i, len(pairs)))
+        assert exactnum._split(pairs, i, j) == split_reference(pairs, i, j)
+
+
 class TestPrecReal:
     def test_exact_zero(self):
         z = to_prec_real(F(0), 50)

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from hurwitzcf import limits
 from hurwitzcf.cf_engine import convergents
 from hurwitzcf.errors import PrecisionExhausted, UnsupportedOrder
-from hurwitzcf.exactnum import PrecReal
+from hurwitzcf.exactnum import PrecReal, _split
 from hurwitzcf.hurwitz import CFParams, _magic_pairs, denom_stream, sigma_tag
 from hurwitzcf.limits import (_sum_ratio_series, bessel_I, bessel_J,
                               cos_prec, cosh_prec, exp_prec, lehmer_d1,
@@ -112,11 +112,27 @@ def pair(ratio):
     return as_pair
 
 
+def walked(ratio):
+    """The kernel's Ratios for a per-term ratio m -> (a, b): its pairs, and
+    log |t_m / t_0| summed term by term (-inf once a ratio is 0)."""
+    logs = [0.0]
+
+    def log_size(m):
+        while len(logs) <= m:
+            a, b = ratio(len(logs) - 1)
+            logs.append(logs[-1] + (math.log(abs(a)) - math.log(b) if a
+                                    else -math.inf))
+        return logs[m]
+
+    return limits.Ratios(lambda i, j: [ratio(m) for m in range(i, j)],
+                         log_size)
+
+
 def summed(t0, ratio, digits):
     """_sum_ratio_series with its unreduced pairs read as values:
     (partial sum, tail bound, terms)."""
     s_num, den, tail_num, tail_den, n = _sum_ratio_series(
-        (t0.numerator, t0.denominator), ratio, digits)
+        (t0.numerator, t0.denominator), walked(ratio), digits)
     return F(s_num, den), F(tail_num, tail_den), n
 
 
@@ -201,11 +217,12 @@ class TestBinarySplitting:
         def ratio(m):
             return (0, 1) if m == 3 else (1, m + 1)
         assert summed(F(1), ratio, 20) == (F(8, 3), 0, 4)
-        assert _sum_ratio_series((0, 1), ratio, 20) == (0, 1, 0, 1, 0)
+        assert _sum_ratio_series((0, 1), walked(ratio), 20) \
+            == (0, 1, 0, 1, 0)
 
     def test_non_decaying_series_is_refused(self):
         with pytest.raises(PrecisionExhausted):
-            _sum_ratio_series((1, 1), lambda m: (-1, 1), 5)
+            _sum_ratio_series((1, 1), walked(lambda m: (-1, 1)), 5)
 
     # the pairs of _0f1 are not reduced: a common factor must change no
     # value (the unreduced pairs it returns do change)
@@ -218,6 +235,158 @@ class TestBinarySplitting:
         t0, ratio = ALL_SERIES[index]
         scaled = summed(t0, lambda m: tuple(k * x for x in ratio(m)), digits)
         assert scaled == summed(t0, ratio, digits)
+
+
+def reference_walk(t0, ratio, digits):
+    """The kernel as it was before N was chosen up front, kept as the
+    reference: a per-term walk that sums float logs of the ratios to guess
+    the stop, then the same exact check, tail and re-aim after
+    cancellation.  ratio(m) is a per-term pair."""
+    t0n, t0d = t0
+    if t0n == 0:
+        return 0, 1, 0, 1, 0
+    scale = 10 ** (digits + 10)
+    scale_bits = scale.bit_length()
+    log_thresh = -(digits + 10) * math.log(10) - 1
+    log_t = log_top = math.log(abs(t0n)) - math.log(t0d)
+    pairs = []
+    P, Q, T = 1, 1, 0
+    n = m = 0
+    while True:
+        a, b = ratio(m)
+        pairs.append((a, b))
+        if not a or (m > 0 and log_t < log_top + log_thresh
+                     and 2 * abs(a) <= b):
+            if m > n:
+                p2, q2, t2 = _split(pairs, n, m)
+                P, Q, T = P * p2, Q * q2, T * q2 + P * t2
+                n = m
+            s_num, den = t0n * (Q + T), t0d * Q
+            last = t0n * P
+            if not a or limits._below(last, s_num, den, scale, scale_bits):
+                return s_num, den, abs(last * a), den * (b - abs(a)), m + 1
+            if s_num:
+                log_top = math.log(abs(s_num)) - math.log(den)
+        log_t += math.log(abs(a)) - math.log(b)
+        log_top = max(log_top, log_t)
+        m += 1
+        if m > 100 * (digits + 20):
+            raise PrecisionExhausted("series did not certify")
+
+
+def kernel_calls(monkeypatch, call):
+    """Run call() and return each (t0, ratios, digits, result) the kernel
+    was asked for."""
+    seen, right = [], limits._sum_ratio_series
+
+    def spy(t0, ratios, digits):
+        result = right(t0, ratios, digits)
+        seen.append((t0, ratios, digits, result))
+        return result
+
+    monkeypatch.setattr(limits, "_sum_ratio_series", spy)
+    call()
+    return seen
+
+
+def assert_walk_agrees(monkeypatch, call):
+    calls = kernel_calls(monkeypatch, call)
+    assert calls
+    for t0, ratios, digits, result in calls:
+        def ratio(m):
+            return ratios.pairs(m, m + 1)[0]
+        assert result == reference_walk(t0, ratio, digits), (t0, digits)
+
+
+GRID_SIGMAS = [F(1, 2), F(3, 2), F(7, 2), F(5, 3), F(11, 18), F(2), F(40, 3)]
+# -25/4 and -400/9: the terms cancel, and the exact check re-aims N
+GRID_RHOS = [F(1, 4), F(-1, 4), F(1), F(-1), F(1, 100), F(-1, 36), F(9, 4),
+             F(-25, 4), F(-400, 9)]
+
+
+class TestChosenLength:
+    """The kernel picks N from the closed-form term size; the reference walk
+    picked it term by term.  Both must return the same five integers."""
+
+    @pytest.mark.parametrize("digits", [10, 25, 100, 1000])
+    def test_series_ab_grid_matches_walk(self, monkeypatch, digits):
+        for sigma in GRID_SIGMAS:
+            for rho in GRID_RHOS:
+                # both series: A from t0 = 1, B from t0 = rho / sigma
+                assert_walk_agrees(monkeypatch,
+                                   lambda: series_AB(sigma, rho, digits))
+
+    @pytest.mark.parametrize("digits", [10, 25, 100, 1000])
+    def test_exp_and_arctan_match_walk(self, monkeypatch, digits):
+        for x in (F(1, 2), F(-3, 5), F(-2), F(-30), F(10), F(7, 3)):
+            assert_walk_agrees(monkeypatch, lambda: exp_prec(x, digits))
+        for x in (5, 239):
+            assert_walk_agrees(monkeypatch,
+                               lambda: limits._arctan_inv(x, digits))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.fractions(F(1, 30), 400, max_denominator=60),
+           st.integers(1, 4000),
+           st.integers(1, 60), st.sampled_from([1, -1]),
+           st.integers(1, 300))
+    @example(F(1, 2), 25, 4, -1, 100)  # cos 5: re-aimed once, 60 terms
+    @example(F(3, 2), 400, 9, -1, 25)  # re-aimed once, 45 terms
+    @example(F(11), 10000, 1, -1, 10)  # re-aimed five times, 290 terms
+    def test_random_0f1_matches_walk(self, sigma, u, v, sign, digits):
+        rho = F(sign * u, v)
+        with pytest.MonkeyPatch.context() as mp:
+            assert_walk_agrees(mp, lambda: series_AB(sigma, rho, digits))
+
+    @pytest.mark.parametrize("sigma,rho,digits,failed,terms", [
+        (F(1, 2), F(-25, 4), 100, 1, 60), (F(3, 2), F(-400, 9), 25, 1, 45),
+        (F(11), F(-10000), 10, 5, 290)])
+    def test_cancellation_re_aims(self, monkeypatch, sigma, rho, digits,
+                                  failed, terms):
+        checks, below = [], limits._below
+
+        def spy(*args):
+            checks.append(below(*args))
+            return checks[-1]
+
+        monkeypatch.setattr(limits, "_below", spy)
+        ratios = limits._0f1((sigma.numerator, sigma.denominator),
+                             (rho.numerator, rho.denominator))
+        result = _sum_ratio_series((1, 1), ratios, digits)
+        assert checks.count(False) == failed and checks[-1]
+        assert result[4] == terms
+        monkeypatch.undo()
+        assert result == reference_walk(
+            (1, 1), lambda m: ratios.pairs(m, m + 1)[0], digits)
+
+    @pytest.mark.parametrize("sigma", [F(2 ** 41 + 1, 3), F(10 ** 400, 7)])
+    def test_huge_sigma_matches_walk(self, monkeypatch, sigma):
+        # past 2^40 the estimate takes m log sigma for log (sigma)_m
+        for rho in (F(1, 4), F(-10 ** 13)):
+            assert_walk_agrees(monkeypatch,
+                               lambda: series_AB(sigma, rho, 50))
+
+    @pytest.mark.parametrize("call", [
+        lambda: sin_prec(F(10 ** 6), 10),
+        lambda: series_AB(F(1), F(10 ** 40), 10)],
+        ids=["sin 10^6", "rho 10^40"])
+    def test_runaway_refused_before_any_pairs(self, monkeypatch, call):
+        # the peak lies past 100 (digits + 20) terms: refused from a few
+        # single-ratio probes, with no list of pairs and no fold
+        lengths, folds = [], []
+        right = limits._sum_ratio_series
+
+        def spy(t0, ratios, digits):
+            def pairs(i, j):
+                lengths.append(j - i)
+                return ratios.pairs(i, j)
+            return right(t0, limits.Ratios(pairs, ratios.log_size), digits)
+
+        monkeypatch.setattr(limits, "_sum_ratio_series", spy)
+        monkeypatch.setattr(limits, "_split",
+                            lambda *a: folds.append(a) or (1, 1, 0))
+        with pytest.raises(PrecisionExhausted):
+            call()
+        assert set(lengths) == {1} and len(lengths) < 64 and folds == []
 
 
 class TestCertify:
@@ -481,9 +650,9 @@ def test_one_walk_per_attempt(monkeypatch):
     requested = []
     right = limits._sum_ratio_series
 
-    def spy(t0, ratio, digits):
+    def spy(t0, ratios, digits):
         requested.append(digits)
-        return right(t0, ratio, digits)
+        return right(t0, ratios, digits)
 
     monkeypatch.setattr(limits, "_sum_ratio_series", spy)
     for t in ((1, 2, 2, 3, 2), (1, 1, 2, 2, 1), (4, 3, 1, 2, 1)):
