@@ -3,17 +3,16 @@ continued fractions built from a repeated constant and one arithmetic
 progression."""
 
 from .cf_engine import Convergent, convergents, euler_mindig, eval_finite
-from .exactnum import PrecReal, falling_factorial, gbinom, to_prec_real
-from .hurwitz import CFParams, MagicPair, closed_form_convergent, \
-    denom_stream, magic, prec_recurrence_p
+from .exactnum import PrecReal
+from .hurwitz import CFParams, closed_form_convergent, denom_stream, \
+    magic_pairs, prec_recurrence_p
 from .limits import lehmer_d1, perron_d1, series_AB, xi_bessel, xi_limit
 
 __all__ = [
-    "CFParams", "Convergent", "MagicPair", "PrecReal",
-    "closed_form_convergent", "convergents", "denom_stream", "euler_mindig",
-    "eval_finite", "falling_factorial", "gbinom", "lehmer_d1", "magic",
-    "perron_d1", "prec_recurrence_p", "series_AB", "to_prec_real",
-    "xi_bessel", "xi_limit",
+    "CFParams", "Convergent", "PrecReal", "closed_form_convergent",
+    "convergents", "denom_stream", "euler_mindig", "eval_finite",
+    "lehmer_d1", "magic_pairs", "perron_d1", "prec_recurrence_p",
+    "series_AB", "xi_bessel", "xi_limit",
 ]
 
 __version__ = "0.1.0"

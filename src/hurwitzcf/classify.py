@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import TheoremMismatch, UnsupportedD
 from .exactnum import _fraction_text
-from .hurwitz import CFParams, SigmaTag, magic, sigma_tag
+from .hurwitz import CFParams, SigmaTag, magic_pairs, sigma_tag
 
 # the most work brute_force_sweep accepts, in tuples at small d (see the
 # cost in brute_force_sweep): a few seconds on a 2-core box
@@ -29,8 +29,8 @@ class SigmaClass:
 
 
 def sigma_class(params: CFParams) -> SigmaClass:
-    sigma = magic(params).sigma
-    return SigmaClass(sigma_tag(sigma.numerator, sigma.denominator), sigma)
+    (p, q), _ = magic_pairs(params)
+    return SigmaClass(sigma_tag(p, q), Fraction(p, q))
 
 
 # The tag each theorem claims for sigma -> its case rows (name, d, alpha, c,

@@ -1,15 +1,15 @@
 """Exact rational kernels and a certified-error real type.
 
-Integers are Python ints, rationals are ``fractions.Fraction`` (always kept
-reduced, positive denominator).  ``PrecReal`` is a ball: a dyadic center
-m 2^e and a radius r 2^e in integers, rounded so that the ball always
-contains the true value, so every derived quantity carries its own
-certification without a gcd.
+Integers are Python ints.  On the certified path a rational is an
+unreduced integer pair (num, den) with den > 0; ``fractions.Fraction``
+appears only in views and at the public edges.  ``PrecReal`` is a ball: a
+dyadic center m 2^e and a radius r 2^e in integers, rounded so that the
+ball always contains the true value, so every derived quantity carries its
+own certification without a gcd.
 """
 
 from __future__ import annotations
 
-import math
 from decimal import Decimal
 from fractions import Fraction
 from typing import Union
@@ -28,24 +28,6 @@ def _fraction_text(q: Rat) -> str:
     """str(q) of an int or Fraction, through int_text, so of any length."""
     num = int_text(q.numerator)
     return num if q.denominator == 1 else f"{num}/{int_text(q.denominator)}"
-
-
-def falling_factorial(x: Rat, k: int) -> Fraction:
-    """(x)_k = x (x-1) ... (x-k+1); the empty product for k = 0."""
-    if k < 0:
-        raise ValueError(f"falling factorial needs k >= 0, got {k}")
-    acc = Fraction(1)
-    x = Fraction(x)
-    for j in range(k):
-        acc *= x - j
-    return acc
-
-
-def gbinom(x: Rat, k: int) -> Fraction:
-    """Generalized binomial coefficient: (x)_k / k! for any rational x."""
-    if k < 0:
-        raise ValueError(f"gbinom needs k >= 0, got {k}")
-    return falling_factorial(x, k) / math.factorial(k)
 
 
 def _split(pairs: list[tuple[int, int]], i: int,
@@ -284,25 +266,3 @@ class PrecReal:
         s = int_text(q).rjust(digits + 1, "0")
         return f"{sign}{s[:-digits]}.{s[-digits:]}" if digits else f"{sign}{s}"
 
-
-def to_prec_real(r: Rat, digits: int) -> PrecReal:
-    """Round an exact rational to mantissa_bits(digits) bits, to nearest
-    with ties to even: a PrecReal within relative error 10^-digits."""
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
-    r = Fraction(r)
-    if r == 0:
-        return PrecReal(0)
-    bits = mantissa_bits(digits)
-    num, den = r.numerator, r.denominator
-    # |r| 2^k < 2^bits, so q <= 2^bits needs no second rounding
-    k = bits - 1 - (num.bit_length() - den.bit_length())
-    num, den = (num << k, den) if k >= 0 else (num, den << -k)
-    q, rem = divmod(num, den)
-    if 2 * rem > den or (2 * rem == den and q & 1):
-        q += 1
-    radius = rem != 0  # |r - q 2^-k| <= 2^-(k+1)
-    if radius * den * 10 ** digits > abs(num):
-        raise ArithmeticError(f"rounding {r} to {bits} bits misses "
-                              f"relative error 10^-{digits}")
-    return PrecReal._new(q, int(radius), -k, bits)

@@ -1,8 +1,9 @@
 """Fibonacci and Lucas polynomials.
 
-Both families satisfy X_n = q X_{n-1} + X_{n-2}, with seeds F_0 = 0, F_1 = 1
-and L_0 = 2, L_1 = q.  Polynomials are coefficient lists (index = degree,
-trailing coefficient nonzero except for the zero polynomial []).
+F_n = q F_{n-1} + F_{n-2}, with seeds F_0 = 0 and F_1 = 1, is the one
+recurrence; L_n = F_{n-1} + F_{n+1} is read off it.  Polynomials are
+coefficient lists (index = degree, trailing coefficient nonzero except for
+the zero polynomial []).
 """
 
 from __future__ import annotations
@@ -61,15 +62,10 @@ def fib_poly(n: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def lucas_poly(n: int) -> tuple:
-    """L_n(q) for n >= 0."""
+    """L_n(q) = F_{n-1}(q) + F_{n+1}(q), for n >= 0."""
     if n < 0:
         raise ValueError("Lucas polynomials are only defined for n >= 0 here")
-    if n == 0:
-        return (2,)
-    if n == 1:
-        return (0, 1)
-    prev2, prev1 = lucas_poly(n - 2), lucas_poly(n - 1)
-    return tuple(poly_add(_shift_q(list(prev1)), list(prev2)))
+    return tuple(poly_add(list(fib_poly(n - 1)), list(fib_poly(n + 1))))
 
 
 def fib_eval(n: int, a: int) -> int:
@@ -84,15 +80,10 @@ def fib_eval(n: int, a: int) -> int:
 
 
 def lucas_eval(n: int, a: int) -> int:
-    """L_n evaluated at q = a."""
+    """L_n evaluated at q = a: F_{n-1}(a) + F_{n+1}(a)."""
     if n < 0:
         raise ValueError("Lucas values are only defined for n >= 0 here")
-    x, y = 2, a  # L_0, L_1
-    if n == 0:
-        return x
-    for _ in range(n - 1):
-        x, y = y, a * y + x
-    return y
+    return fib_eval(n - 1, a) + fib_eval(n + 1, a)
 
 
 def _even_subsets(lo: int, hi: int):

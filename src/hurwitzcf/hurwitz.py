@@ -10,11 +10,9 @@ convolution recurrence, and - via cf_engine - the plain convergent recurrence.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
-from fractions import Fraction
-from typing import Literal, NamedTuple
+from dataclasses import dataclass, fields
+from typing import Literal
 
 from .cf_engine import Convergent, DenomStream
 from .errors import NonIntegerResult
@@ -31,6 +29,11 @@ class CFParams:
     r: int
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{f.name} must be an int, got "
+                                f"{type(value).__name__}")
         if self.alpha < 1 or self.beta0 < 1 or self.beta1 < 1 or self.d < 1:
             raise ValueError("alpha, beta0, beta1, d must all be >= 1")
         if self.r < 0:
@@ -40,19 +43,6 @@ class CFParams:
     def guaranteed(self) -> bool:
         # the regime the closed-form theorem is proved for
         return self.r <= self.d - 1
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
-
-    @classmethod
-    def from_json(cls, s: str) -> "CFParams":
-        obj = json.loads(s)
-        return cls(obj["alpha"], obj["beta0"], obj["beta1"], obj["d"], obj["r"])
-
-
-class MagicPair(NamedTuple):
-    sigma: Fraction
-    rho: Fraction
 
 
 SigmaTag = Literal["half-odd", "integer", "other"]
@@ -83,7 +73,7 @@ def denom_stream(params: CFParams) -> DenomStream:
     return stream
 
 
-def _magic_pairs(params: CFParams) -> tuple[tuple[int, int], tuple[int, int]]:
+def magic_pairs(params: CFParams) -> tuple[tuple[int, int], tuple[int, int]]:
     """sigma = p/q = (beta0 - a)/beta1 + L_d/(beta1 F_d) and rho = s/q^2 as
     unreduced pairs (num, den): the scale q = beta1 F_d and the sign
     s = (-1)^(d-1) that every route of the family reads from here."""
@@ -91,11 +81,6 @@ def _magic_pairs(params: CFParams) -> tuple[tuple[int, int], tuple[int, int]]:
     fd = fib_eval(d, a)
     return (((params.beta0 - a) * fd + lucas_eval(d, a), params.beta1 * fd),
             ((-1) ** (d - 1), (params.beta1 * fd) ** 2))
-
-
-def magic(params: CFParams) -> MagicPair:
-    sigma, rho = _magic_pairs(params)
-    return MagicPair(Fraction(*sigma), Fraction(*rho))
 
 
 def fib_transform(params: CFParams) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -109,6 +94,11 @@ def fib_transform(params: CFParams) -> tuple[tuple[int, int], tuple[int, int]]:
             (fib_eval(r, a), -g * fib_eval(d - r, a)))
 
 
+def _rising(p: int, q: int, n: int) -> int:
+    """prod_{j<n} (p + jq) = q^n (sigma)_n at sigma = p/q, an integer."""
+    return math.prod(p + j * q for j in range(n))
+
+
 def _scaled_first_sum(n: int, p: int, q: int, s: int) -> tuple[int, int]:
     """divmod(q^n first, 1) at sigma = p/q, rho = s/q^2, for the sum
 
@@ -117,11 +107,10 @@ def _scaled_first_sum(n: int, p: int, q: int, s: int) -> tuple[int, int]:
     q^n first = X_n(p) = sum_k s^k C(n-k, k) (p+kq)...(p+(n-1-k)q) is an
     integer: t_0 = prod_{j<n} (p+jq) and t_{k+1}/t_k = s (n-2k)(n-2k-1) /
     ((n-k)(k+1)(p+(n-1-k)q)(p+kq)), summed by binary splitting."""
-    t0 = math.prod(p + j * q for j in range(n))
     _, Q, T = _split([(s * (n - 2 * k) * (n - 2 * k - 1),
                        (n - k) * (k + 1) * (p + (n - 1 - k) * q) * (p + k * q))
                       for k in range(n // 2)], 0, n // 2)
-    return divmod(t0 * (Q + T), Q)
+    return divmod(_rising(p, q, n) * (Q + T), Q)
 
 
 def closed_form_convergent(params: CFParams, n: int) -> Convergent:
@@ -132,7 +121,7 @@ def closed_form_convergent(params: CFParams, n: int) -> Convergent:
     carries g = +-q, divided out exactly."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    (p, q), (s, _) = _magic_pairs(params)
+    (p, q), (s, _) = magic_pairs(params)
     first, rem = _scaled_first_sum(n, p, q, s)
     second, rem2 = _scaled_first_sum(n - 1, p + q, q, s) if n else (0, 0)
     if rem or rem2:
@@ -178,7 +167,6 @@ def normalized_numerator(params: CFParams, n: int, digits: int) -> PrecReal:
         raise ValueError("n must be >= 1")
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    (p, q), _ = _magic_pairs(params)
-    return PrecReal._ratio(prec_recurrence_p(params, n)[n],
-                           math.prod(p + j * q for j in range(n)), 0, 1,
-                           mantissa_bits(digits))
+    (p, q), _ = magic_pairs(params)
+    return PrecReal._ratio(prec_recurrence_p(params, n)[n], _rising(p, q, n),
+                           0, 1, mantissa_bits(digits))

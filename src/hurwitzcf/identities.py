@@ -191,43 +191,26 @@ def verify_ssum(n: int) -> bool:
 # ---------------------------------------------------------------------------
 # univariate P_n, Q_n
 
-UniPoly = list  # list[Fraction], index = degree
-
-
-def _unipoly(terms: dict) -> UniPoly:
-    if not terms:
-        return []
-    deg = max(terms)
-    out = [Fraction(0)] * (deg + 1)
-    for i, c in terms.items():
-        out[i] = Fraction(c)
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+UniPoly = list  # list[int], index = degree
 
 
 def p_poly(n: int) -> UniPoly:
     """P_n(x) = sum_{k<=(n-1)/2} ((n-k-1)!/k!) C(n-k, n-2k-1) x^(k+1)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    terms = {}
-    for k in range((n - 1) // 2 + 1):
-        c = Fraction(math.factorial(n - k - 1), math.factorial(k)) \
-            * math.comb(n - k, n - 2 * k - 1)
-        terms[k + 1] = terms.get(k + 1, Fraction(0)) + c
-    return _unipoly(terms)
+    if n == 0:
+        return []
+    return [0] + [math.perm(n - k - 1, n - 2 * k - 1)
+                  * math.comb(n - k, n - 2 * k - 1)
+                  for k in range((n - 1) // 2 + 1)]
 
 
 def q_poly(n: int) -> UniPoly:
     """Q_n(x) = sum_{k<=n/2} ((n-k)!/k!) C(n-k, n-2k) x^k."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    terms = {}
-    for k in range(n // 2 + 1):
-        c = Fraction(math.factorial(n - k), math.factorial(k)) \
-            * math.comb(n - k, n - 2 * k)
-        terms[k] = terms.get(k, Fraction(0)) + c
-    return _unipoly(terms)
+    return [math.perm(n - k, n - 2 * k) * math.comb(n - k, n - 2 * k)
+            for k in range(n // 2 + 1)]
 
 
 def eval_unipoly(poly: UniPoly, x) -> Fraction:

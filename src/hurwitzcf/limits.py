@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 
 from .errors import PrecisionExhausted, UnsupportedOrder
 from .exactnum import PrecReal, _shifted_quotient, _split, mantissa_bits
-from .hurwitz import CFParams, _magic_pairs, fib_transform, sigma_tag
+from .hurwitz import CFParams, fib_transform, magic_pairs, sigma_tag
 
 _TAIL_GUARD_DIGITS = 10
 
@@ -229,12 +229,6 @@ class SeriesValue:
     A: PrecReal
     B: PrecReal
     terms_used: int
-    tails: tuple[Pair, ...]  # each series' tail bound, num/den
-
-    @property
-    def tail_bound(self) -> Fraction:
-        """The larger tail bound, as a Fraction made on request."""
-        return max(Fraction(*t) for t in self.tails)
 
 
 def series_AB(sigma: Fraction | Pair, rho: Fraction | Pair,
@@ -248,14 +242,13 @@ def series_AB(sigma: Fraction | Pair, rho: Fraction | Pair,
     if p <= 0:
         raise ValueError("sigma must be positive")
     if u == 0:
-        return SeriesValue(PrecReal(1), PrecReal(0), 1, ((0, 1),))
+        return SeriesValue(PrecReal(1), PrecReal(0), 1)
     prec = mantissa_bits(digits)
     a = _sum_ratio_series((1, 1), _0f1(sigma, rho), digits)
     # B's first term is rho / sigma, its ratio that of 0F1(; sigma + 1; rho)
     b = _sum_ratio_series((u * q, v * p), _0f1((p + q, q), rho), digits)
     return SeriesValue(PrecReal._ratio(*a[:4], prec),
-                       PrecReal._ratio(*b[:4], prec),
-                       max(a[4], b[4]), (a[2:4], b[2:4]))
+                       PrecReal._ratio(*b[:4], prec), max(a[4], b[4]))
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +420,7 @@ def _transformed(rows, x: PrecReal, y: PrecReal) -> PrecReal:
 def xi_limit(params: CFParams, digits: int) -> PrecReal:
     """The limit of the continued fraction, from the two rational series:
     the rows of fib_transform applied to (A, B), divided."""
-    sigma, rho = _magic_pairs(params)
+    sigma, rho = magic_pairs(params)
     rows = fib_transform(params)
 
     def compute(w: int) -> PrecReal:
@@ -448,7 +441,7 @@ def xi_bessel(params: CFParams, digits: int) -> PrecReal:
     fib_transform.  At every other order the Bessel ratio is the series
     ratio, so the value is xi_limit's.
     """
-    (p, g), (s, _) = _magic_pairs(params)  # g = beta1 F_d; s = 1: I, -1: J
+    (p, g), (s, _) = magic_pairs(params)  # g = beta1 F_d; s = 1: I, -1: J
     if sigma_tag(p, g) != "half-odd":
         return xi_limit(params, digits)
     k = (2 * p - g) // (2 * g)  # sigma = k + 1/2, and B = s bracket / g

@@ -10,15 +10,15 @@ from fractions import Fraction
 
 from hurwitzcf.cf_engine import convergents, euler_mindig
 from hurwitzcf.classify import brute_force_sweep
-from hurwitzcf.exactnum import falling_factorial
 from hurwitzcf.fibpoly import fib_eval
 from hurwitzcf.hurwitz import (CFParams, closed_form_convergent, denom_stream,
-                               magic, normalized_numerator, prec_recurrence_p)
+                               normalized_numerator, prec_recurrence_p)
 from hurwitzcf.identities import (eval_unipoly, p_poly, q_poly, verify_rsum,
                                   verify_ssum)
 from hurwitzcf.limits import (cos_prec, exp_prec, lehmer_d1, perron_d1,
                               series_AB, sin_prec, wlang_limit_check,
                               xi_bessel, xi_limit)
+from reference import falling_factorial, sigma_rho
 
 F = Fraction
 
@@ -169,7 +169,7 @@ def test_criterion_8_gcf_limit():
 
 def _normalized_deviation(params: CFParams, n: int) -> Fraction:
     # limit of the normalized numerator: F_{r+1} A + s F_{d-r-1} F_d b1 B
-    sigma, rho = magic(params)
+    sigma, rho = sigma_rho(params)
     sv = series_AB(sigma, rho, 40)
     a, b1, d, r = params.alpha, params.beta1, params.d, params.r
     s = -1 if (d - r) % 2 else 1

@@ -11,7 +11,8 @@ from hurwitzcf.cli import run
 from hurwitzcf.errors import TheoremMismatch, UnsupportedD
 from hurwitzcf.exactnum import _fraction_text
 from hurwitzcf.fibpoly import fib_eval, lucas_eval
-from hurwitzcf.hurwitz import CFParams, magic
+from hurwitzcf.hurwitz import CFParams
+from reference import sigma_rho
 
 F = Fraction
 
@@ -220,7 +221,7 @@ class TestSweep:
         wrong = [m for m in report.mismatches if m["d"] == 1700]
         assert len(wrong) == 3  # b0/b1 = 1/1, 2/1, 2/2
         for m in wrong:
-            sigma = magic(CFParams(2, m["beta0"], m["beta1"], 1700, 0)).sigma
+            sigma, _ = sigma_rho(CFParams(2, m["beta0"], m["beta1"], 1700, 0))
             assert sigma.denominator > 10 ** 640
             assert m["sigma"] == _fraction_text(sigma)
 

@@ -15,6 +15,7 @@ import pytest
 from hurwitzcf import cf_engine, hurwitz, identities, limits
 from hurwitzcf.cli import run
 from hurwitzcf.exactnum import _fraction_text, mantissa_bits
+from reference import sigma_rho
 
 
 @pytest.fixture
@@ -212,7 +213,7 @@ class TestClassify:
         flags = ["--alpha", "10", "--b0", "1", "--b1", "1", "--d", "5000",
                  "--r", "0"]
         assert run(["classify", *flags, "--json"]) == 0
-        sigma = hurwitz.magic(hurwitz.CFParams(10, 1, 1, 5000, 0)).sigma
+        sigma, _ = sigma_rho(hurwitz.CFParams(10, 1, 1, 5000, 0))
         assert sigma.denominator > 10 ** 4300
         assert json.loads(out().out)["sigma"] == _fraction_text(sigma)
 

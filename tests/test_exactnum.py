@@ -6,52 +6,20 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from hurwitzcf import exactnum
-from hurwitzcf.exactnum import (PrecReal, falling_factorial, gbinom,
-                                to_prec_real)
+from hurwitzcf.exactnum import PrecReal, mantissa_bits
 from hurwitzcf.hurwitz import CFParams
 from hurwitzcf.limits import xi_limit
+# the tests of the rational references, collected here
+from reference import TestFallingFactorial, TestGbinom  # noqa: F401
 
 F = Fraction
 
 
-class TestFallingFactorial:
-    def test_empty_product(self):
-        assert falling_factorial(F(3, 2), 0) == 1
-
-    def test_five_halves_squared_steps(self):
-        assert falling_factorial(F(5, 2), 2) == F(15, 4)
-
-    def test_magic_sum_shifted(self):
-        # (sigma + n - 1)_n at sigma = 3/2, n = 3: (7/2)(5/2)(3/2)
-        sigma = F(3, 2)
-        assert falling_factorial(sigma + 2, 3) == F(105, 8)
-
-    def test_negative_k_rejected(self):
-        with pytest.raises(ValueError):
-            falling_factorial(F(1), -1)
-
-    @given(st.fractions(max_denominator=50), st.integers(0, 20),
-           st.integers(0, 20))
-    def test_composition(self, x, j, k):
-        lhs = falling_factorial(x, j + k)
-        rhs = falling_factorial(x, j) * falling_factorial(x - j, k)
-        assert lhs == rhs
-
-
-class TestGbinom:
-    def test_simple_values(self):
-        assert gbinom(F(3, 2), 1) == F(3, 2)
-        assert gbinom(F(3, 2), 0) == 1
-        assert gbinom(F(5, 2), 2) == F(15, 8)
-
-    def test_matches_integer_binomials(self):
-        for m in range(41):
-            for k in range(m + 1):
-                assert gbinom(F(m), k) == math.comb(m, k)
-
-    def test_negative_k_rejected(self):
-        with pytest.raises(ValueError):
-            gbinom(F(1), -2)
+def rounded(x: Fraction, digits: int) -> PrecReal:
+    """x as a ball of mantissa_bits(digits) bits, by PrecReal's one
+    rounding rule (center floored, radius rounded up)."""
+    return PrecReal._ratio(x.numerator, x.denominator, 0, 1,
+                           mantissa_bits(digits))
 
 
 class TestRationalExactness:
@@ -96,23 +64,23 @@ class TestSplit:
 
 class TestPrecReal:
     def test_exact_zero(self):
-        z = to_prec_real(F(0), 50)
+        z = rounded(F(0), 50)
         assert z.value == 0 and z.err == 0
 
     def test_dyadic_is_exact(self):
-        v = to_prec_real(F(7, 4), 10)
+        v = rounded(F(7, 4), 10)
         assert v.value == F(7, 4)
         assert v.err == 0
 
     def test_one_third(self):
-        v = to_prec_real(F(1, 3), 5)
+        v = rounded(F(1, 3), 5)
         assert abs(v.value - F(1, 3)) <= F(1, 3) * F(1, 10 ** 5)
 
     @given(st.fractions(max_denominator=1000),
            st.fractions(max_denominator=1000),
            st.fractions(max_denominator=1000))
     def test_bounds_contain_exact_result(self, a, b, c):
-        pa, pb, pc = (to_prec_real(x, 8) if x else PrecReal(0)
+        pa, pb, pc = (rounded(x, 8) if x else PrecReal(0)
                       for x in (a, b, c))
         got = pa * pb + pc - pa
         exact = a * b + c - a
@@ -123,8 +91,8 @@ class TestPrecReal:
     @example(F(3), F(66323314785954797080018219, 3))
     @example(F(1), F(39418174802956416133889620, 3))
     def test_doubling_precision_tightens(self, a, b):
-        lo = to_prec_real(a, 6) * to_prec_real(b, 6)
-        hi = to_prec_real(a, 12) * to_prec_real(b, 12)
+        lo = rounded(a, 6) * rounded(b, 6)
+        hi = rounded(a, 12) * rounded(b, 12)
         exact = a * b
         assert abs(lo.value - exact) <= lo.err
         assert abs(hi.value - exact) <= hi.err
@@ -298,11 +266,3 @@ class TestDyadicBall:
             for digits in range(1, 8):
                 assert ball.rel_err_at_most(digits) == (
                     rel is not None and rel <= F(1, 10 ** digits))
-
-    def test_rounding_check_raises(self, monkeypatch):
-        # with too few mantissa bits the rounding error misses 10^-digits;
-        # the check is an exception, so python -O keeps it
-        monkeypatch.setattr(exactnum, "mantissa_bits", lambda digits: 4)
-        with pytest.raises(ArithmeticError):
-            to_prec_real(F(1, 3), 10)
-        assert to_prec_real(F(1, 4), 10).err == 0

@@ -1,23 +1,23 @@
 import hashlib
 import itertools
-import json
 import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hurwitzcf import hurwitz
+from hurwitzcf import exactnum, hurwitz
 from hurwitzcf.cf_engine import (_last_convergent, convergents, euler_mindig,
                                  eval_finite)
 from hurwitzcf.cli import run
 from hurwitzcf.errors import NonIntegerResult
-from hurwitzcf.exactnum import gbinom
 from hurwitzcf.fibpoly import fib_eval
-from hurwitzcf.hurwitz import (CFParams, _magic_pairs, _scaled_first_sum,
+from hurwitzcf.hurwitz import (CFParams, _scaled_first_sum,
                                closed_form_convergent, denom_stream,
-                               fib_transform, magic, normalized_numerator,
-                               prec_recurrence_p, sigma_tag)
+                               fib_transform, magic_pairs,
+                               normalized_numerator, prec_recurrence_p,
+                               sigma_tag)
+from reference import falling_factorial, gbinom, sigma_rho
 
 E_MINUS_1 = CFParams(1, 2, 2, 3, 2)
 TAN_1 = CFParams(1, 1, 2, 2, 1)
@@ -31,11 +31,15 @@ class TestParams:
         with pytest.raises(ValueError):
             CFParams(1, 1, 1, 1, -1)
 
-    def test_json_round_trip(self):
-        s = E_MINUS_1.to_json()
-        assert json.loads(s) == {"alpha": 1, "beta0": 2, "beta1": 2,
-                                 "d": 3, "r": 2}
-        assert CFParams.from_json(s) == E_MINUS_1
+    def test_non_int_fields_rejected(self):
+        # a float would leak into the "exact" convergents, and a bool is
+        # an int only by accident
+        for i, name in enumerate(("alpha", "beta0", "beta1", "d", "r")):
+            for bad in (1.0, True, Fraction(1), "1"):
+                args = [1, 2, 2, 3, 2]
+                args[i] = bad
+                with pytest.raises(TypeError, match=name):
+                    CFParams(*args)
 
     def test_guaranteed_regime(self):
         assert E_MINUS_1.guaranteed
@@ -62,23 +66,24 @@ class TestStream:
 
 class TestMagic:
     def test_e_example(self):
-        m = magic(E_MINUS_1)
-        assert m.sigma == Fraction(3, 2)
-        assert m.rho == Fraction(1, 16)
+        assert magic_pairs(E_MINUS_1) == ((6, 4), (1, 16))
+        sigma, rho = magic_pairs(E_MINUS_1)
+        assert Fraction(*sigma) == Fraction(3, 2)
+        assert Fraction(*rho) == Fraction(1, 16)
 
     def test_d1_sigma_ignores_alpha(self):
         for alpha in (1, 2, 7):
-            m = magic(CFParams(alpha, 3, 2, 1, 0))
-            assert m.sigma == Fraction(3, 2)
+            sigma, _ = magic_pairs(CFParams(alpha, 3, 2, 1, 0))
+            assert Fraction(*sigma) == Fraction(3, 2)
 
     def test_alpha2_d2(self):
         for b0, b1 in ((1, 1), (3, 2), (5, 4)):
-            m = magic(CFParams(2, b0, b1, 2, 0))
-            assert m.sigma == Fraction(b0 + 1, b1)
+            sigma, _ = magic_pairs(CFParams(2, b0, b1, 2, 0))
+            assert Fraction(*sigma) == Fraction(b0 + 1, b1)
 
     def test_rho_sign_follows_d_parity(self):
-        assert magic(E_MINUS_1).rho > 0
-        assert magic(TAN_1).rho < 0
+        assert Fraction(*magic_pairs(E_MINUS_1)[1]) > 0
+        assert Fraction(*magic_pairs(TAN_1)[1]) < 0
 
 
 class TestSigmaTag:
@@ -143,7 +148,7 @@ class TestClosedForm:
 
 def naive_closed_form_sums(params, n):
     """The two inner sums term by term, straight from their definition."""
-    sigma, rho = magic(params)
+    sigma, rho = sigma_rho(params)
     first = sum((Fraction(math.factorial(n - k), math.factorial(k))
                  * gbinom(n + sigma - 1 - k, n - 2 * k) * rho ** k
                  for k in range(n // 2 + 1)), Fraction(0))
@@ -156,7 +161,7 @@ def naive_closed_form_sums(params, n):
 def scaled_sums(params, n):
     """q^n first and q^(n+1) second with q = beta1 F_d(alpha), from the
     integer sums the closed form uses; both must divide exactly."""
-    (p, q), (s, _) = _magic_pairs(params)
+    (p, q), (s, _) = magic_pairs(params)
     first, rem = _scaled_first_sum(n, p, q, s)
     second, rem2 = _scaled_first_sum(n - 1, p + q, q, s) if n else (0, 0)
     assert rem == rem2 == 0, (params, n)
@@ -242,7 +247,8 @@ class TestClosedFormSums:
         def no_fraction(*args):
             raise AssertionError("Fraction made on the convergent side")
 
-        monkeypatch.setattr(hurwitz, "Fraction", no_fraction)
+        assert not hasattr(hurwitz, "Fraction")
+        monkeypatch.setattr(exactnum, "Fraction", no_fraction)
         assert [closed_form_convergent(p, n) for p, n in cases] == closed
         for (p, n), ball in zip(cases, normed):
             again = normalized_numerator(p, n, 30)
@@ -298,9 +304,8 @@ def test_euler_mindig_at_its_guard():
 
 
 def test_sigma_positive_and_falling_factorial_positive():
-    from hurwitzcf.exactnum import falling_factorial
     for params in _grid(4, 4, 4):
-        sigma = magic(params).sigma
+        sigma, _ = sigma_rho(params)
         assert sigma > 0
         assert falling_factorial(sigma + 99, 100) > 0
 
@@ -324,8 +329,7 @@ def test_normalized_numerator_example():
 
     # quotient is exact by definition
     v = normalized_numerator(TAN_1, 4, 20)
-    sigma = magic(TAN_1).sigma
-    from hurwitzcf.exactnum import falling_factorial
+    sigma, _ = sigma_rho(TAN_1)
     p = prec_recurrence_p(TAN_1, 4)[4]
     expect = p / (Fraction(1 * 2) ** 4 * falling_factorial(sigma + 3, 4))
     assert abs(v.value - expect) <= v.err
