@@ -10,8 +10,8 @@ F_d) exceeds SWEEP_GUARD is refused.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import TheoremMismatch, UnsupportedD
 from .exactnum import _fraction_text
@@ -22,8 +22,7 @@ from .hurwitz import CFParams, SigmaTag, magic_pairs, sigma_tag
 SWEEP_GUARD = 4_000_000
 
 
-@dataclass(frozen=True)
-class SigmaClass:
+class SigmaClass(NamedTuple):
     tag: SigmaTag
     witness: Fraction
 
@@ -77,15 +76,29 @@ def theorem71_predicate(params: CFParams) -> bool:
     return "integer" in _claims(params)
 
 
-@dataclass
 class SweepReport:
-    alpha_max: int
-    d_max: int
-    beta_max: int
-    tuples_checked: int = 0
-    half_odd_case_hits: list = field(default_factory=list)
-    integer_case_hits: list = field(default_factory=list)
-    mismatches: list = field(default_factory=list)
+    """The box brute_force_sweep checked, the tuples in it, the hits of each
+    case row (in `_CASES` order) and the mismatches."""
+
+    def __init__(self, alpha_max: int, d_max: int, beta_max: int,
+                 tuples_checked: int = 0,
+                 half_odd_case_hits: list | None = None,
+                 integer_case_hits: list | None = None,
+                 mismatches: list | None = None):
+        self.alpha_max, self.d_max, self.beta_max = alpha_max, d_max, beta_max
+        self.tuples_checked = tuples_checked
+        self.half_odd_case_hits, self.integer_case_hits, self.mismatches = (
+            [] if x is None else x
+            for x in (half_odd_case_hits, integer_case_hits, mismatches))
+
+    def __eq__(self, other):
+        if type(other) is not SweepReport:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self):
+        return "SweepReport(" + ", ".join(
+            f"{k}={v!r}" for k, v in vars(self).items()) + ")"
 
     def to_dict(self) -> dict:
         return {

@@ -10,9 +10,7 @@ JSON output; all numeric inputs are decimal integers.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import asdict, replace
 
 from . import cf_engine, checks, classify, fibpoly, hurwitz, identities, limits
 from .errors import HurwitzError, IndexTooLarge, PrecisionExhausted
@@ -33,16 +31,20 @@ def _params(args) -> hurwitz.CFParams:
 
 def _print(args, doc: dict, lines) -> None:
     """The JSON document under --json, else the text lines."""
-    print(json.dumps(doc) if args.json else "\n".join(lines))
+    if args.json:
+        import json  # here only: most requests print text
+        print(json.dumps(doc))
+    else:
+        print("\n".join(lines))
 
 
 def _prec_recurrence(params, n: int, index: int) -> cf_engine.Convergent:
     """p and q both from the compact recurrence: q_N of [a_0; a_1, ...] is
     p_{N-1} of [a_1; a_2, ...], which is again in the family: drop one
     alpha, or at r = 0 drop beta0."""
-    shifted, m = ((replace(params, r=params.r - 1), n) if params.r else
-                  (replace(params, beta0=params.beta0 + params.beta1,
-                           r=params.d - 1), n - 1))
+    shifted, m = ((params.replace(r=params.r - 1), n) if params.r else
+                  (params.replace(beta0=params.beta0 + params.beta1,
+                                  r=params.d - 1), n - 1))
     return cf_engine.Convergent(index, hurwitz.prec_recurrence_p(params, n)[n],
                                 hurwitz.prec_recurrence_p(shifted, m)[m])
 
@@ -89,7 +91,7 @@ def _cmd_conv(args) -> int:
     conv = (cf_engine.Convergent(-1, 1, 0) if index < 0  # n = 0 and r = 0
             else _CONV[args.method](params, n, index))
     p, q = int_text(conv.p), int_text(conv.q)
-    _print(args, {"params": asdict(params), "index": conv.n, "p": p, "q": q},
+    _print(args, {"params": params.asdict(), "index": conv.n, "p": p, "q": q},
            [f"index={conv.n} p={p} q={q}"])
     return 0
 
@@ -97,7 +99,7 @@ def _cmd_conv(args) -> int:
 def _cmd_limit(args) -> int:
     params = _params(args)
     text = _LIMIT[args.method](params, args.digits).decimal(args.digits)
-    _print(args, {"params": asdict(params), "digits": args.digits,
+    _print(args, {"params": params.asdict(), "digits": args.digits,
                   "value": text, "certified": True},
            [f"{text}  ({args.digits} certified digits)"])
     return 0
@@ -106,7 +108,7 @@ def _cmd_limit(args) -> int:
 def _cmd_classify(args) -> int:
     params = _params(args)
     sc = classify.sigma_class(params)
-    out = {"params": asdict(params), "sigma": _fraction_text(sc.witness),
+    out = {"params": params.asdict(), "sigma": _fraction_text(sc.witness),
            "tag": sc.tag}
     if params.d >= 2:
         out["theorem_half_odd"] = classify.theorem61_predicate(params)

@@ -11,7 +11,6 @@ convolution recurrence, and - via cf_engine - the plain convergent recurrence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from typing import Literal
 
 from .cf_engine import Convergent, DenomStream
@@ -20,24 +19,62 @@ from .exactnum import PrecReal, _split, mantissa_bits
 from .fibpoly import fib_eval, lucas_eval
 
 
-@dataclass(frozen=True)
+_FIELDS = ("alpha", "beta0", "beta1", "d", "r")
+
+
 class CFParams:
+    """The five integers of xi(alpha, beta0, beta1, d, r), checked once;
+    immutable, compared and hashed by value."""
+
+    __slots__ = _FIELDS
     alpha: int
     beta0: int
     beta1: int
     d: int
     r: int
 
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
+    def __init__(self, alpha: int, beta0: int, beta1: int, d: int, r: int):
+        for name, value in zip(_FIELDS, (alpha, beta0, beta1, d, r)):
             if not isinstance(value, int) or isinstance(value, bool):
-                raise TypeError(f"{f.name} must be an int, got "
+                raise TypeError(f"{name} must be an int, got "
                                 f"{type(value).__name__}")
-        if self.alpha < 1 or self.beta0 < 1 or self.beta1 < 1 or self.d < 1:
+            object.__setattr__(self, name, value)
+        if alpha < 1 or beta0 < 1 or beta1 < 1 or d < 1:
             raise ValueError("alpha, beta0, beta1, d must all be >= 1")
-        if self.r < 0:
+        if r < 0:
             raise ValueError("r must be >= 0")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _astuple(self) -> tuple:
+        return self.alpha, self.beta0, self.beta1, self.d, self.r
+
+    def asdict(self) -> dict:
+        """The fields by name, in order."""
+        return dict(zip(_FIELDS, self._astuple()))
+
+    def replace(self, **changes) -> CFParams:
+        """A copy with some fields changed, checked like any new one."""
+        return CFParams(**{**self.asdict(), **changes})
+
+    def __eq__(self, other):
+        if type(other) is not CFParams:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self):
+        return "CFParams(" + ", ".join(
+            f"{k}={v!r}" for k, v in self.asdict().items()) + ")"
+
+    def __reduce__(self):  # pickle and copy: rebuild through __init__
+        return CFParams, self._astuple()
 
     @property
     def guaranteed(self) -> bool:

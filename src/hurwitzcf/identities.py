@@ -1,7 +1,8 @@
 """Exact polynomial identity verification.
 
 Bivariate polynomials in (x, y) with rational coefficients carry the two
-summation lemmas; univariate P_n/Q_n connect every third convergent of the
+summation lemmas, which are checked on integer coefficients scaled by n!;
+univariate P_n/Q_n connect every third convergent of the
 integer-magic-sum family to a generalized continued fraction.
 """
 
@@ -79,20 +80,29 @@ class BivarPoly:
         return f"BivarPoly({self.coeffs!r})"
 
 
-def falling_factorial_poly(shift: int, k: int) -> BivarPoly:
-    """(y + shift)_k as a polynomial in y."""
-    coeffs = [1]  # integer coefficients of y^0, y^1, ...
+def _falling(shift: int, k: int) -> dict:
+    """(y + shift)_k as integer coefficients {(0, deg_y): c}."""
+    coeffs = [1]  # of y^0, y^1, ...
     for j in range(k):
         a = shift - j  # times (y + a): c'_i = a c_i + c_{i-1}
         coeffs = [a * c + c_lo for c, c_lo in zip(coeffs + [0], [0] + coeffs)]
-    return BivarPoly({(0, i): c for i, c in enumerate(coeffs)})
+    return {(0, i): c for i, c in enumerate(coeffs)}
 
 
-def _add_scaled(acc: dict, poly: BivarPoly, dx: int, c) -> None:
-    """acc += c * x^dx * poly, on the coefficient dict acc."""
-    for (i, j), v in poly.coeffs.items():
+def falling_factorial_poly(shift: int, k: int) -> BivarPoly:
+    """(y + shift)_k as a polynomial in y."""
+    return BivarPoly(_falling(shift, k))
+
+
+def _add_scaled(acc: dict, poly: dict, dx: int, c: int) -> None:
+    """acc += c * x^dx * poly, on integer coefficient dicts."""
+    for (i, j), v in poly.items():
         key = (i + dx, j)
         acc[key] = acc.get(key, 0) + c * v
+
+
+def _nonzero(acc: dict) -> dict:
+    return {key: c for key, c in acc.items() if c}
 
 
 def symbolic_binom(shift: int, k: int) -> BivarPoly:
@@ -103,27 +113,33 @@ def symbolic_binom(shift: int, k: int) -> BivarPoly:
 
 
 @lru_cache(maxsize=None)
+def _scaled(n: int, odd: int) -> dict:
+    """n! R_n (odd = 0) or n! S_n (odd = 1) as integer coefficients
+    {(deg_x, deg_y): c}: sum_k (n!/k!) x^(k+odd) (y+n)_(n-k-odd)."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    acc = {}
+    for k in range(n + 1 - odd):
+        _add_scaled(acc, _falling(n, n - k - odd), k + odd,
+                    math.perm(n, n - k))
+    return _nonzero(acc)
+
+
+def _unscaled(n: int, odd: int) -> BivarPoly:
+    """R_n or S_n: the scaled form divided by n!."""
+    scaled = _scaled(n, odd)
+    f = math.factorial(n)
+    return BivarPoly({key: Fraction(c, f) for key, c in scaled.items()})
+
+
 def r_poly(n: int) -> BivarPoly:
     """R_n(x, y) = sum_{k<=n} x^k (y+n)_{n-k} / k!."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    acc = {}
-    for k in range(n + 1):
-        _add_scaled(acc, falling_factorial_poly(n, n - k), k,
-                    Fraction(1, math.factorial(k)))
-    return BivarPoly(acc)
+    return _unscaled(n, 0)
 
 
-@lru_cache(maxsize=None)
 def s_poly(n: int) -> BivarPoly:
     """S_n(x, y) = sum_{k<=n-1} x^(k+1) (y+n)_{n-k-1} / k!."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    acc = {}
-    for k in range(n):
-        _add_scaled(acc, falling_factorial_poly(n, n - k - 1), k + 1,
-                    Fraction(1, math.factorial(k)))
-    return BivarPoly(acc)
+    return _unscaled(n, 1)
 
 
 def r_poly_binom_form(n: int) -> BivarPoly:
@@ -152,40 +168,34 @@ def s_poly_binom_form(n: int) -> BivarPoly:
     return acc
 
 
-def _lhs_sum(n: int, poly) -> BivarPoly:
-    """sum_{m<=n} ((-x)^(n-m)/(n-m)!) * poly(m)."""
-    acc = {}
+def _lemma(n: int, odd: int) -> bool:
+    """n! times both sides of the R (odd = 0) or S (odd = 1) lemma, compared
+    as integer coefficients:
+    sum_m (-1)^(n-m) C(n,m) x^(n-m) m! R_m
+        = sum_k n! C(n-k-odd, k) x^(k+odd) (y+n-k)_(n-2k-odd)."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    lhs, rhs, f = {}, {}, math.factorial(n)
     for m in range(n + 1):
-        _add_scaled(acc, poly(m), n - m,
-                    Fraction((-1) ** (n - m), math.factorial(n - m)))
-    return BivarPoly(acc)
+        _add_scaled(lhs, _scaled(m, odd), n - m,
+                    (-1) ** (n - m) * math.comb(n, m))
+    for k in range((n - odd) // 2 + 1):
+        _add_scaled(rhs, _falling(n - k, n - 2 * k - odd), k + odd,
+                    f * math.comb(n - k - odd, k))
+    return _nonzero(lhs) == _nonzero(rhs)
 
 
 def verify_rsum(n: int) -> bool:
     """Lemma: sum_{m<=n} ((-x)^(n-m)/(n-m)!) R_m(x,y)
-    = sum_{k<=n/2} ((n-k)!/k!) binom(n+y-k, n-2k) x^k, exactly."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    # ((n-k)!/k!) binom(n+y-k, n-2k) = ((n-k)!/(k!(n-2k)!)) (y+n-k)_{n-2k},
-    # and (n-k)!/(k!(n-2k)!) = comb(n-k, k)
-    rhs = {}
-    for k in range(n // 2 + 1):
-        _add_scaled(rhs, falling_factorial_poly(n - k, n - 2 * k), k,
-                    math.comb(n - k, k))
-    return _lhs_sum(n, r_poly) == BivarPoly(rhs)
+    = sum_{k<=n/2} ((n-k)!/k!) binom(n+y-k, n-2k) x^k, exactly.
+    ((n-k)!/k!) binom(n+y-k, n-2k) = C(n-k, k) (y+n-k)_{n-2k}."""
+    return _lemma(n, 0)
 
 
 def verify_ssum(n: int) -> bool:
-    """The companion identity for S_n (powers x^(k+1), width n-2k-1)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    # ((n-k-1)!/k!) binom(n+y-k, n-2k-1)
-    #     = comb(n-k-1, k) (y+n-k)_{n-2k-1}
-    rhs = {}
-    for k in range((n - 1) // 2 + 1):
-        _add_scaled(rhs, falling_factorial_poly(n - k, n - 2 * k - 1), k + 1,
-                    math.comb(n - k - 1, k))
-    return _lhs_sum(n, s_poly) == BivarPoly(rhs)
+    """The companion identity for S_n (powers x^(k+1), width n-2k-1):
+    ((n-k-1)!/k!) binom(n+y-k, n-2k-1) = C(n-k-1, k) (y+n-k)_{n-2k-1}."""
+    return _lemma(n, 1)
 
 
 # ---------------------------------------------------------------------------

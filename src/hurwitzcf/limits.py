@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -224,8 +223,7 @@ def _ball(t0: Pair, ratios: Ratios, digits: int) -> PrecReal:
                            mantissa_bits(digits))
 
 
-@dataclass(frozen=True)
-class SeriesValue:
+class SeriesValue(NamedTuple):
     A: PrecReal
     B: PrecReal
     terms_used: int

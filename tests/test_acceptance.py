@@ -178,6 +178,9 @@ def _normalized_deviation(params: CFParams, n: int) -> Fraction:
     p = prec_recurrence_p(params, n)[n]
     fd = fib_eval(d, a)
     norm = F(p) / (F(fd * b1) ** n * falling_factorial(sigma + n - 1, n))
+    # the package's 40-digit ball must hold this exact value
+    ball = normalized_numerator(params, n, 40)
+    assert ball.lo <= norm <= ball.hi, (params, n)
     return abs(norm - lim.value) + lim.err
 
 

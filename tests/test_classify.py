@@ -1,3 +1,4 @@
+import hashlib
 import sys
 from fractions import Fraction
 
@@ -166,6 +167,32 @@ class TestSweep:
         assert d["mismatches"] == []
         assert len(d["cases"]["half_odd"]) == 4
         assert len(d["cases"]["integer"]) == 3
+
+    def test_report_pinned(self):
+        # to_dict, repr and the sigma classes of one small box, pinned
+        report = brute_force_sweep(3, 3, 3)
+        assert report.to_dict() == {
+            "bounds": {"alpha_max": 3, "d_max": 3, "beta_max": 3},
+            "tuples_checked": 54,
+            "cases": {"half_odd": {"d=3, alpha=1, (b0+1)/b1 half-odd": 1,
+                                   "d=2, alpha=1, (b0+2)/b1 half-odd": 2,
+                                   "d=2, alpha=2, (b0+1)/b1 half-odd": 1,
+                                   "d=2, alpha=4, (2b0+1)/b1 integer": 0},
+                      "integer": {"d=3, alpha=1, (b0+1)/b1 integer": 6,
+                                  "d=2, alpha=1, (b0+2)/b1 integer": 5,
+                                  "d=2, alpha=2, (b0+1)/b1 integer": 6}},
+            "mismatches": []}
+        assert repr(brute_force_sweep(2, 2, 2)) == (
+            "SweepReport(alpha_max=2, d_max=2, beta_max=2, tuples_checked=8, "
+            "half_odd_case_hits=[0, 1, 1, 0], integer_case_hits=[0, 3, 3], "
+            "mismatches=[])")
+        assert report == brute_force_sweep(3, 3, 3)
+        classes = [sigma_class(CFParams(a, b0, b1, d, 0))
+                   for a in range(1, 4) for d in range(2, 4)
+                   for b1 in range(1, 4) for b0 in range(1, 4)]
+        assert classes[3] == SigmaClass("half-odd", F(3, 2))
+        assert hashlib.sha256(repr(classes).encode()).hexdigest() == (
+            "edd60097b752b41cc3d6d214db5981b28f2c9fd04cc66b6133be098223760829")
 
     def test_bounds_guard(self):
         with pytest.raises(ValueError):

@@ -69,6 +69,25 @@ class TestConv:
                 assert out().out.strip() \
                     == f"index={ref.n} p={ref.p} q={ref.q}", (r, n)
 
+    def test_prec_recurrence_shift_is_checked(self, out, monkeypatch):
+        # the shifted tuple is a new CFParams, built through its checks:
+        # one alpha dropped at r > 0, beta0 dropped at r = 0
+        built, check = [], hurwitz.CFParams.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(kwargs)
+            check(self, *args, **kwargs)
+
+        monkeypatch.setattr(hurwitz.CFParams, "__init__", spy)
+        for r, shifted in ((2, (1, 2, 2, 3, 1)), (0, (1, 4, 2, 3, 2))):
+            flags = E_FLAGS[:-1] + [str(r)]
+            built.clear()
+            assert run(["conv", *flags, "--n", "4", "--method",
+                        "prec-recurrence"]) == 0
+            out()
+            assert len(built) == 2
+            assert tuple(built[1].values()) == shifted
+
     @pytest.mark.parametrize("method", ["recurrence", "closed",
                                         "euler-mindig", "prec-recurrence"])
     def test_negative_n_refused(self, out, method):

@@ -1,6 +1,8 @@
+import copy
 import hashlib
 import itertools
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -35,11 +37,48 @@ class TestParams:
         # a float would leak into the "exact" convergents, and a bool is
         # an int only by accident
         for i, name in enumerate(("alpha", "beta0", "beta1", "d", "r")):
-            for bad in (1.0, True, Fraction(1), "1"):
+            for bad in (1.0, 2.0, True, False, Fraction(1), "1"):
                 args = [1, 2, 2, 3, 2]
                 args[i] = bad
                 with pytest.raises(TypeError, match=name):
                     CFParams(*args)
+
+    def test_immutable(self):
+        for name in ("alpha", "beta0", "beta1", "d", "r"):
+            with pytest.raises(AttributeError):
+                setattr(E_MINUS_1, name, 3)
+            with pytest.raises(AttributeError):
+                delattr(E_MINUS_1, name)
+        with pytest.raises(AttributeError):
+            E_MINUS_1.extra = 1
+        assert E_MINUS_1.r == 2
+
+    def test_equality_and_hash_by_value(self):
+        twin = CFParams(1, 2, 2, 3, 2)
+        assert twin == E_MINUS_1 and twin is not E_MINUS_1
+        assert hash(twin) == hash(E_MINUS_1)
+        assert len({twin, E_MINUS_1, TAN_1}) == 2
+        assert E_MINUS_1 != TAN_1
+        assert E_MINUS_1 != (1, 2, 2, 3, 2)  # not a tuple
+
+    def test_repr_asdict_and_copies(self):
+        assert repr(E_MINUS_1) == "CFParams(alpha=1, beta0=2, beta1=2, d=3, r=2)"
+        assert list(E_MINUS_1.asdict().items()) == [
+            ("alpha", 1), ("beta0", 2), ("beta1", 2), ("d", 3), ("r", 2)]
+        assert CFParams(beta1=2, r=2, alpha=1, d=3, beta0=2) == E_MINUS_1
+        for twin in (pickle.loads(pickle.dumps(E_MINUS_1)),
+                     copy.copy(E_MINUS_1), copy.deepcopy(E_MINUS_1)):
+            assert twin == E_MINUS_1
+
+    def test_replace_is_checked(self):
+        assert E_MINUS_1.replace(r=0) == CFParams(1, 2, 2, 3, 0)
+        assert E_MINUS_1.r == 2
+        with pytest.raises(ValueError):
+            E_MINUS_1.replace(r=-1)
+        with pytest.raises(TypeError, match="beta0"):
+            E_MINUS_1.replace(beta0=2.0)
+        with pytest.raises(TypeError):
+            E_MINUS_1.replace(gamma=1)
 
     def test_guaranteed_regime(self):
         assert E_MINUS_1.guaranteed

@@ -82,17 +82,28 @@ class TestSummationLemmas:
         assert verify_ssum(n)
 
 
-    # every R_m (or S_m) off by x^n: the left side gains
-    # x^n sum_{j<=n} (-x)^j / j!, so the lemma at n must fail
-    @pytest.mark.parametrize("name, verify", [("r_poly", verify_rsum),
-                                              ("s_poly", verify_ssum)])
-    def test_detects_a_wrong_polynomial(self, monkeypatch, name, verify):
-        true_poly = getattr(identities, name)
-        for n in range(1, 9):
-            x_n = BivarPoly({(n, 0): 1})
-            monkeypatch.setattr(identities, name,
-                                lambda m: true_poly(m) + x_n)
-            assert not verify(n), n
+    # one coefficient of one m! R_m (or m! S_m) off by one: n! times the
+    # left side at any n >= m gains +-C(n, m) x^(n-m) times that monomial,
+    # so the lemma must fail there
+    @pytest.mark.parametrize("odd, verify", [(0, verify_rsum),
+                                             (1, verify_ssum)])
+    def test_detects_a_perturbed_scaled_coefficient(self, monkeypatch, odd,
+                                                    verify):
+        right = identities._scaled
+        for m in range(odd, 7):
+            key = min(right(m, odd))
+
+            def wrong(k, o, m=m, key=key):
+                coeffs = dict(right(k, o))
+                if (k, o) == (m, odd):
+                    coeffs[key] += 1
+                return coeffs
+
+            monkeypatch.setattr(identities, "_scaled", wrong)
+            for n in range(m, m + 4):
+                assert not verify(n), (m, n)
+            monkeypatch.undo()
+            assert verify(m + 3)
 
 
 class TestPQ:

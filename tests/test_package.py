@@ -1,7 +1,14 @@
-"""The package's public surface: the names in ``__all__`` and the README's
-library example."""
+"""The package's public surface: the names in ``__all__``, the README's
+library example, and what importing the CLI loads."""
+
+import functools
+import os
+import subprocess
+import sys
 
 import hurwitzcf
+
+E_FLAGS = ["--alpha", "1", "--b0", "2", "--b1", "2", "--d", "3", "--r", "2"]
 
 
 def test_star_import_binds_exactly_all():
@@ -16,3 +23,35 @@ def test_star_import_binds_exactly_all():
 def test_readme_magic_pairs_example():
     from hurwitzcf import CFParams, magic_pairs
     assert magic_pairs(CFParams(1, 2, 2, 3, 2)) == ((6, 4), (1, 16))
+
+
+@functools.lru_cache(maxsize=None)
+def _loaded(code: str) -> frozenset:
+    """The modules loaded after running `code` in a fresh interpreter that
+    imports this checkout's hurwitzcf."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        os.path.dirname(os.path.dirname(hurwitzcf.__file__)),
+        os.environ.get("PYTHONPATH")])))
+    probe = code + "\nimport sys\nprint(*sys.modules, file=sys.stderr)"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    return frozenset(proc.stderr.split())
+
+
+def _added_modules(code: str) -> set:
+    """The modules that `code` loads beyond those of `pass`."""
+    return _loaded(code) - _loaded("pass")
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    added = _added_modules("import hurwitzcf.cli")
+    assert "hurwitzcf.cli" in added
+    assert not added & {"dataclasses", "inspect"}
+
+
+def test_json_loaded_only_under_json():
+    run = "from hurwitzcf.cli import run\nrun({!r})"
+    for verb in (["classify", *E_FLAGS], ["conv", *E_FLAGS, "--n", "3"],
+                 ["poly", "--family", "fib", "--n-max", "3"]):
+        assert "json" not in _added_modules(run.format(verb)), verb
+        assert "json" in _added_modules(run.format(verb + ["--json"])), verb
