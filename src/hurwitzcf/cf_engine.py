@@ -8,7 +8,6 @@ formula is kept as an independent oracle.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
@@ -61,62 +60,33 @@ def _last_convergent(a: DenomStream, n: int) -> Convergent:
     return Convergent(n, p, q)
 
 
-def is_even_set(s) -> bool:
-    """True iff s decomposes into maximal runs of even length."""
-    elems = sorted(set(s))
-    run = 0
-    prev = None
-    for x in elems:
-        if prev is not None and x == prev + 1:
-            run += 1
-        else:
-            if run % 2 == 1:
-                return False
-            run = 1
-        prev = x
-    return run % 2 == 0
-
-
-def euler_mindig(a: DenomStream, n: int, naive: bool = False) -> Convergent:
+def euler_mindig(a: DenomStream, n: int) -> Convergent:
     """p_n and q_n straight from the even-containment sums of the
-    Euler-Mindig formulas.  Exponential in n; guarded.
-
-    With naive=True, enumerates all subsets and filters with is_even_set —
-    the maximally dumb variant kept as the oracle's oracle.
-    """
+    Euler-Mindig formulas.  Exponential in n; guarded."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    guard = 14 if naive else EULER_MINDIG_GUARD
-    if n > guard:
-        raise IndexTooLarge(f"n={n} exceeds enumeration guard {guard}")
+    if n > EULER_MINDIG_GUARD:
+        raise IndexTooLarge(
+            f"n={n} exceeds enumeration guard {EULER_MINDIG_GUARD}")
     vals = [a(i) for i in range(n + 1)]
 
     def em_sum(lo: int) -> int:
-        total = 0
-        if naive:
-            universe = list(range(lo, n + 1))
-            for mask in range(1 << len(universe)):
-                s = [universe[i] for i in range(len(universe)) if mask >> i & 1]
-                if is_even_set(set(universe) - set(s)):
-                    total += math.prod(vals[i] for i in s)
-        else:
-            # Walk the even sets of {lo..n} position by position, in
-            # batches: waiting[i] holds one product (of the elements left
-            # out of the set) per partial even set whose next undecided
-            # position is i.  At i, an even run i..gap-1 (possibly empty)
-            # starts there and gap is outside the set, or the run i..n ends
-            # the set.  Products are never merged: one leaf per even set.
-            waiting = [[] for _ in range(n + 2)]
-            waiting[lo].append(1)
-            for i in range(lo, n + 1):
-                prods = waiting[i]
-                for gap in range(i, n + 1, 2):
-                    v = vals[gap]
-                    waiting[gap + 1] += [p * v for p in prods]
-                if (n - i) % 2:
-                    waiting[n + 1] += prods
-            total = sum(waiting[n + 1])
-        return total
+        # Walk the even sets of {lo..n} position by position, in batches:
+        # waiting[i] holds one product (of the elements left out of the
+        # set) per partial even set whose next undecided position is i.  At
+        # i, an even run i..gap-1 (possibly empty) starts there and gap is
+        # outside the set, or the run i..n ends the set.  Products are
+        # never merged: one leaf per even set.
+        waiting = [[] for _ in range(n + 2)]
+        waiting[lo].append(1)
+        for i in range(lo, n + 1):
+            prods = waiting[i]
+            for gap in range(i, n + 1, 2):
+                v = vals[gap]
+                waiting[gap + 1] += [p * v for p in prods]
+            if (n - i) % 2:
+                waiting[n + 1] += prods
+        return sum(waiting[n + 1])
 
     return Convergent(n, em_sum(0), em_sum(1))
 

@@ -79,6 +79,20 @@ def identities_suite(n_max: int) -> list[str]:
     return fails
 
 
+def _outside_bracket(params, **values) -> list[str]:
+    """The values (balls) that miss the convergent bracket of params: the
+    limit lies between p_N/q_N and p_{N+1}/q_{N+1}, taken at the first N
+    with q_N q_{N+1} > 10^27.  Only the definition is used: no series."""
+    a = hurwitz.denom_stream(params)
+    n, p0, q0, p1, q1 = 0, 1, 0, a(0), 1  # p_{n-1}, q_{n-1}, p_n, q_n
+    while q0 * q1 <= 10 ** 27:
+        n += 1
+        p0, q0, p1, q1 = p1, q1, a(n) * p1 + p0, a(n) * q1 + q0
+    lo, hi = sorted((Fraction(p0, q0), Fraction(p1, q1)))
+    return [f"{name} outside the convergent bracket at {params}"
+            for name, v in values.items() if not (v.lo <= hi and lo <= v.hi)]
+
+
 def limits_suite(n_max: int) -> list[str]:
     fails = []
     for b0, b1 in ((1, 1), (3, 2), (5, 3)):
@@ -86,6 +100,8 @@ def limits_suite(n_max: int) -> list[str]:
         perron = limits.perron_d1(b0, b1, 25)
         if abs(lehmer.value - perron.value) > Fraction(1, 10 ** 24):
             fails.append(f"lehmer vs perron at ({b0},{b1})")
+        fails += _outside_bracket(hurwitz.CFParams(1, b0, b1, 1, 0),
+                                  lehmer=lehmer, perron=perron)
     # sigma 3/2 (I- and J-form), 1/2 (no walk) and 7/2 (three steps up)
     for t in ((1, 2, 2, 3, 2), (1, 1, 2, 2, 1), (1, 1, 6, 2, 0),
               (4, 3, 1, 2, 1)):
@@ -94,6 +110,7 @@ def limits_suite(n_max: int) -> list[str]:
         b = limits.xi_bessel(params, 25)
         if abs(a.value - b.value) > Fraction(1, 10 ** 24):
             fails.append(f"series vs bessel at {params}")
+        fails += _outside_bracket(params, series=a, bessel=b)
     return fails
 
 

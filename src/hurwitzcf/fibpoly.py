@@ -44,20 +44,26 @@ def _shift_q(a: IntPoly) -> IntPoly:
     return [0] + a if a else []
 
 
+# (k, F_k, F_{k+1}) where the last bottom-up build stopped, so that calls
+# in increasing n (the poly verb's table) take one step each
+_last_build = (0, [], [1])
+
+
 @lru_cache(maxsize=None)
 def fib_poly(n: int) -> tuple:
-    """F_n(q); negative indices via F_{-n} = (-1)^{n+1} F_n (recurrence run
+    """F_n(q), built bottom-up by the recurrence (no recursion, so no depth
+    limit); negative indices via F_{-n} = (-1)^{n+1} F_n (recurrence run
     backwards)."""
+    global _last_build
     if n < 0:
         m = -n
         f = fib_poly(m)
         return f if m % 2 == 1 else tuple(-c for c in f)
-    if n == 0:
-        return ()
-    if n == 1:
-        return (1,)
-    prev2, prev1 = fib_poly(n - 2), fib_poly(n - 1)
-    return tuple(poly_add(_shift_q(list(prev1)), list(prev2)))
+    k, f, g = _last_build if _last_build[0] <= n else (0, [], [1])
+    for _ in range(n - k):  # F_{k+2} = q F_{k+1} + F_k, of degree k + 1
+        f, g = g, [x + y for x, y in zip([0] + g, f + [0, 0])]
+    _last_build = n, f, g
+    return tuple(f)
 
 
 @lru_cache(maxsize=None)

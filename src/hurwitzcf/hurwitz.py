@@ -76,11 +76,6 @@ class CFParams:
     def __reduce__(self):  # pickle and copy: rebuild through __init__
         return CFParams, self._astuple()
 
-    @property
-    def guaranteed(self) -> bool:
-        # the regime the closed-form theorem is proved for
-        return self.r <= self.d - 1
-
 
 SigmaTag = Literal["half-odd", "integer", "other"]
 

@@ -1,5 +1,6 @@
-"""Rational references written straight from the paper's formulas, for the
-tests only: the package computes in integers and never calls them.
+"""References written straight from the paper's formulas and definitions,
+for the tests only: the package never calls them, and they share no code
+with the routes they check.
 
 The test classes here are collected through tests/test_exactnum.py, which
 imports them.
@@ -7,10 +8,12 @@ imports them.
 
 import math
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, strategies as st
 
+from hurwitzcf.cf_engine import Convergent
 from hurwitzcf.hurwitz import CFParams, magic_pairs
 
 F = Fraction
@@ -38,6 +41,74 @@ def sigma_rho(params: CFParams) -> tuple[Fraction, Fraction]:
     """The magic sum sigma and rho as reduced Fractions."""
     sigma, rho = magic_pairs(params)
     return Fraction(*sigma), Fraction(*rho)
+
+
+def convolve(a: list[int], b: list[int]) -> list[int]:
+    """The product of two polynomials given as coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def falling_product(shift: int, k: int) -> list[int]:
+    """(y + shift)_k as integer coefficients of y^0, y^1, ..., y^k: the
+    product of the linear factors y + (shift - j), j < k."""
+    return reduce(convolve, ([shift - j, 1] for j in range(k)), [1])
+
+
+def scaled_rs(n: int, odd: int) -> dict:
+    """n! R_n (odd = 0) or n! S_n (odd = 1) as {(deg_x, deg_y): c}, by the
+    binomial definitions
+
+        n! R_n = sum_k C(n,k) C(n+y, n-k) (n-k)!^2 x^k,
+        n! S_n = sum_k C(n,k) C(n+y, n-k-1) (n-k)! (n-k-1)! x^(k+1),
+
+    with C(n+y, w) w! = (y+n)_w: C(n,k) (n-k)! (y+n)_(n-k-odd) at
+    x^(k+odd)."""
+    out = {}
+    for k in range(n + 1 - odd):
+        c = math.comb(n, k) * math.factorial(n - k)
+        for j, v in enumerate(falling_product(n, n - k - odd)):
+            if v:
+                out[k + odd, j] = c * v
+    return out
+
+
+def is_even_set(s) -> bool:
+    """True iff s decomposes into maximal runs of even length."""
+    elems = sorted(set(s))
+    run = 0
+    prev = None
+    for x in elems:
+        if prev is not None and x == prev + 1:
+            run += 1
+        else:
+            if run % 2 == 1:
+                return False
+            run = 1
+        prev = x
+    return run % 2 == 0
+
+
+def naive_euler_mindig(a, n: int) -> Convergent:
+    """p_n and q_n of the Euler-Mindig formulas by enumerating every subset
+    of {0..n} (and of {1..n}) and keeping those whose complement is an even
+    set: the oracle's oracle of cf_engine.euler_mindig.  Exponential in n,
+    with no guard."""
+    vals = [a(i) for i in range(n + 1)]
+
+    def em_sum(lo: int) -> int:
+        universe = list(range(lo, n + 1))
+        total = 0
+        for mask in range(1 << len(universe)):
+            s = [universe[i] for i in range(len(universe)) if mask >> i & 1]
+            if is_even_set(set(universe) - set(s)):
+                total += math.prod(vals[i] for i in s)
+        return total
+
+    return Convergent(n, em_sum(0), em_sum(1))
 
 
 class TestFallingFactorial:

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hurwitzcf.cf_engine import (_last_convergent, convergents, euler_mindig,
-                                 eval_finite, is_even_set, shift_check,
-                                 stream_from_list)
+                                 eval_finite, shift_check, stream_from_list)
 from hurwitzcf.errors import IndexTooLarge
+
+from reference import is_even_set, naive_euler_mindig
 
 E_STREAM = [2, 1, 2, 1, 1, 4, 1, 1, 6, 1, 1, 8, 1, 1, 10, 1, 1, 12]
 TAN1_STREAM = [1, 1, 1, 3, 1, 5, 1, 7, 1, 9, 1, 11]
@@ -58,8 +59,6 @@ def test_euler_mindig_examples():
 def test_euler_mindig_guard():
     with pytest.raises(IndexTooLarge):
         euler_mindig(stream_from_list([1] * 40), 30)
-    with pytest.raises(IndexTooLarge):
-        euler_mindig(stream_from_list([1] * 40), 16, naive=True)
 
 
 def test_euler_mindig_matches_recurrence():
@@ -75,7 +74,7 @@ def test_naive_euler_mindig_agrees_with_run_enumeration():
     s = stream_from_list(E_STREAM)
     for n in range(11):
         fast = euler_mindig(s, n)
-        slow = euler_mindig(s, n, naive=True)
+        slow = naive_euler_mindig(s, n)
         assert fast == slow
 
 
@@ -87,7 +86,7 @@ def test_naive_euler_mindig_agrees_with_run_enumeration():
 def test_batched_walk_equals_naive(a):
     s = stream_from_list(a)
     n = len(a) - 1
-    assert euler_mindig(s, n) == euler_mindig(s, n, naive=True)
+    assert euler_mindig(s, n) == naive_euler_mindig(s, n)
 
 
 def test_euler_mindig_counts_one_leaf_per_even_set():

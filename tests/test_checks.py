@@ -50,27 +50,37 @@ def _scaled_bessel(monkeypatch):
         params, digits) * (1 + Fraction(1, 10 ** 20)))
 
 
+def _scaled_certify(monkeypatch):
+    # a fault every limit route shares: only the convergent bracket sees it
+    right = limits._certify
+    monkeypatch.setattr(limits, "_certify", lambda *args, **kwargs: right(
+        *args, **kwargs) * (1 + Fraction(1, 10 ** 20)))
+
+
 def _flipped_case_row(monkeypatch):
     first, *rest = classify._CASES["half-odd"]
     monkeypatch.setitem(classify._CASES, "half-odd",
                         (first[:-1] + ("integer",), *rest))
 
 
-FAULTS = {
-    "fibpoly": _wrong_fib_poly,
-    "cf": _wrong_euler_mindig,
-    "hurwitz": _wrong_closed_form,
-    "identities": _false_rsum,
-    "limits": _scaled_bessel,
-    "classify": _flipped_case_row,
+FAULTS = {  # test id: (suite, fault)
+    "fibpoly": ("fibpoly", _wrong_fib_poly),
+    "cf": ("cf", _wrong_euler_mindig),
+    "hurwitz": ("hurwitz", _wrong_closed_form),
+    "identities": ("identities", _false_rsum),
+    "limits": ("limits", _scaled_bessel),
+    "limits-certify": ("limits", _scaled_certify),
+    "classify": ("classify", _flipped_case_row),
 }
 
 
 def test_every_suite_has_a_fault():
-    assert list(FAULTS) == list(checks.SUITES)
+    suites = [name for name, _ in FAULTS.values()]
+    assert list(dict.fromkeys(suites)) == list(checks.SUITES)
 
 
-@pytest.mark.parametrize("name", list(FAULTS))
-def test_suite_reports_a_planted_fault(monkeypatch, name):
-    FAULTS[name](monkeypatch)
+@pytest.mark.parametrize("fault_id", list(FAULTS))
+def test_suite_reports_a_planted_fault(monkeypatch, fault_id):
+    name, fault = FAULTS[fault_id]
+    fault(monkeypatch)
     assert checks.SUITES[name](8) != []

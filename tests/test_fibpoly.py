@@ -40,6 +40,14 @@ def test_negative_index_extension():
         assert fib_eval(-n, 3) == (1 if n % 2 == 1 else -1) * fib_eval(n, 3)
 
 
+def test_deep_index_on_a_cold_cache():
+    # built bottom-up: no recursion, so no depth limit
+    fib_poly.cache_clear()
+    lucas_poly.cache_clear()
+    assert sum(fib_poly(3000)) == fib_eval(3000, 1)
+    assert sum(lucas_poly(3000)) == lucas_eval(3000, 1)
+
+
 def test_scalar_evaluation_matches_polynomials():
     for n in range(0, 25):
         for a in (1, 2, 5):

@@ -80,10 +80,6 @@ class TestParams:
         with pytest.raises(TypeError):
             E_MINUS_1.replace(gamma=1)
 
-    def test_guaranteed_regime(self):
-        assert E_MINUS_1.guaranteed
-        assert not CFParams(1, 2, 2, 3, 3).guaranteed
-
 
 class TestStream:
     def test_e_minus_one(self):

@@ -6,63 +6,43 @@ from hypothesis import given, settings, strategies as st
 from hurwitzcf.cf_engine import convergents
 from hurwitzcf.hurwitz import CFParams, denom_stream
 from hurwitzcf import identities
-from hurwitzcf.identities import (BivarPoly, eval_unipoly,
-                                  falling_factorial_poly,
+from hurwitzcf.identities import (_falling, _scaled, eval_unipoly,
                                   gcf_convergent_check, p_poly, q_poly,
-                                  r_poly, r_poly_binom_form, s_poly,
-                                  s_poly_binom_form, verify_rsum, verify_ssum)
+                                  verify_rsum, verify_ssum)
+
+from reference import falling_product, scaled_rs
 
 F = Fraction
-X = BivarPoly.x()
-Y = BivarPoly.y()
-
-
-class TestBivarPoly:
-    def test_zero_coefficients_dropped(self):
-        p = BivarPoly({(1, 0): F(1), (0, 1): F(0)})
-        assert p.coeffs == {(1, 0): F(1)}
-
-    def test_ring_operations(self):
-        p = (X + Y) * (X - Y)
-        assert p == X * X - Y * Y
-
-    def test_scalar_mixing(self):
-        assert 2 * X + 1 == X + X + BivarPoly.const(1)
-
-
-def falling_factorial_product(shift, k):
-    """(y + shift)_k as a product of linear BivarPoly factors."""
-    acc = BivarPoly.const(1)
-    for j in range(k):
-        acc = acc * (Y + (shift - j))
-    return acc
 
 
 class TestFallingFactorialPoly:
     def test_matches_product_of_linear_factors(self):
         for shift in range(-3, 13):
             for k in range(13):
-                assert falling_factorial_poly(shift, k) == \
-                    falling_factorial_product(shift, k), (shift, k)
+                want = falling_product(shift, k)
+                assert _falling(shift, k) == {
+                    (0, i): c for i, c in enumerate(want)}, (shift, k)
 
     def test_examples(self):
-        assert falling_factorial_poly(5, 0) == BivarPoly.const(1)
-        assert falling_factorial_poly(2, 3) == Y * (Y + 1) * (Y + 2)
+        assert _falling(5, 0) == {(0, 0): 1}
+        # y (y+1) (y+2) = 2y + 3y^2 + y^3
+        assert _falling(2, 3) == {(0, 0): 0, (0, 1): 2, (0, 2): 3, (0, 3): 1}
 
 
 class TestRS:
+    # _scaled(n, 0) is n! R_n and _scaled(n, 1) is n! S_n
     def test_base_cases(self):
-        assert r_poly(0) == BivarPoly.const(1)
-        assert s_poly(0) == BivarPoly()
+        assert _scaled(0, 0) == {(0, 0): 1}
+        assert _scaled(0, 1) == {}
 
     def test_n1(self):
-        assert r_poly(1) == Y + 1 + X
-        assert s_poly(1) == X
+        assert _scaled(1, 0) == {(0, 0): 1, (0, 1): 1, (1, 0): 1}  # y + 1 + x
+        assert _scaled(1, 1) == {(1, 0): 1}                        # x
 
     def test_binom_form_equivalence(self):
         for n in range(13):
-            assert r_poly_binom_form(n) == r_poly(n), n
-            assert s_poly_binom_form(n) == s_poly(n), n
+            assert _scaled(n, 0) == scaled_rs(n, 0), n
+            assert _scaled(n, 1) == scaled_rs(n, 1), n
 
 
 class TestSummationLemmas:
