@@ -115,8 +115,7 @@ def limits_suite(n_max: int) -> list[str]:
 
 
 def classify_suite(n_max: int) -> list[str]:
-    report = classify.brute_force_sweep(8, 5, 8, raise_on_mismatch=False)
-    return [str(m) for m in report.mismatches]
+    return [str(m) for m in classify.brute_force_sweep(8, 5, 8).mismatches]
 
 
 SUITES = {

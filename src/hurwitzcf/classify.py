@@ -3,9 +3,10 @@
 The two characterization theorems (d >= 2) are one case table, `_CASES`.
 `brute_force_sweep` confirms it one tuple at a time: `hurwitz.sigma_tag` of
 the integer pair N/D = ((b0 - alpha) F_d + L_d) / (b1 F_d), at alpha, must be
-the tag claimed by exactly the matching rows.  F_d and L_d are carried
-forward across d.  A box whose cost (tuples, weighted by the length of
-F_d) exceeds SWEEP_GUARD is refused.
+the tag claimed by exactly the matching rows.  Only F_{d-1}, F_d are carried
+across d (L_d = alpha F_d + 2 F_{d-1}).  The report counts every tuple of the
+box and lists each mismatch; none is raised.  A box whose cost (tuples,
+weighted by the length of F_d) exceeds SWEEP_GUARD is refused.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import TheoremMismatch, UnsupportedD
+from .errors import UnsupportedD
 from .exactnum import _fraction_text
 from .hurwitz import CFParams, SigmaTag, magic_pairs, sigma_tag
 
@@ -76,29 +77,16 @@ def theorem71_predicate(params: CFParams) -> bool:
     return "integer" in _claims(params)
 
 
-class SweepReport:
+class SweepReport(NamedTuple):
     """The box brute_force_sweep checked, the tuples in it, the hits of each
     case row (in `_CASES` order) and the mismatches."""
-
-    def __init__(self, alpha_max: int, d_max: int, beta_max: int,
-                 tuples_checked: int = 0,
-                 half_odd_case_hits: list | None = None,
-                 integer_case_hits: list | None = None,
-                 mismatches: list | None = None):
-        self.alpha_max, self.d_max, self.beta_max = alpha_max, d_max, beta_max
-        self.tuples_checked = tuples_checked
-        self.half_odd_case_hits, self.integer_case_hits, self.mismatches = (
-            [] if x is None else x
-            for x in (half_odd_case_hits, integer_case_hits, mismatches))
-
-    def __eq__(self, other):
-        if type(other) is not SweepReport:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def __repr__(self):
-        return "SweepReport(" + ", ".join(
-            f"{k}={v!r}" for k, v in vars(self).items()) + ")"
+    alpha_max: int
+    d_max: int
+    beta_max: int
+    tuples_checked: int
+    half_odd_case_hits: list
+    integer_case_hits: list
+    mismatches: list
 
     def to_dict(self) -> dict:
         return {
@@ -113,8 +101,8 @@ class SweepReport:
         }
 
 
-def brute_force_sweep(alpha_max: int, d_max: int, beta_max: int,
-                      raise_on_mismatch: bool = True) -> SweepReport:
+def brute_force_sweep(alpha_max: int, d_max: int,
+                      beta_max: int) -> SweepReport:
     """Exhaustively confirm both characterizations on the box
     alpha <= alpha_max, 2 <= d <= d_max, beta0, beta1 <= beta_max."""
     if alpha_max < 2 or d_max < 2 or beta_max < 2:
@@ -128,13 +116,11 @@ def brute_force_sweep(alpha_max: int, d_max: int, beta_max: int,
         raise ValueError(f"{size} tuples up to d = {d_max} (cost "
                          f"{cost // 3200}) exceed SWEEP_GUARD = {SWEEP_GUARD}")
     hits = {claim: [0] * len(rows) for claim, rows in _CASES.items()}
-    report = SweepReport(alpha_max, d_max, beta_max, 0, hits["half-odd"],
-                         hits["integer"])
-    betas, checked = range(1, beta_max + 1), 0
+    mismatches, betas = [], range(1, beta_max + 1)
     for a in range(1, alpha_max + 1):
-        f1, fd, l1, ld = 1, a, a, a * a + 2  # F_{d-1}, F_d, L_{d-1}, L_d
+        f1, fd = 1, a  # F_{d-1}, F_d
         for d in range(2, d_max + 1):
-            rows = _rows_at(a, d)
+            rows, ld = _rows_at(a, d), a * fd + 2 * f1  # L_d
             for b1 in betas:
                 den = b1 * fd
                 for b0 in betas:
@@ -145,14 +131,11 @@ def brute_force_sweep(alpha_max: int, d_max: int, beta_max: int,
                         if sigma_tag(c * b0 + e, b1) == want:
                             hits[th][i] += 1
                             claim = th if claim in ("other", th) else "both"
-                    checked += 1
                     if claim != tag:
-                        entry = {"alpha": a, "beta0": b0, "beta1": b1, "d": d,
-                                 "sigma": _fraction_text(Fraction(num, den)),
-                                 "tag": tag}
-                        report.mismatches.append(entry)
-                        if raise_on_mismatch:
-                            raise TheoremMismatch(entry)
-            f1, fd, l1, ld = fd, a * fd + f1, ld, a * ld + l1
-    report.tuples_checked = checked
-    return report
+                        mismatches.append({
+                            "alpha": a, "beta0": b0, "beta1": b1, "d": d,
+                            "sigma": _fraction_text(Fraction(num, den)),
+                            "tag": tag})
+            f1, fd = fd, a * fd + f1
+    return SweepReport(alpha_max, d_max, beta_max, size, hits["half-odd"],
+                       hits["integer"], mismatches)

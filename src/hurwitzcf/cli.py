@@ -118,10 +118,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    report = classify.brute_force_sweep(args.alpha_max, args.d_max,
-                                        args.beta_max,
-                                        raise_on_mismatch=False)
-    doc = report.to_dict()
+    doc = classify.brute_force_sweep(args.alpha_max, args.d_max,
+                                     args.beta_max).to_dict()
     _print(args, doc, [
         f"checked {doc['tuples_checked']} tuples",
         *(f"  [{theorem}] {name}: {count}"
@@ -186,7 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a deterministic identity suite")
     p.add_argument("--suite", default="all",
                    choices=sorted(checks.SUITES) + ["all"])
-    p.add_argument("--n-max", type=int, default=12)
+    p.add_argument("--n-max", type=int, default=12, help="bounds the fibpoly,"
+                   " hurwitz and identities suites (others run fixed cases)")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("poly", help="dump coefficient tables")

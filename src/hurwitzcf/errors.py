@@ -27,11 +27,3 @@ class UnsupportedOrder(HurwitzError):
 
 class UnsupportedD(HurwitzError):
     """Classification theorems only apply for quasi-period d >= 2."""
-
-
-class TheoremMismatch(HurwitzError):
-    """A brute-force sweep found a counterexample to a proved theorem."""
-
-    def __init__(self, params, message=""):
-        self.params = params
-        super().__init__(message or f"counterexample: {params}")

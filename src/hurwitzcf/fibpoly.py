@@ -1,9 +1,9 @@
 """Fibonacci and Lucas polynomials.
 
 F_n = q F_{n-1} + F_{n-2}, with seeds F_0 = 0 and F_1 = 1, is the one
-recurrence; L_n = F_{n-1} + F_{n+1} is read off it.  Polynomials are
-coefficient lists (index = degree, trailing coefficient nonzero except for
-the zero polynomial []).
+recurrence; L_n = F_{n-1} + F_{n+1} = 2 F_{n+1} - q F_n is read off it.
+Polynomials are coefficient lists (index = degree, trailing coefficient
+nonzero except for the zero polynomial []).
 """
 
 from __future__ import annotations
@@ -49,29 +49,35 @@ def _shift_q(a: IntPoly) -> IntPoly:
 _last_build = (0, [], [1])
 
 
-@lru_cache(maxsize=None)
-def fib_poly(n: int) -> tuple:
-    """F_n(q), built bottom-up by the recurrence (no recursion, so no depth
-    limit); negative indices via F_{-n} = (-1)^{n+1} F_n (recurrence run
-    backwards)."""
+def _build(n: int) -> tuple:
+    """(F_n, F_{n+1}), n >= 0, by the recurrence (no recursion, so no depth
+    limit), continuing the last build unless it stopped above n."""
     global _last_build
-    if n < 0:
-        m = -n
-        f = fib_poly(m)
-        return f if m % 2 == 1 else tuple(-c for c in f)
     k, f, g = _last_build if _last_build[0] <= n else (0, [], [1])
     for _ in range(n - k):  # F_{k+2} = q F_{k+1} + F_k, of degree k + 1
         f, g = g, [x + y for x, y in zip([0] + g, f + [0, 0])]
     _last_build = n, f, g
-    return tuple(f)
+    return f, g
+
+
+@lru_cache(maxsize=None)
+def fib_poly(n: int) -> tuple:
+    """F_n(q); negative indices via F_{-n} = (-1)^{n+1} F_n (recurrence run
+    backwards)."""
+    if n < 0:
+        m = -n
+        f = fib_poly(m)
+        return f if m % 2 == 1 else tuple(-c for c in f)
+    return tuple(_build(n)[0])
 
 
 @lru_cache(maxsize=None)
 def lucas_poly(n: int) -> tuple:
-    """L_n(q) = F_{n-1}(q) + F_{n+1}(q), for n >= 0."""
+    """L_n(q) = 2 F_{n+1}(q) - q F_n(q), n >= 0, off fib_poly's build."""
     if n < 0:
         raise ValueError("Lucas polynomials are only defined for n >= 0 here")
-    return tuple(poly_add(list(fib_poly(n - 1)), list(fib_poly(n + 1))))
+    f, g = _build(n)
+    return tuple(2 * y - x for x, y in zip([0] + f, g))
 
 
 def fib_eval(n: int, a: int) -> int:

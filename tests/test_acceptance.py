@@ -115,7 +115,7 @@ def test_criterion_5_identity_suites():
 
 def test_criterion_6_classification_sweep():
     t0 = time.time()
-    report = brute_force_sweep(60, 12, 20, raise_on_mismatch=False)
+    report = brute_force_sweep(60, 12, 20)
     elapsed = time.time() - t0
     ok = (not report.mismatches
           and all(c > 0 for c in report.half_odd_case_hits)

@@ -35,6 +35,10 @@ def _wrong_euler_mindig(monkeypatch):
                         _off_by_one(cf_engine.euler_mindig))
 
 
+def _false_shift(monkeypatch):
+    monkeypatch.setattr(cf_engine, "shift_check", lambda a, n: False)
+
+
 def _wrong_closed_form(monkeypatch):
     monkeypatch.setattr(hurwitz, "closed_form_convergent",
                         _off_by_one(hurwitz.closed_form_convergent))
@@ -44,17 +48,30 @@ def _false_rsum(monkeypatch):
     monkeypatch.setattr(identities, "verify_rsum", lambda n: False)
 
 
+def _false_ssum(monkeypatch):
+    monkeypatch.setattr(identities, "verify_ssum", lambda n: False)
+
+
+def _false_gcf(monkeypatch):
+    monkeypatch.setattr(identities, "gcf_convergent_check", lambda n, x: False)
+
+
+def _scaled(fn):
+    return lambda *args, **kwargs: fn(*args, **kwargs) * (
+        1 + Fraction(1, 10 ** 20))
+
+
+def _scaled_perron(monkeypatch):
+    monkeypatch.setattr(limits, "perron_d1", _scaled(limits.perron_d1))
+
+
 def _scaled_bessel(monkeypatch):
-    right = limits.xi_bessel
-    monkeypatch.setattr(limits, "xi_bessel", lambda params, digits: right(
-        params, digits) * (1 + Fraction(1, 10 ** 20)))
+    monkeypatch.setattr(limits, "xi_bessel", _scaled(limits.xi_bessel))
 
 
 def _scaled_certify(monkeypatch):
     # a fault every limit route shares: only the convergent bracket sees it
-    right = limits._certify
-    monkeypatch.setattr(limits, "_certify", lambda *args, **kwargs: right(
-        *args, **kwargs) * (1 + Fraction(1, 10 ** 20)))
+    monkeypatch.setattr(limits, "_certify", _scaled(limits._certify))
 
 
 def _flipped_case_row(monkeypatch):
@@ -63,24 +80,30 @@ def _flipped_case_row(monkeypatch):
                         (first[:-1] + ("integer",), *rest))
 
 
-FAULTS = {  # test id: (suite, fault)
-    "fibpoly": ("fibpoly", _wrong_fib_poly),
-    "cf": ("cf", _wrong_euler_mindig),
-    "hurwitz": ("hurwitz", _wrong_closed_form),
-    "identities": ("identities", _false_rsum),
-    "limits": ("limits", _scaled_bessel),
-    "limits-certify": ("limits", _scaled_certify),
-    "classify": ("classify", _flipped_case_row),
+FAULTS = {  # test id: (suite, fault, a failure it must report)
+    "fibpoly": ("fibpoly", _wrong_fib_poly, "F_5 recurrence"),
+    "cf": ("cf", _wrong_euler_mindig, "e: Euler-Mindig at n=0"),
+    "cf-shift": ("cf", _false_shift, "shift at n="),
+    "hurwitz": ("hurwitz", _wrong_closed_form, "d=1, r=0) n=0"),
+    "identities": ("identities", _false_rsum, "R-sum at n="),
+    "identities-ssum": ("identities", _false_ssum, "S-sum at n="),
+    "identities-gcf": ("identities", _false_gcf,
+                       "generalized-fraction check at n="),
+    "limits": ("limits", _scaled_bessel, "series vs bessel at"),
+    "limits-certify": ("limits", _scaled_certify,
+                       "lehmer outside the convergent bracket"),
+    "limits-perron": ("limits", _scaled_perron, "lehmer vs perron at"),
+    "classify": ("classify", _flipped_case_row, "'tag': 'integer'"),
 }
 
 
 def test_every_suite_has_a_fault():
-    suites = [name for name, _ in FAULTS.values()]
+    suites = [name for name, _, _ in FAULTS.values()]
     assert list(dict.fromkeys(suites)) == list(checks.SUITES)
 
 
 @pytest.mark.parametrize("fault_id", list(FAULTS))
 def test_suite_reports_a_planted_fault(monkeypatch, fault_id):
-    name, fault = FAULTS[fault_id]
+    name, fault, message = FAULTS[fault_id]
     fault(monkeypatch)
-    assert checks.SUITES[name](8) != []
+    assert any(message in fail for fail in checks.SUITES[name](8))

@@ -9,7 +9,7 @@ from hurwitzcf.classify import (SWEEP_GUARD, SigmaClass, brute_force_sweep,
                                 sigma_class, theorem61_predicate,
                                 theorem71_predicate)
 from hurwitzcf.cli import run
-from hurwitzcf.errors import TheoremMismatch, UnsupportedD
+from hurwitzcf.errors import UnsupportedD
 from hurwitzcf.exactnum import _fraction_text
 from hurwitzcf.fibpoly import fib_eval, lucas_eval
 from hurwitzcf.hurwitz import CFParams
@@ -69,7 +69,7 @@ def _ref_matching(cases, params):
 
 
 def reference_sweep(alpha_max, d_max, beta_max, half_odd_cases=None,
-                    integer_cases=None, raise_on_mismatch=True) -> dict:
+                    integer_cases=None) -> dict:
     half_odd_cases = half_odd_cases or _REF_HALF_ODD_CASES
     integer_cases = integer_cases or _REF_INTEGER_CASES
     half_hits, int_hits = [0] * len(half_odd_cases), [0] * len(integer_cases)
@@ -95,8 +95,6 @@ def reference_sweep(alpha_max, d_max, beta_max, half_odd_cases=None,
                         entry = {"alpha": a, "beta0": b0, "beta1": b1,
                                  "d": d, "sigma": str(sigma), "tag": tag}
                         mismatches.append(entry)
-                        if raise_on_mismatch:
-                            raise TheoremMismatch(entry)
     return {
         "bounds": {"alpha_max": alpha_max, "d_max": d_max,
                    "beta_max": beta_max},
@@ -194,6 +192,16 @@ class TestSweep:
         assert hashlib.sha256(repr(classes).encode()).hexdigest() == (
             "edd60097b752b41cc3d6d214db5981b28f2c9fd04cc66b6133be098223760829")
 
+    def test_report_is_a_named_tuple(self):
+        report = brute_force_sweep(2, 2, 2)
+        assert isinstance(report, tuple)
+        assert report._fields == (
+            "alpha_max", "d_max", "beta_max", "tuples_checked",
+            "half_odd_case_hits", "integer_case_hits", "mismatches")
+        assert report == (2, 2, 2, 8, [0, 1, 1, 0], [0, 3, 3], [])
+        with pytest.raises(AttributeError):
+            report.tuples_checked = 0
+
     def test_bounds_guard(self):
         with pytest.raises(ValueError):
             brute_force_sweep(1, 4, 4)
@@ -222,16 +230,9 @@ class TestSweep:
         ref_args = (ref_cases["half-odd"], ref_cases["integer"])
 
         box = (8, 5, 8)
-        got = brute_force_sweep(*box, raise_on_mismatch=False).to_dict()
-        want_doc = reference_sweep(*box, *ref_args, raise_on_mismatch=False)
+        got = brute_force_sweep(*box).to_dict()
         assert got["mismatches"]
-        assert got == want_doc
-        with pytest.raises(TheoremMismatch) as raised:
-            brute_force_sweep(*box)
-        assert raised.value.params == want_doc["mismatches"][0]
-        with pytest.raises(TheoremMismatch) as ref_raised:
-            reference_sweep(*box, *ref_args)
-        assert str(ref_raised.value) == str(raised.value)
+        assert got == reference_sweep(*box, *ref_args)
 
     def test_mismatch_sigma_beyond_the_str_digit_limit(self, monkeypatch):
         # a wrong row at d = 1700, where sigma's denominator has more than
@@ -242,7 +243,7 @@ class TestSweep:
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(640)
         try:
-            report = brute_force_sweep(2, 1700, 2, raise_on_mismatch=False)
+            report = brute_force_sweep(2, 1700, 2)
         finally:
             sys.set_int_max_str_digits(limit)
         wrong = [m for m in report.mismatches if m["d"] == 1700]

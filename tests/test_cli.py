@@ -448,4 +448,4 @@ def test_pinned_corpus(monkeypatch):
                                   code]).encode())
     assert len(_corpus()) == 303
     assert digest.hexdigest() == (
-        "906dec8dbc3c324fe185b08c442917785d4aaeb1d84ab71e3cbeff597741f7e9")
+        "99a80ca1815382ccc7a843e42826a942a8e14ebbc8f7ca94677c5a98d843fed1")

@@ -48,6 +48,22 @@ def test_deep_index_on_a_cold_cache():
     assert sum(lucas_poly(3000)) == lucas_eval(3000, 1)
 
 
+def test_lucas_reads_the_fibonacci_build(monkeypatch):
+    # L_n comes from the pair F_n, F_{n+1} of the bottom-up build, without
+    # asking fib_poly for F_{n-1} (below where the build stopped)
+    want = [tuple(fibpoly.poly_add(list(fib_poly(n - 1)),
+                                   list(fib_poly(n + 1))))
+            for n in range(41)]
+    fib_poly.cache_clear()
+    lucas_poly.cache_clear()
+
+    def refused(n):
+        raise AssertionError(f"fib_poly({n}) called")
+
+    monkeypatch.setattr(fibpoly, "fib_poly", refused)
+    assert [lucas_poly(n) for n in range(41)] == want
+
+
 def test_scalar_evaluation_matches_polynomials():
     for n in range(0, 25):
         for a in (1, 2, 5):

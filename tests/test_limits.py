@@ -420,6 +420,19 @@ class TestCertify:
             limits._certify(never, 5, 100)
         assert tried == [115, 230, 460, 920]
 
+    def test_zero_division_retried_at_double_width(self):
+        # a divisor ball that holds 0 counts as a failed attempt
+        tried, ball = [], PrecReal(1)
+
+        def divides_by_zero_once(w):
+            tried.append(w)
+            if len(tried) == 1:
+                raise ZeroDivisionError("divisor interval contains zero")
+            return ball
+
+        assert limits._certify(divides_by_zero_once, 5) is ball
+        assert tried == [15, 30]
+
     def test_malformed_cap_named_in_the_error(self, monkeypatch):
         monkeypatch.setenv("HURWITZ_MAX_PRECISION", "abc")
         with pytest.raises(ValueError, match="HURWITZ_MAX_PRECISION.*'abc'"):

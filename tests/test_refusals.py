@@ -1,0 +1,57 @@
+"""Every documented input refusal raises the error it names."""
+
+from fractions import Fraction
+
+import pytest
+
+from hurwitzcf import cf_engine, fibpoly, hurwitz, identities, limits
+from hurwitzcf.exactnum import PrecReal
+
+S = cf_engine.stream_from_list([1, 2, 3, 4])
+P = hurwitz.CFParams(1, 2, 2, 3, 2)
+
+REFUSALS = {  # test id: (call, error, message)
+    "convergents": (lambda: cf_engine.convergents(S, -1), ValueError,
+                    "n_max must be >= 0"),
+    "last-convergent": (lambda: cf_engine._last_convergent(S, -1),
+                        ValueError, "n must be >= 0"),
+    "euler-mindig": (lambda: cf_engine.euler_mindig(S, -1), ValueError,
+                     "n must be >= 0"),
+    "eval-finite": (lambda: cf_engine.eval_finite([]), ValueError,
+                    "empty continued fraction"),
+    "shift-check": (lambda: cf_engine.shift_check(S, 0), ValueError,
+                    "n must be >= 1"),
+    "lucas-poly": (lambda: fibpoly.lucas_poly(-1), ValueError,
+                   "only defined for n >= 0"),
+    "lucas-eval": (lambda: fibpoly.lucas_eval(-1, 2), ValueError,
+                   "only defined for n >= 0"),
+    "even-sets": (lambda: fibpoly.fib_via_even_sets(0), ValueError,
+                  "n must be >= 1"),
+    "denom-stream": (lambda: hurwitz.denom_stream(P)(-1), IndexError, "-1"),
+    "closed-form": (lambda: hurwitz.closed_form_convergent(P, -1),
+                    ValueError, "n must be >= 0"),
+    "prec-recurrence": (lambda: hurwitz.prec_recurrence_p(P, -1),
+                        ValueError, "n_max must be >= 0"),
+    "normalized-numerator": (
+        lambda: hurwitz.normalized_numerator(P, 0, 10), ValueError,
+        "n must be >= 1"),
+    "rsum": (lambda: identities.verify_rsum(-1), ValueError,
+             "n must be >= 0"),
+    "p-poly": (lambda: identities.p_poly(-1), ValueError, "n must be >= 0"),
+    "q-poly": (lambda: identities.q_poly(-1), ValueError, "n must be >= 0"),
+    "gcf": (lambda: identities.gcf_convergent_check(0, Fraction(1, 16)),
+            ValueError, "n must be >= 1"),
+    "bessel-z": (lambda: limits.bessel_I(Fraction(3, 2), 0, 10), ValueError,
+                 "z must be positive"),
+    "perron": (lambda: limits.perron_d1(0, 1, 10), ValueError,
+               "beta0, beta1 must be >= 1"),
+    "negative-radius": (lambda: PrecReal(1, -1), ValueError,
+                        "error bound must be nonnegative"),
+}
+
+
+@pytest.mark.parametrize("refusal_id", list(REFUSALS))
+def test_refused(refusal_id):
+    call, error, message = REFUSALS[refusal_id]
+    with pytest.raises(error, match=message):
+        call()
