@@ -57,6 +57,11 @@ def mantissa_bits(digits: int) -> int:
     return (digits * 10 + 2) // 3 + 64
 
 
+def _check_digits(digits: int) -> None:
+    if digits < 1:
+        raise ValueError(f"digits must be >= 1, got {digits}")
+
+
 # Working bits of a ball that has to be rounded but was given no precision:
 # a non-dyadic exact rational, or a quotient of two exact balls.
 DEFAULT_PREC = 128
@@ -209,8 +214,6 @@ class PrecReal:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, Fraction) and not _is_pow2(other.denominator):
-            return self * other.numerator / other.denominator
         o = self._coerce(other)
         r = abs(self.m) * o.r + abs(o.m) * self.r + self.r * o.r
         return PrecReal._new(self.m * o.m, r, self.e + o.e,
@@ -219,8 +222,6 @@ class PrecReal:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, Fraction) and not _is_pow2(other.denominator):
-            return self * other.denominator / other.numerator
         o = self._coerce(other)
         if o.contains_zero():
             raise ZeroDivisionError("divisor interval contains zero")
@@ -239,8 +240,6 @@ class PrecReal:
         return PrecReal._new(q, r, self.e - o.e - s, prec)
 
     def __rtruediv__(self, other):
-        if isinstance(other, Fraction) and not _is_pow2(other.denominator):
-            return other.numerator / self / other.denominator
         return self._coerce(other) / self
 
     def __abs__(self):

@@ -28,17 +28,6 @@ def poly_add(a: IntPoly, b: IntPoly) -> IntPoly:
     return _trim(out)
 
 
-def poly_mul(a: IntPoly, b: IntPoly) -> IntPoly:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _trim(out)
-
-
 def _shift_q(a: IntPoly) -> IntPoly:
     # multiply by q
     return [0] + a if a else []
@@ -139,8 +128,10 @@ def fib_generating_check(d: int, r: int, alpha: int, N: int) -> bool:
     if N < 1:
         raise ValueError("N must be >= 1")
     a = alpha
-    series = [fib_eval(n * d + r + 1, a) for n in range(N + 1)]
-    kernel = [1, -lucas_eval(d, a), (-1) ** d]
-    prod = poly_mul(kernel, series)[: N + 1]
-    expect = _trim([fib_eval(r + 1, a), (-1) ** (r + 1) * fib_eval(d - r - 1, a)])
-    return _trim(list(prod)) == expect
+    s = [0, 0] + [fib_eval(n * d + r + 1, a) for n in range(N + 1)]
+    lucas, sign = lucas_eval(d, a), (-1) ** d
+    expect = [fib_eval(r + 1, a),
+              (-1) ** (r + 1) * fib_eval(d - r - 1, a)] + [0] * (N - 1)
+    # coefficient n of the product: s_n - L_d s_{n-1} + (-1)^d s_{n-2}
+    return all(s[n + 2] - lucas * s[n + 1] + sign * s[n] == want
+               for n, want in enumerate(expect))

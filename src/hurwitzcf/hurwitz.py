@@ -15,7 +15,7 @@ from typing import Literal
 
 from .cf_engine import Convergent, DenomStream
 from .errors import NonIntegerResult
-from .exactnum import PrecReal, _split, mantissa_bits
+from .exactnum import PrecReal, _check_digits, _split, mantissa_bits
 from .fibpoly import fib_eval, lucas_eval
 
 
@@ -197,8 +197,7 @@ def normalized_numerator(params: CFParams, n: int, digits: int) -> PrecReal:
     prod_{j<n} (p + jq), an integer."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
+    _check_digits(digits)
     (p, q), _ = magic_pairs(params)
     return PrecReal._ratio(prec_recurrence_p(params, n)[n], _rising(p, q, n),
                            0, 1, mantissa_bits(digits))

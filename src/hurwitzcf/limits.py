@@ -26,7 +26,8 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .errors import PrecisionExhausted, UnsupportedOrder
-from .exactnum import PrecReal, _shifted_quotient, _split, mantissa_bits
+from .exactnum import (PrecReal, _check_digits, _shifted_quotient, _split,
+                       mantissa_bits)
 from .hurwitz import CFParams, fib_transform, magic_pairs, sigma_tag
 
 _TAIL_GUARD_DIGITS = 10
@@ -41,11 +42,6 @@ def _max_precision_bits() -> int:
     except ValueError:
         raise ValueError(f"HURWITZ_MAX_PRECISION must be an integer number "
                          f"of bits, got {text!r}") from None
-
-
-def _check_digits(digits: int) -> None:
-    if digits < 1:
-        raise ValueError(f"digits must be >= 1, got {digits}")
 
 
 def _pair(x) -> Pair:
@@ -92,12 +88,13 @@ def _sum_ratio_series(t0: Pair, ratios: Ratios,
 
     ratio(m) = (a, b) with b > 0 is the integer pair a/b = t_{m+1}/t_m
     (ratios.pairs(i, j) lists ratio(i..j-1)); it need not be reduced, and
-    a = 0 ends the series.  Tail contract: |ratio(m)| must be nonincreasing
-    from the stop point N on, where N is the number of ratios applied (the
-    partial sum holds t_0..t_N).  The stop is accepted once |t_N| is below
-    10^-(digits+guard) relative to the partial sum and q = |ratio(N)| <= 1/2;
-    the tail is then at most |t_N| q / (1 - q).  A series whose ratio grows
-    in absolute value (Machin's arctan) must bound its own tail.
+    a = 0 ends the series.  The stop is accepted once |t_N| is below
+    10^-(digits+guard) relative to the partial sum and q = |ratio(N)| <= 1/2,
+    where N is the number of ratios applied (the partial sum holds
+    t_0..t_N).  Tail contract: the tail is at most |t_N| q / (1 - q) if,
+    from N on, either |ratio(m)| is nonincreasing (the geometric bound) or
+    the terms alternate in sign and shrink in absolute value (the tail is
+    then at most the first omitted term, |t_N| q; Machin's arctan).
 
     N is chosen before any term is summed.  The peak term is at the first m
     with |ratio(m)| <= 1; from there on, the first m >= 1 whose estimated
@@ -239,8 +236,6 @@ def series_AB(sigma: Fraction | Pair, rho: Fraction | Pair,
     (p, q), (u, v) = sigma, rho = _pair(sigma), _pair(rho)
     if p <= 0:
         raise ValueError("sigma must be positive")
-    if u == 0:
-        return SeriesValue(PrecReal(1), PrecReal(0), 1)
     prec = mantissa_bits(digits)
     a = _sum_ratio_series((1, 1), _0f1(sigma, rho), digits)
     # B's first term is rho / sigma, its ratio that of 0F1(; sigma + 1; rho)
@@ -288,16 +283,13 @@ def exp_prec(x: Fraction, digits: int) -> PrecReal:
 def _arctan_inv(x: int, digits: int) -> PrecReal:
     """arctan(1/x) = sum_n (-1)^n / ((2n+1) x^(2n+1)) for integer x >= 2.
 
-    |ratio| grows toward 1/x^2, outside the geometric tail contract; the
-    series alternates with decreasing terms, so the tail is bounded by the
-    first omitted term instead."""
+    |ratio| grows toward 1/x^2, but the series alternates with decreasing
+    terms: the kernel's second tail condition."""
     log_x = math.log(x)
-    s_num, den, _, _, n = _sum_ratio_series((1, x), Ratios(
+    return _ball((1, x), Ratios(
         lambda i, j: [(-(2 * m + 1), x * x * (2 * m + 3))
                       for m in range(i, j)],
         lambda m: -2 * m * log_x - math.log(2 * m + 1)), digits)
-    return PrecReal._ratio(s_num, den, 1, (2 * n + 1) * x ** (2 * n + 1),
-                           mantissa_bits(digits))
 
 
 def pi_prec(digits: int) -> PrecReal:
@@ -361,7 +353,7 @@ def _bessel_half_odd(s: int, nu, z, digits: int) -> PrecReal:
     k = int(nu - Fraction(1, 2))
 
     def compute(w: int) -> PrecReal:
-        pref = sqrt_prec(PrecReal(2) / (pi_prec(w) * z), w)
+        pref = sqrt_prec(2 * z.denominator / (pi_prec(w) * z.numerator), w)
         return pref * _half_odd_bracket(s, k, _pair(z), w)[1]
 
     return _certify(compute, digits, 2 * abs(k) + 10)

@@ -436,16 +436,32 @@ def _corpus() -> list:
     return requests
 
 
-def test_pinned_corpus(monkeypatch):
-    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal
-    digest = hashlib.sha256()
+CORPUS_FILE = Path(__file__).with_name("cli_corpus.sha256")
+
+
+def _corpus_lines() -> tuple[list, str]:
+    """One line per corpus request: the first 16 hex digits of the sha256
+    of json [argv, stdout, stderr, exit code], then the argv as json.
+    Run with COLUMNS=80; tests/cli_corpus.sha256 holds these lines."""
+    lines, digest = [], hashlib.sha256()
     for argv in _corpus():
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), \
                 contextlib.redirect_stderr(stderr):
             code = run(argv)
-        digest.update(json.dumps([argv, stdout.getvalue(), stderr.getvalue(),
-                                  code]).encode())
+        entry = json.dumps([argv, stdout.getvalue(), stderr.getvalue(),
+                            code]).encode()
+        digest.update(entry)
+        lines.append(f"{hashlib.sha256(entry).hexdigest()[:16]} "
+                     f"{json.dumps(argv)}")
+    return lines, digest.hexdigest()
+
+
+def test_pinned_corpus(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal
+    lines, digest = _corpus_lines()
+    # per request first, so a failure names the first argv that differs
+    assert lines == CORPUS_FILE.read_text().splitlines()
     assert len(_corpus()) == 303
-    assert digest.hexdigest() == (
+    assert digest == (
         "99a80ca1815382ccc7a843e42826a942a8e14ebbc8f7ca94677c5a98d843fed1")

@@ -137,6 +137,23 @@ def test_generating_function_check(d, r, alpha):
     assert fib_generating_check(d, r, alpha, 10)
 
 
+@pytest.mark.parametrize("fault", ["lucas", "seed"])
+def test_generating_function_check_can_fail(monkeypatch, fault):
+    # L_d off by one, or the seed F_{r+1} off by one
+    lucas, fib = fibpoly.lucas_eval, fibpoly.fib_eval
+    for d in range(1, 5):
+        for r in range(5):
+            with monkeypatch.context() as mp:
+                if fault == "lucas":
+                    mp.setattr(fibpoly, "lucas_eval",
+                               lambda n, a: lucas(n, a) + 1)
+                else:
+                    mp.setattr(fibpoly, "fib_eval",
+                               lambda n, a: fib(n, a) + (n == r + 1))
+                for alpha in range(1, 4):
+                    assert not fib_generating_check(d, r, alpha, 6)
+
+
 def test_generating_function_rejects_bad_n():
     with pytest.raises(ValueError):
         fib_generating_check(2, 0, 1, 0)

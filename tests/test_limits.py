@@ -73,6 +73,32 @@ class TestKernels:
         approx, ulp = F(man) * F(2) ** exp, F(2) ** exp
         assert ball.lo <= approx - ulp and approx + ulp <= ball.hi
 
+    @staticmethod
+    def alternating_enclosure(x: int, digits: int):
+        """arctan(1/x) as S_M ± e, with e = 1/((2M+3) x^(2M+3)) the first
+        omitted term, which bounds an alternating tail of shrinking terms,
+        and M the least index with e < 10^-(digits+40)."""
+        M = 0
+        while (2 * M + 3) * x ** (2 * M + 3) <= 10 ** (digits + 40):
+            M += 1
+        s = sum(F((-1) ** n, (2 * n + 1) * x ** (2 * n + 1))
+                for n in range(M + 1))
+        return s, F(1, (2 * M + 3) * x ** (2 * M + 3))
+
+    @pytest.mark.parametrize("digits", [10, 60, 300])
+    def test_arctan_and_pi_hold_an_independent_enclosure(self, digits):
+        # the kernel's tail |t_N| q / (1 - q) must cover Machin's
+        # alternating tail, whose |ratio| grows toward 1/x^2
+        for x in (2, 3, 5, 239):
+            s, e = self.alternating_enclosure(x, digits)
+            ball = limits._arctan_inv(x, digits)
+            assert ball.lo <= s - e and s + e <= ball.hi
+        (s5, e5), (s239, e239) = (self.alternating_enclosure(x, digits)
+                                  for x in (5, 239))
+        s, e = 16 * s5 - 4 * s239, 16 * e5 + 4 * e239
+        ball = pi_prec(digits)
+        assert ball.lo <= s - e and s + e <= ball.hi
+
     def test_sqrt(self):
         r = sqrt_prec(F(2), 30)
         assert r.lo ** 2 <= 2 <= r.hi ** 2
@@ -83,8 +109,10 @@ class TestKernels:
 
 class TestSeries:
     def test_rho_zero(self):
+        # the kernel stops at m = 0: every ratio is 0, and t_0 of B is 0
         sv = series_AB(F(3, 2), F(0), 20)
         assert sv.A.value == 1 and sv.B.value == 0
+        assert sv.A.err == sv.B.err == 0 and sv.terms_used == 1
 
     def test_sigma_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -738,6 +766,23 @@ def test_limits_deep_golden_text():
             h.update(fn(CFParams(*t), digits).decimal(digits).encode()
                      + b"\n")
     assert h.hexdigest() == LIMITS_DEEP_GOLDEN
+
+
+def test_limits_deep_certify_at_the_first_attempt(monkeypatch):
+    # a second attempt would double the time of a limits-deep op
+    widths, right = [], limits._certify
+
+    def spy(compute, digits, extra=0):
+        tried = []
+        widths.append(tried)
+        return right(lambda w: tried.append(w) or compute(w), digits, extra)
+
+    monkeypatch.setattr(limits, "_certify", spy)
+    for t, digits in zip(GOLDEN_TUPLES, LIMITS_DEEP_DIGITS):
+        for fn in (xi_limit, xi_bessel):
+            fn(CFParams(*t), digits)
+    assert len(widths) == 20
+    assert all(len(tried) == 1 for tried in widths), widths
 
 
 def test_certified_path_takes_no_long_gcd(monkeypatch):
