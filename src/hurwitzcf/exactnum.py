@@ -30,26 +30,43 @@ def _fraction_text(q: Rat) -> str:
     return num if q.denominator == 1 else f"{num}/{int_text(q.denominator)}"
 
 
-def _split(pairs: list[tuple[int, int]], i: int,
-           j: int) -> tuple[int, int, int]:
+def _split(pairs: list[tuple[int, int]], i: int, j: int,
+           base: int | None = None) -> tuple[int, ...]:
     """(P, Q, T) over ratios i..j-1, with ratio k = a_k/b_k:
     P = prod a_k, Q = prod b_k and T/Q = sum over n = i+1..j of the
     partial products r_i r_{i+1} ... r_{n-1}.  Balanced product tree whose
     leaves are runs of up to 8 ratios, folded left to right: the same
     integers as single-ratio leaves, with fewer calls.
 
+    Given ``base``, ratio k is ratio base + k of the whole series and the
+    result is (P, Q, T, U): U/Q is T/Q's sum with the partial product that
+    ends at ratio k weighted by its term's index base + k + 1 (Haible &
+    Papanikolaou's series with the polynomial factor a(n) = n).  A leaf
+    adds n P to U b, a merge is u1 q2 + p1 u2.
+
     The one exact summation kernel (binary splitting, Haible & Papanikolaou
-    1998): over ratios 0..j-1, t_0 (1 + T/Q) = t_0 + ... + t_j.  It sums the
-    certified series of ``limits`` and the closed form of ``hurwitz``."""
+    1998): over ratios 0..j-1, t_0 (1 + T/Q) = t_0 + ... + t_j and
+    t_0 U/Q = 1 t_1 + ... + j t_j.  It sums the certified series of
+    ``limits`` and the closed form of ``hurwitz``."""
     if j - i <= 8:  # a short run, folded in place (none: P = Q = 1, T = 0)
         P, Q, T = 1, 1, 0
-        for a, b in pairs[i:j]:
-            P, Q, T = P * a, Q * b, T * b + P * a
-        return P, Q, T
+        if base is None:
+            for a, b in pairs[i:j]:
+                P, Q, T = P * a, Q * b, T * b + P * a
+            return P, Q, T
+        U = 0
+        for n, (a, b) in enumerate(pairs[i:j], base + i + 1):
+            P, Q = P * a, Q * b
+            T, U = T * b + P, U * b + n * P
+        return P, Q, T, U
     mid = (i + j) // 2
-    p1, q1, t1 = _split(pairs, i, mid)
-    p2, q2, t2 = _split(pairs, mid, j)
-    return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
+    if base is None:
+        p1, q1, t1 = _split(pairs, i, mid)
+        p2, q2, t2 = _split(pairs, mid, j)
+        return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
+    p1, q1, t1, u1 = _split(pairs, i, mid, base)
+    p2, q2, t2, u2 = _split(pairs, mid, j, base)
+    return p1 * p2, q1 * q2, t1 * q2 + p1 * t2, u1 * q2 + p1 * u2
 
 
 def mantissa_bits(digits: int) -> int:
@@ -180,6 +197,13 @@ class PrecReal:
         r 10^digits <= |m| - r, in integers."""
         mag = abs(self.m) - self.r
         return mag > 0 and self.r * 10 ** digits <= mag
+
+    def abs_err_at_most(self, digits: int) -> bool:
+        """Whether err is at most 10^-digits, from bit lengths alone:
+        r 2^e < 2^(bits(r) + e), and -(bits(r) + e) >= 3.322 digits puts
+        that below 10^-digits (log2 10 = 3.32193...)."""
+        return not self.r or -(self.r.bit_length() + self.e) * 1000 \
+            >= 3322 * digits
 
     def contains_zero(self) -> bool:
         return abs(self.m) <= self.r

@@ -13,6 +13,13 @@ dyadic balls (PrecReal) built from the sums, so no Fraction is made and
 no gcd is taken; the public functions turn a Fraction argument into a
 pair once.
 
+B's terms are A's terms a_k times their index, B = sum_k k a_k, so
+`xi_limit` sums both in one weighted binary splitting over one
+denominator Q and takes the limit (m00 A + m01 B) / (m10 A + m11 B) as
+one integer quotient, with a radius read off bit lengths.  `series_AB`
+(two series, two balls) stays public, and `perron_d1` keeps the ball
+route as the oracle that `lehmer_d1` is compared with.
+
 Bessel functions appear only in Gamma-free ratios or at half-odd orders,
 where the order recurrences reduce them to sin/cos/sinh/cosh; no Gamma
 evaluator exists anywhere in this package.
@@ -79,12 +86,21 @@ def _first(ok: Callable[[int], bool], lo: int, limit: int,
     return hi
 
 
-def _sum_ratio_series(t0: Pair, ratios: Ratios,
-                      digits: int) -> tuple[int, int, int, int, int]:
+def _sum_ratio_series(t0: Pair, ratios: Ratios, digits: int,
+                      weighted: bool = False) -> tuple[int, ...]:
     """Sum t0 + t0*ratio(0) + t0*ratio(0)*ratio(1) + ... with a certified
     tail bound, for the pair t0 = (num, den).  Returns (s_num, den,
     tail_num, tail_den, terms_used): the partial sum s_num/den and the
     tail bound tail_num/tail_den, unreduced.
+
+    weighted=True also sums the terms weighted by their index,
+    0 t_0 + 1 t_1 + 2 t_2 + ..., over the same denominator, and returns
+    (s_num, u_num, den, tail_num, u_tail_num, tail_den, terms_used): the
+    partial sums s_num/den and u_num/den and their tails over the shared
+    tail_den.  The weighted tail is |t_N| (N q/(1 - q) + q/(1 - q)^2),
+    sound only under the geometric contract below (|ratio(m)| nonincreasing
+    from N on): then |t_(N+j)| <= |t_N| q^j.  Its stop weighs |t_N| by
+    N + 2, which bounds that tail over |t_N| at q <= 1/2.
 
     ratio(m) = (a, b) with b > 0 is the integer pair a/b = t_{m+1}/t_m
     (ratios.pairs(i, j) lists ratio(i..j-1)); it need not be reduced, and
@@ -120,7 +136,7 @@ def _sum_ratio_series(t0: Pair, ratios: Ratios,
     _check_digits(digits)
     t0n, t0d = t0
     if t0n == 0:
-        return 0, 1, 0, 1, 0
+        return (0, 0, 1, 0, 0, 1, 0) if weighted else (0, 1, 0, 1, 0)
     scale = 10 ** (digits + _TAIL_GUARD_DIGITS)
     scale_bits = scale.bit_length()
     limit = 100 * (digits + 20)
@@ -136,8 +152,10 @@ def _sum_ratio_series(t0: Pair, ratios: Ratios,
         a, b = ratio(m)
         return abs(a) <= b
 
-    def below_aim(m: int) -> bool:  # by the estimate of |t_m|
-        return log_t0 + ratios.log_size(m) < log_top + log_thresh
+    def below_aim(m: int) -> bool:  # by the estimate of |t_m| (m + 2)
+        log_weight = math.log(m + 2) if weighted else 0.0
+        return (log_t0 + ratios.log_size(m) + log_weight
+                < log_top + log_thresh)
 
     def stops(m: int) -> bool:
         a, b = ratio(m)
@@ -145,22 +163,32 @@ def _sum_ratio_series(t0: Pair, ratios: Ratios,
 
     lo = _first(past_peak, 0, limit, 0)  # the peak: no stop comes before it
     log_top = log_t0 + ratios.log_size(lo) if lo else log_t0
-    P, Q, T = 1, 1, 0  # over the ratios folded so far, 0..n-1
+    P, Q, T, U = 1, 1, 0, 0  # over the ratios folded so far, 0..n-1
     n = 0
     while True:
         # the float search alone, then the exact ratios tried from there
         guess = _first(below_aim, max(lo, 1), limit, max(lo, 1))
         m = _first(stops, lo, limit, max(guess - 1, lo))
         # fold the ratios n..m-1: the partial sum is t_0 .. t_m
-        p2, q2, t2 = _split(ratios.pairs(n, m), 0, m - n)
+        if weighted:
+            p2, q2, t2, u2 = _split(ratios.pairs(n, m), 0, m - n, n)
+            U = U * q2 + P * u2
+        else:
+            p2, q2, t2 = _split(ratios.pairs(n, m), 0, m - n)
         P, Q, T, n = P * p2, Q * q2, T * q2 + P * t2, m
         s_num, den = t0n * (Q + T), t0d * Q
         last = t0n * P  # t_m = last / den
         a, b = ratio(m)
-        # |t_m| < 10^-(digits+guard) * max(|S|, 10^-(digits+guard)),
-        # or every term after t_m is 0 (the tail below is then 0)
-        if not a or _below(last, s_num, den, scale, scale_bits):
-            return s_num, den, abs(last * a), den * (b - abs(a)), m + 1
+        # |t_m| < 10^-(digits+guard) * max(|S|, 10^-(digits+guard)), with
+        # |t_m| (m + 2) if weighted, or every term after t_m is 0 (the tail
+        # below is then 0)
+        if not a or _below(last * (m + 2) if weighted else last, s_num, den,
+                           scale, scale_bits):
+            c, g = abs(last * a), b - abs(a)
+            if not weighted:
+                return s_num, den, c, den * g, m + 1
+            return (s_num, t0n * U, den, c * g, c * (m * g + b), den * g * g,
+                    m + 1)
         if s_num:  # the terms cancel: aim below the true partial sum
             log_top = max(math.log(abs(s_num)) - math.log(den),
                           log_t0 + ratios.log_size(m + 1))
@@ -361,8 +389,8 @@ def _bessel_half_odd(s: int, nu, z, digits: int) -> PrecReal:
 
 def bessel_I(nu, z, digits: int) -> PrecReal:
     """Standalone modified Bessel value; only half-odd orders have an
-    elementary form, anything else is refused (ratios go through series_AB
-    and never need this)."""
+    elementary form, anything else is refused (ratios go through the 0F1
+    series and never need this)."""
     return _bessel_half_odd(1, nu, z, digits)
 
 
@@ -377,9 +405,11 @@ def bessel_J(nu, z, digits: int) -> PrecReal:
 def _certify(compute: Callable[[int], PrecReal], digits: int,
              extra: int = 0) -> PrecReal:
     """Run compute(w) until the result is certified to 10^-digits relative
-    error: w starts at digits + 10 + extra working digits and doubles after
-    each failed attempt.  This is the only place that sets a working
-    precision; no attempt runs above HURWITZ_MAX_PRECISION bits."""
+    and absolute error, the latter so that the first ``digits`` fractional
+    digits are the ball's at any magnitude: w starts at digits + 10 + extra
+    working digits and doubles after each failed attempt.  This is the only
+    place that sets a working precision; no attempt runs above
+    HURWITZ_MAX_PRECISION bits."""
     _check_digits(digits)
     w = digits + _TAIL_GUARD_DIGITS + extra
     cap = _max_precision_bits()
@@ -392,7 +422,8 @@ def _certify(compute: Callable[[int], PrecReal], digits: int,
             result = compute(w)
         except ZeroDivisionError:
             result = None
-        if result is not None and result.rel_err_at_most(digits):
+        if (result is not None and result.rel_err_at_most(digits)
+                and result.abs_err_at_most(digits)):
             return result
         w *= 2
 
@@ -407,15 +438,56 @@ def _transformed(rows, x: PrecReal, y: PrecReal) -> PrecReal:
     return row(*rows[0]) / row(*rows[1])
 
 
+def _series_quotient(x: int, y: int, den: int, ex: int, ey: int,
+                     eden: int, prec: int) -> PrecReal:
+    """The ball X/Y for X = x/den ± ex/eden and Y = y/den ± ey/eden
+    (den, eden > 0; ex, ey >= 0).  The center is one shifted floor division
+    x/y at prec bits.  The radius bounds (EX + |x/y| EY) / (|Y| - EY) by a
+    power of two read off bit lengths, a few bits loose, with no second
+    big division.  A Y that EY might reach half of raises
+    ZeroDivisionError."""
+    if y < 0:
+        x, y = -x, -y
+    leden = eden.bit_length()
+    low = y.bit_length() - den.bit_length() - 1  # |Y| >= 2^low
+    top = x.bit_length() - y.bit_length() + 1  # |x/y| < 2^top, x != 0
+
+    def bits(e: int) -> int:  # e/eden < 2^bits(e), e > 0
+        return e.bit_length() - leden + 1
+
+    if ey and bits(ey) >= low:
+        raise ZeroDivisionError("divisor interval may contain zero")
+    k = prec - top  # |x/y| 2^k < 2^prec
+    q, inexact = _shifted_quotient(x, y, k)
+    # |X/Y - x/y| < (2^bits(ex) + 2^(top + bits(ey))) / 2^(low - 1),
+    # below 2^(2 - low + the larger exponent); r counts units of 2^-k
+    exps = []
+    if ex:
+        exps.append(bits(ex))
+    if ey and x:
+        exps.append(top + bits(ey))
+    r = (1 << max(max(exps) + 2 - low + k, 0) if exps else 0) + inexact
+    return PrecReal._new(q, r, -k, prec)
+
+
 def xi_limit(params: CFParams, digits: int) -> PrecReal:
-    """The limit of the continued fraction, from the two rational series:
-    the rows of fib_transform applied to (A, B), divided."""
+    """The limit of the continued fraction, (m00 A + m01 B) / (m10 A + m11 B)
+    for the rows of fib_transform, as one integer quotient.  One weighted
+    binary splitting of A = 0F1(; sigma; rho) = sum_k a_k gives A and
+    B = sum_k k a_k (= rho/sigma 0F1(; sigma+1; rho)) over one denominator,
+    with their tails: A's by the kernel's geometric bound and B's by the
+    weighted one, both sound because |ratio| of 0F1 falls for every m."""
     sigma, rho = magic_pairs(params)
-    rows = fib_transform(params)
+    (m00, m01), (m10, m11) = fib_transform(params)
+    ratios = _0f1(sigma, rho)
 
     def compute(w: int) -> PrecReal:
-        sv = series_AB(sigma, rho, w)
-        return _transformed(rows, sv.A, sv.B)
+        a, b, den, ea, eb, eden, _ = _sum_ratio_series((1, 1), ratios, w,
+                                                       weighted=True)
+        return _series_quotient(m00 * a + m01 * b, m10 * a + m11 * b, den,
+                                abs(m00) * ea + abs(m01) * eb,
+                                abs(m10) * ea + abs(m11) * eb, eden,
+                                mantissa_bits(w))
 
     return _certify(compute, digits)
 
@@ -453,9 +525,12 @@ def lehmer_d1(beta0: int, beta1: int, digits: int) -> PrecReal:
 def perron_d1(beta0: int, beta1: int, digits: int) -> PrecReal:
     """The same arithmetic-progression fraction by Perron's formula,
     b1 sigma 0F1(; sigma; rho) / 0F1(; sigma+1; rho) at sigma = b0/b1,
-    rho = 1/b1^2.  These are the two series behind lehmer_d1 (its A and
-    B = rho/sigma 0F1(; sigma+1; rho)), so the two values agree by
-    construction and do not check each other."""
+    rho = 1/b1^2, with each series summed on its own into a ball and the
+    balls divided.  lehmer_d1 takes the same value from one weighted split
+    of 0F1(; sigma; rho) (its B = sum_k k a_k is rho/sigma
+    0F1(; sigma+1; rho)) as one integer quotient.  The two routes share
+    the series and the kernel, only not the arithmetic after it, so they
+    are no independent check of each other."""
     if beta0 < 1 or beta1 < 1:
         raise ValueError("beta0, beta1 must be >= 1")
     rho = (1, beta1 * beta1)

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -153,6 +154,22 @@ class TestLimit:
         assert text.startswith("1.71828182845904523536")
         assert len(text.split(".")[1]) == 4400
 
+    def test_large_limit_prints_its_certified_digits(self, out):
+        # xi ~ 10^40: a relative error of 10^-90 alone left digits 80-90
+        # of the printed text wrong while they were called certified
+        b0 = 10 ** 40
+        assert run(["limit", "--alpha", "1", "--b0", str(b0), "--b1", "1",
+                    "--d", "1", "--r", "0", "--digits", "90"]) == 0
+        text, trailer = out().out.strip().split("  ")
+        assert trailer == "(90 certified digits)"
+        # [b0, b0+1, b0+2, ...]: convergents from the definition
+        convs = cf_engine.convergents(lambda i: b0 + i, 6)
+        (p0, q0), (p1, q1) = [(c.p, c.q) for c in convs[-2:]]
+        assert q0 * q1 > 10 ** 200  # a bracket far inside 10^-90
+        printed = Fraction(Decimal(text))
+        for p, q in ((p0, q0), (p1, q1)):
+            assert abs(printed - Fraction(p, q)) <= Fraction(1, 10 ** 90)
+
     @pytest.mark.parametrize("digits", ["0", "-5"])
     def test_digits_below_one_exit_2(self, out, digits):
         assert run(["limit", *E_FLAGS, "--digits", digits]) == 2
@@ -160,7 +177,7 @@ class TestLimit:
 
     def test_precision_cap_refused_before_computing(self, out, monkeypatch):
         monkeypatch.setenv("HURWITZ_MAX_PRECISION", "2000")
-        monkeypatch.setattr(limits, "series_AB", None)
+        monkeypatch.setattr(limits, "_sum_ratio_series", None)
         assert run(["limit", *E_FLAGS, "--digits", "1000"]) == 2
         assert "HURWITZ_MAX_PRECISION" in out().err
 

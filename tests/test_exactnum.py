@@ -62,6 +62,39 @@ class TestSplit:
         assert exactnum._split(pairs, i, j) == split_reference(pairs, i, j)
 
 
+def weighted_reference(pairs, i, j, base):
+    """(P, Q, T, U) of exactnum._split(pairs, i, j, base) from term-by-term
+    Fraction sums: the partial product that ends at ratio k is term
+    base + k + 1 of the series over t_i."""
+    P = math.prod(a for a, _ in pairs[i:j])
+    Q = math.prod(b for _, b in pairs[i:j])
+    term, T, U = F(1), F(0), F(0)
+    for k in range(i, j):
+        term *= F(*pairs[k])
+        T += term
+        U += (base + k + 1) * term
+    return P, Q, T * Q, U * Q
+
+
+class TestWeightedSplit:
+    @given(st.lists(st.tuples(st.integers(-10 ** 6, 10 ** 6),
+                              st.integers(1, 10 ** 6)), max_size=40),
+           st.integers(0, 10 ** 4), st.data())
+    @example([(k - 4, k + 1) for k in range(8)], 5, None)
+    @example([(k - 4, k + 1) for k in range(9)], 5, None)
+    @example([(k + 1, 2 * k + 3) for k in range(17)], 1000, None)
+    def test_equals_term_by_term_sums(self, pairs, base, data):
+        if data is None:  # j - i = len(pairs): 8, 9 and 17
+            i, j = 0, len(pairs)
+        else:
+            i = data.draw(st.integers(0, len(pairs)))
+            j = data.draw(st.integers(i, len(pairs)))
+        got = exactnum._split(pairs, i, j, base)
+        assert got == weighted_reference(pairs, i, j, base)
+        # the first three are the unweighted split's
+        assert got[:3] == exactnum._split(pairs, i, j)
+
+
 class TestPrecReal:
     def test_exact_zero(self):
         z = rounded(F(0), 50)

@@ -26,11 +26,11 @@ def overlap(a, b):
     return a.lo <= b.hi and b.lo <= a.hi
 
 
-def convergent_bracket(denoms, bound=10 ** 27):
-    """p_N/q_N and p_{N+1}/q_{N+1}, sorted, at the first N with
+def convergent_bracket(denoms, bound=10 ** 27, count=200):
+    """p_N/q_N and p_{N+1}/q_{N+1}, sorted, at the first N < count with
     q_N q_{N+1} > bound.  The limit lies between them, so a ball for it
     must meet this bracket; only the plain recurrence is used, no series."""
-    convs = convergents(denoms, 200)[1:]
+    convs = convergents(denoms, count)[1:]
     c, c1 = next((c, c1) for c, c1 in zip(convs, convs[1:])
                  if c.q * c1.q > bound)
     return sorted((F(c.p, c.q), F(c1.p, c1.q)))
@@ -208,6 +208,35 @@ class TestBinarySplitting:
             assert 0 < tail < abs(partial) * F(1, 10 ** digits)
             # every deeper partial sum stays inside the ball
             assert abs(naive_sum(t0, ratio, n + 40) - partial) <= tail
+
+    # the last two cancel, so the kernel re-aims and folds a second time
+    @pytest.mark.parametrize("digits", [5, 60, 400])
+    @pytest.mark.parametrize("sigma,rho", SIGMA_RHO + [(F(1, 2), F(-25, 4)),
+                                                       (F(3, 2), F(-400, 9))])
+    def test_weighted_tails_contain_the_true_tails(self, sigma, rho, digits):
+        # A = sum_k a_k and B = sum_k k a_k from one weighted split; B's
+        # tail |a_N| (N q/(1-q) + q/(1-q)^2) rests on |ratio| falling
+        (_, ratio), _ = series_a_b(sigma, rho)
+        a, b, den, tail_a, tail_b, tail_den, n = _sum_ratio_series(
+            (1, 1), walked(ratio), digits, weighted=True)
+        deep = n + 40
+        terms = [F(1)]
+        for m in range(deep):
+            terms.append(terms[-1] * F(*ratio(m)))
+        assert F(a, den) == sum(terms[:n])
+        assert F(b, den) == sum(k * t for k, t in enumerate(terms[:n]))
+        # the true tails, with the terms from t_deep on bounded by the
+        # same geometric series at |ratio| <= 1/2
+        last = abs(terms[deep])
+        true_a = abs(sum(terms[n:deep])) + 2 * last
+        true_b = (abs(sum(k * terms[k] for k in range(n, deep)))
+                  + (2 * deep + 2) * last)
+        assert true_a <= F(tail_a, tail_den)
+        assert true_b <= F(tail_b, tail_den)
+        # B = rho/sigma 0F1(; sigma+1; rho): the same value as series_AB's
+        sv = series_AB(sigma, rho, digits)
+        assert sv.B.lo - F(tail_b, tail_den) <= F(b, den) \
+            <= sv.B.hi + F(tail_b, tail_den)
 
     @pytest.mark.parametrize("series", TAYLOR)
     def test_taylor_matches_naive_sum(self, series):
@@ -428,8 +457,8 @@ class TestCertify:
     def test_cap_checked_before_the_first_attempt(self, monkeypatch):
         monkeypatch.setenv("HURWITZ_MAX_PRECISION", "2000")
         calls = []
-        monkeypatch.setattr(limits, "series_AB",
-                            lambda *a: calls.append(a))
+        monkeypatch.setattr(limits, "_sum_ratio_series",
+                            lambda *a, **k: calls.append(a))
         with pytest.raises(PrecisionExhausted):
             xi_limit(CFParams(1, 2, 2, 3, 2), 1000)
         assert calls == []
@@ -656,6 +685,42 @@ class TestXiLimits:
         s, c = sin_prec(F(1, 2), 45), cos_prec(F(1, 2), 45)
         ref = 4 * (11 * s - 6 * c) / (53 * c - 97 * s)
         assert overlap(v, ref)
+
+    def test_one_quotient_from_one_weighted_sum(self, monkeypatch):
+        # no series_AB, no ball arithmetic: one weighted kernel call per
+        # attempt and one integer quotient
+        calls, right = [], limits._sum_ratio_series
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return right(*args, **kwargs)
+
+        def refused(*args):
+            raise AssertionError("xi_limit left the one-quotient route")
+
+        monkeypatch.setattr(limits, "_sum_ratio_series", spy)
+        for name in ("series_AB", "_transformed"):
+            monkeypatch.setattr(limits, name, refused)
+        monkeypatch.setattr(PrecReal, "__truediv__", refused)
+        v = xi_limit(CFParams(1, 2, 2, 3, 2), 100)
+        assert calls == [{"weighted": True}]
+        monkeypatch.undo()
+        assert overlap(v, exp_prec(F(1), 110) - 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 20), st.integers(1, 10),
+           st.integers(1, 4), st.integers(0, 5), st.sampled_from([5, 30, 100]))
+    @example(1, 10 ** 40, 1, 1, 0, 90)  # 40 integer digits
+    def test_contains_the_convergent_bracket(self, alpha, b0, b1, d, r,
+                                             digits):
+        params = CFParams(alpha, b0, b1, d, r)
+        v = xi_limit(params, digits)
+        assert v.rel_err_at_most(digits) and v.err <= F(1, 10 ** digits)
+        # a bracket narrower than 10^-(2D+10): q_N grows at least like the
+        # Fibonacci numbers (10^0.2 a step), so 5 D + 60 convergents reach it
+        lo, hi = convergent_bracket(denom_stream(params),
+                                    10 ** (2 * digits + 10), 5 * digits + 60)
+        assert v.lo <= hi and lo <= v.hi
 
     def test_limit_sandwiched_by_convergents(self):
         params = CFParams(2, 3, 1, 2, 0)
