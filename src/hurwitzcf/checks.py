@@ -102,9 +102,10 @@ def limits_suite(n_max: int) -> list[str]:
             fails.append(f"lehmer vs perron at ({b0},{b1})")
         fails += _outside_bracket(hurwitz.CFParams(1, b0, b1, 1, 0),
                                   lehmer=lehmer, perron=perron)
-    # sigma 3/2 (I- and J-form), 1/2 (no walk) and 7/2 (three steps up)
+    # sigma 3/2 (I- and J-form), 1/2 (no walk), 7/2 (three steps up) and
+    # 203/2 (a walk of 101 steps)
     for t in ((1, 2, 2, 3, 2), (1, 1, 2, 2, 1), (1, 1, 6, 2, 0),
-              (4, 3, 1, 2, 1)):
+              (4, 3, 1, 2, 1), (1, 201, 2, 2, 1)):
         params = hurwitz.CFParams(*t)
         a = limits.xi_limit(params, 25)
         b = limits.xi_bessel(params, 25)

@@ -97,8 +97,13 @@ def _cmd_conv(args) -> int:
 
 
 def _cmd_limit(args) -> int:
-    params = _params(args)
-    text = _LIMIT[args.method](params, args.digits).decimal(args.digits)
+    params, digits = _params(args), args.digits
+    # only digits on which both ends of the ball agree are printed: a ball
+    # across a rounding boundary is recomputed at twice the digits, under
+    # the precision cap of limits._certify
+    while (text := _LIMIT[args.method](params, digits).decimal(
+            args.digits, certified=True)) is None:
+        digits *= 2
     _print(args, {"params": params.asdict(), "digits": args.digits,
                   "value": text, "certified": True},
            [f"{text}  ({args.digits} certified digits)"])

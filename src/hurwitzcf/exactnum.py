@@ -194,9 +194,21 @@ class PrecReal:
 
     def rel_err_at_most(self, digits: int) -> bool:
         """Whether rel_err() is at most 10^-digits: |m| > r and
-        r 10^digits <= |m| - r, in integers."""
-        mag = abs(self.m) - self.r
-        return mag > 0 and self.r * 10 ** digits <= mag
+        r 10^digits <= |m| - r, decided from bit lengths and multiplied out
+        only when those are within a few bits.  2^lo <= 10^digits <= 2^hi
+        for lo, hi the floor and ceiling of 3.32192 and 3.32193 digits
+        (log2 10 = 3.321928...)."""
+        r, mag = self.r, abs(self.m) - self.r
+        if mag <= 0 or not r:
+            return mag > 0
+        lo, hi = 332192 * digits // 100000, -(-332193 * digits // 100000)
+        # 2^(bits(r) - 1 + lo) <= r 10^digits < 2^(bits(r) + hi) and
+        # 2^(bits(mag) - 1) <= mag < 2^bits(mag)
+        if r.bit_length() + hi < mag.bit_length():
+            return True
+        if r.bit_length() + lo > mag.bit_length():
+            return False
+        return r * 10 ** digits <= mag
 
     def abs_err_at_most(self, digits: int) -> bool:
         """Whether err is at most 10^-digits, from bit lengths alone:
@@ -275,17 +287,25 @@ class PrecReal:
 
     # -- rendering ---------------------------------------------------------
 
-    def decimal(self, digits: int) -> str:
+    def decimal(self, digits: int, certified: bool = False) -> str | None:
         """Decimal rendering of the center with ``digits`` fractional
-        digits, rounded half up: the exact rendering of m 2^e."""
-        sign = "-" if self.m < 0 else ""
-        scaled = abs(self.m) * 10 ** digits
-        if self.e >= 0:
-            q = scaled << self.e
-        else:
-            q = scaled >> -self.e
-            # round half up; exactness of the last digit is governed by r
-            q += (scaled >> (-self.e - 1)) & 1
+        digits, rounded half up: the exact rendering of m 2^e.  With
+        ``certified``, None unless both ends (m - r) 2^e and (m + r) 2^e
+        render to the same text, so that every printed digit is the
+        ball's."""
+        scale = 10 ** digits
+        m = self.m * scale
+
+        def rounded(n: int) -> tuple[bool, int]:  # sign, |n| 2^e half up
+            a = abs(n)
+            if self.e >= 0:
+                return n < 0, a << self.e
+            return n < 0, (a >> -self.e) + ((a >> (-self.e - 1)) & 1)
+
+        neg, q = rounded(m)
+        r = self.r * scale
+        if certified and rounded(m - r) != rounded(m + r):
+            return None
+        sign = "-" if neg else ""
         s = int_text(q).rjust(digits + 1, "0")
         return f"{sign}{s[:-digits]}.{s[-digits:]}" if digits else f"{sign}{s}"
-

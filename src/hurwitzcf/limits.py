@@ -7,22 +7,19 @@ series at sigma = 1/2, 3/2.  One term ratio, `_0f1`, gives all of them as
 integer pairs, the format of every ratio passed to `_sum_ratio_series`,
 together with a closed-form estimate of the size of the terms (lgamma),
 from which the kernel chooses the number of terms before summing any.
-Every rational on the way to a limit is such a pair (num, den), unreduced:
-the parameters, the series sums and their tails.  Limits come out as
-dyadic balls (PrecReal) built from the sums, so no Fraction is made and
-no gcd is taken; the public functions turn a Fraction argument into a
-pair once.
+Every rational on the way to a limit is such a pair (num, den), unreduced,
+and limits come out as dyadic balls (PrecReal), so no Fraction is made and
+no gcd is taken.
 
-B's terms are A's terms a_k times their index, B = sum_k k a_k, so
-`xi_limit` sums both in one weighted binary splitting over one
-denominator Q and takes the limit (m00 A + m01 B) / (m10 A + m11 B) as
-one integer quotient, with a radius read off bit lengths.  `series_AB`
-(two series, two balls) stays public, and `perron_d1` keeps the ball
-route as the oracle that `lehmer_d1` is compared with.
-
-Bessel functions appear only in Gamma-free ratios or at half-odd orders,
-where the order recurrences reduce them to sin/cos/sinh/cosh; no Gamma
-evaluator exists anywhere in this package.
+B's terms are A's terms a_k times their index, B = sum_k k a_k, so every
+family limit is one `_attempt`: one weighted binary splitting gives A and B
+over one denominator, and integer rows give (m00 A + m01 B) / (m10 A +
+m11 B) as one integer quotient.  `xi_limit` takes the rows of
+`fib_transform`; `xi_bessel` at half-odd sigma folds into them the order
+recurrence walked on integers from cosh, sinh (cos, sin), which are A and
+s g B at sigma = 1/2, and `bessel_I`, `bessel_J` take the same walk: no
+Gamma evaluator exists here.  `series_AB` (two series, two balls) stays
+public; `perron_d1` keeps that route as the oracle for `lehmer_d1`.
 """
 
 from __future__ import annotations
@@ -347,44 +344,59 @@ def sqrt_prec(x, digits: int) -> PrecReal:
 # half-odd-order Bessel functions (elementary forms)
 
 
-def _half_odd_bracket(s: int, k: int, z: Pair,
-                      w: int) -> tuple[PrecReal, PrecReal]:
-    """The elementary parts of (X_{k-1/2}(z), X_{k+1/2}(z)) for X = I
-    (s = 1) or J (s = -1), i.e. the values without the common
-    sqrt(2/(pi z)) prefactor, for z = (num, den) != 0, at working precision
-    w digits.
-
-    The seeds at orders -1/2, 1/2 are (cosh z, sinh z) or (cos z, sin z).
-    The order recurrences X_{j+3/2} = s (X_{j-1/2} - (2j+1)/z X_{j+1/2}) and
-    X_{j-3/2} = s X_{j+1/2} + (2j-1)/z X_{j-1/2} raise or lower them; the
-    walk loses digits, so its callers certify it with 2|k| + 10 extra
-    working digits to start from.
-    """
+def _half_odd_walk(s: int, k: int, z: Pair) -> tuple[Pair, Pair, int]:
+    """The order recurrence of I (s = 1) or J (s = -1) on integers, for
+    z = (zn, zd) > 0: ((a, b), (c, d), den) with X_{k-1/2} = (a C + b S)/den
+    and X_{k+1/2} = (c C + d S)/den, where C, S = cosh z, sinh z or
+    cos z, sin z are X_{-1/2}, X_{1/2} without their sqrt(2/(pi z)).
+    A step up is X_{j+3/2} = s (X_{j-1/2} - (2j+1)/z X_{j+1/2}), a step down
+    X_{j-3/2} = s X_{j+1/2} + (2j-1)/z X_{j-1/2} (the Lommel polynomials;
+    Watson, Bessel Functions, 9.6); each multiplies den by zn, so
+    den = zn^|k| and a d - b c = (-s)^|k| den^2."""
     zn, zd = z
-    below, at = _taylor(z, s, False, w), _taylor(z, s, True, w)
+    a, b, c, d = 1, 0, 0, 1
     for j in range(k):
-        below, at = at, s * (below - at * ((2 * j + 1) * zd) / zn)
+        m = (2 * j + 1) * zd
+        a, b, c, d = (zn * c, zn * d, s * (zn * a - m * c),
+                      s * (zn * b - m * d))
     for j in range(0, k, -1):
-        below, at = s * at + below * ((2 * j - 1) * zd) / zn, below
-    return below, at
+        m = (2 * j - 1) * zd
+        a, b, c, d = s * zn * c + m * a, s * zn * d + m * b, zn * a, zn * b
+    return (a, b), (c, d), zn ** abs(k)
+
+
+def _walk_digits(k: int, z: Pair) -> int:
+    """The extra working digits of the walk to order k + 1/2, known before
+    any work: 10 plus twice log10 (2|k| - 1)!! (zd/zn)^|k| (from lgamma),
+    the walk's coefficients over den; |k| is clamped at 2^1000, past any
+    precision cap."""
+    n, (zn, zd) = min(abs(k), 1 << 1000), z
+    nats = (math.lgamma(2 * n + 1) - math.lgamma(n + 1) - n * math.log(2)
+            + n * (math.log(zd) - math.log(zn)))
+    return max(0, math.ceil(2 * nats / math.log(10))) + 10
 
 
 def _bessel_half_odd(s: int, nu, z, digits: int) -> PrecReal:
     """I_nu(z) (s = 1) or J_nu(z) (s = -1) at half-odd nu and z > 0:
-    sqrt(2/(pi z)) times the walk's value of order nu."""
+    sqrt(2/(pi z)) (c C + d S)/den for the walk's row of order nu, where
+    C = A and S = 2 s B / z at sigma = 1/2, rho = s z^2/4."""
     nu, z = Fraction(nu), Fraction(z)
     if sigma_tag(nu.numerator, nu.denominator) != "half-odd":
         raise UnsupportedOrder(f"{'I' if s == 1 else 'J'}_{nu} has no "
                                "elementary standalone form")
     if z <= 0:
         raise ValueError("z must be positive")
-    k = int(nu - Fraction(1, 2))
+    k, (zn, zd) = int(nu - Fraction(1, 2)), _pair(z)
 
     def compute(w: int) -> PrecReal:
-        pref = sqrt_prec(2 * z.denominator / (pi_prec(w) * z.numerator), w)
-        return pref * _half_odd_bracket(s, k, _pair(z), w)[1]
+        _, (c, d), den = _half_odd_walk(s, k, (zn, zd))
+        [(x, ex)], sden, eden = _weighted_rows(
+            [(c * zn, 2 * s * d * zd)], (1, 2), (s * zn * zn, 4 * zd * zd), w)
+        pref = sqrt_prec(2 * zd / (pi_prec(w) * zn), w)
+        return pref * PrecReal._ratio(x, den * zn * sden, ex, den * zn * eden,
+                                      mantissa_bits(w))
 
-    return _certify(compute, digits, 2 * abs(k) + 10)
+    return _certify(compute, digits, _walk_digits(k, (zn, zd)))
 
 
 def bessel_I(nu, z, digits: int) -> PrecReal:
@@ -428,16 +440,6 @@ def _certify(compute: Callable[[int], PrecReal], digits: int,
         w *= 2
 
 
-def _transformed(rows, x: PrecReal, y: PrecReal) -> PrecReal:
-    """(m00 x + m01 y) / (m10 x + m11 y) for rows = fib_transform(params).
-    An entry 0 drops its term and an entry 1 its product: at d = 1 the
-    rows are (1, 0) and (0, beta1), so the value is x / (beta1 y)."""
-    def row(c0: int, c1: int) -> PrecReal:
-        terms = [v if c == 1 else c * v for c, v in ((c0, x), (c1, y)) if c]
-        return sum(terms[1:], terms[0])
-    return row(*rows[0]) / row(*rows[1])
-
-
 def _series_quotient(x: int, y: int, den: int, ex: int, ey: int,
                      eden: int, prec: int) -> PrecReal:
     """The ball X/Y for X = x/den ± ex/eden and Y = y/den ± ey/eden
@@ -470,50 +472,50 @@ def _series_quotient(x: int, y: int, den: int, ex: int, ey: int,
     return PrecReal._new(q, r, -k, prec)
 
 
+def _weighted_rows(rows, sigma: Pair, rho: Pair, w: int):
+    """Each integer row (m0, m1) applied to A = 0F1(; sigma; rho) = a/den
+    and B = sum_k k a_k = b/den of one weighted split at w digits, with
+    tails ea/eden, eb/eden (sound as |ratio| of 0F1 falls for every m):
+    [(m0 a + m1 b, |m0| ea + |m1| eb), ...], den, eden."""
+    a, b, den, ea, eb, eden, _ = _sum_ratio_series(
+        (1, 1), _0f1(sigma, rho), w, weighted=True)
+    return ([(m0 * a + m1 * b, abs(m0) * ea + abs(m1) * eb)
+             for m0, m1 in rows], den, eden)
+
+
+def _attempt(rows, sigma: Pair, rho: Pair, w: int) -> PrecReal:
+    """One attempt of any family limit: (m00 A + m01 B) / (m10 A + m11 B)."""
+    ((x, ex), (y, ey)), den, eden = _weighted_rows(rows, sigma, rho, w)
+    return _series_quotient(x, y, den, ex, ey, eden, mantissa_bits(w))
+
+
 def xi_limit(params: CFParams, digits: int) -> PrecReal:
     """The limit of the continued fraction, (m00 A + m01 B) / (m10 A + m11 B)
-    for the rows of fib_transform, as one integer quotient.  One weighted
-    binary splitting of A = 0F1(; sigma; rho) = sum_k a_k gives A and
-    B = sum_k k a_k (= rho/sigma 0F1(; sigma+1; rho)) over one denominator,
-    with their tails: A's by the kernel's geometric bound and B's by the
-    weighted one, both sound because |ratio| of 0F1 falls for every m."""
-    sigma, rho = magic_pairs(params)
-    (m00, m01), (m10, m11) = fib_transform(params)
-    ratios = _0f1(sigma, rho)
-
-    def compute(w: int) -> PrecReal:
-        a, b, den, ea, eb, eden, _ = _sum_ratio_series((1, 1), ratios, w,
-                                                       weighted=True)
-        return _series_quotient(m00 * a + m01 * b, m10 * a + m11 * b, den,
-                                abs(m00) * ea + abs(m01) * eb,
-                                abs(m10) * ea + abs(m11) * eb, eden,
-                                mantissa_bits(w))
-
-    return _certify(compute, digits)
+    for the rows of fib_transform and the series of magic_pairs."""
+    rows, (sigma, rho) = fib_transform(params), magic_pairs(params)
+    return _certify(lambda w: _attempt(rows, sigma, rho, w), digits)
 
 
 def xi_bessel(params: CFParams, digits: int) -> PrecReal:
     """The limit via the Bessel-function statement: the I-form for odd d,
-    the J-form for even d, at the rational argument 2/(beta1 F_d(alpha)).
-
-    Only a half-odd magic sum has a route of its own: one walk gives the
-    Bessel values of orders sigma - 1 and sigma from the elementary closed
-    forms (the sqrt(2/(pi z)) prefactors cancel in the ratio), and the
-    value of order sigma stands in for (-1)^(d+1) F_d beta1 B in
-    fib_transform.  At every other order the Bessel ratio is the series
-    ratio, so the value is xi_limit's.
-    """
-    (p, g), (s, _) = magic_pairs(params)  # g = beta1 F_d; s = 1: I, -1: J
+    the J-form for even d, at z = 2/g, g = beta1 F_d(alpha).  At half-odd
+    sigma = k + 1/2 the walk's rows over cosh z, sinh z (cos z, sin z),
+    A and s g B at sigma = 1/2, give the orders sigma - 1 and sigma (their
+    sqrt(2/(pi z)) cancels), the latter in place of (-1)^(d+1) g B: the
+    attempt takes fib_transform times [[g a, s g^2 b], [s c, g d]] at
+    sigma = 1/2.  Off half-odd sigma the value is xi_limit's."""
+    (p, g), rho = magic_pairs(params)  # g = beta1 F_d, rho = (s, g^2)
     if sigma_tag(p, g) != "half-odd":
         return xi_limit(params, digits)
-    k = (2 * p - g) // (2 * g)  # sigma = k + 1/2, and B = s bracket / g
-    rows = fib_transform(params)
+    s, k = rho[0], (2 * p - g) // (2 * g)  # s = 1: I, -1: J
 
     def compute(w: int) -> PrecReal:
-        low, high = _half_odd_bracket(s, k, (2, g), w)  # z = 2 sqrt(|rho|)
-        return _transformed(rows, low, high * s / g)
+        (a, b), (c, d), _ = _half_odd_walk(s, k, (2, g))
+        rows = [(g * m0 * a + s * m1 * c, g * (s * g * m0 * b + m1 * d))
+                for m0, m1 in fib_transform(params)]
+        return _attempt(rows, (1, 2), rho, w)
 
-    return _certify(compute, digits, 2 * abs(k) + 10)
+    return _certify(compute, digits, _walk_digits(k, (2, g)))
 
 
 def lehmer_d1(beta0: int, beta1: int, digits: int) -> PrecReal:
@@ -526,11 +528,9 @@ def perron_d1(beta0: int, beta1: int, digits: int) -> PrecReal:
     """The same arithmetic-progression fraction by Perron's formula,
     b1 sigma 0F1(; sigma; rho) / 0F1(; sigma+1; rho) at sigma = b0/b1,
     rho = 1/b1^2, with each series summed on its own into a ball and the
-    balls divided.  lehmer_d1 takes the same value from one weighted split
-    of 0F1(; sigma; rho) (its B = sum_k k a_k is rho/sigma
-    0F1(; sigma+1; rho)) as one integer quotient.  The two routes share
-    the series and the kernel, only not the arithmetic after it, so they
-    are no independent check of each other."""
+    balls divided; lehmer_d1 takes one weighted split and one quotient.
+    The two share the series and the kernel, so they are no independent
+    check of each other."""
     if beta0 < 1 or beta1 < 1:
         raise ValueError("beta0, beta1 must be >= 1")
     rho = (1, beta1 * beta1)

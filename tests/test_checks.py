@@ -69,6 +69,22 @@ def _scaled_bessel(monkeypatch):
     monkeypatch.setattr(limits, "xi_bessel", _scaled(limits.xi_bessel))
 
 
+def _wrong_walk_step(monkeypatch):
+    # the last step up takes (2j + 3)/z where (2j + 1)/z belongs
+    right = limits._half_odd_walk
+
+    def wrong(s, k, z):
+        if k < 1:
+            return right(s, k, z)
+        (a, b), (c, d), den = right(s, k - 1, z)
+        zn, zd = z
+        m = (2 * k + 1) * zd
+        return ((zn * c, zn * d), (s * (zn * a - m * c), s * (zn * b - m * d)),
+                den * zn)
+
+    monkeypatch.setattr(limits, "_half_odd_walk", wrong)
+
+
 def _scaled_certify(monkeypatch):
     # a fault every limit route shares: only the convergent bracket sees it
     monkeypatch.setattr(limits, "_certify", _scaled(limits._certify))
@@ -90,6 +106,7 @@ FAULTS = {  # test id: (suite, fault, a failure it must report)
     "identities-gcf": ("identities", _false_gcf,
                        "generalized-fraction check at n="),
     "limits": ("limits", _scaled_bessel, "series vs bessel at"),
+    "limits-walk": ("limits", _wrong_walk_step, "series vs bessel at"),
     "limits-certify": ("limits", _scaled_certify,
                        "lehmer outside the convergent bracket"),
     "limits-perron": ("limits", _scaled_perron, "lehmer vs perron at"),

@@ -15,7 +15,7 @@ import pytest
 
 from hurwitzcf import cf_engine, hurwitz, identities, limits
 from hurwitzcf.cli import run
-from hurwitzcf.exactnum import _fraction_text, mantissa_bits
+from hurwitzcf.exactnum import PrecReal, _fraction_text, mantissa_bits
 from reference import sigma_rho
 
 
@@ -182,20 +182,45 @@ class TestLimit:
         assert "HURWITZ_MAX_PRECISION" in out().err
 
     def test_bessel_walk_beyond_the_cap_refused(self, out, monkeypatch):
-        # sigma = 200003/2: the walk's extra digits alone pass the cap, so
-        # no seed series may be asked for more bits than it allows
+        # sigma = 10003/2 or 100003/2: the walk's computed loss alone passes
+        # the cap, so the request is refused before any walk or series
         cap = limits._max_precision_bits()
         right = limits._sum_ratio_series
 
-        def spy(t0, ratios, digits):
+        def spy(t0, ratios, digits, **kwargs):
             assert mantissa_bits(digits) <= cap, "series above the cap"
-            return right(t0, ratios, digits)
+            return right(t0, ratios, digits, **kwargs)
+
+        def walk(*args):
+            raise AssertionError("walked before the cap check")
 
         monkeypatch.setattr(limits, "_sum_ratio_series", spy)
-        assert run(["limit", "--alpha", "1", "--b0", "200001", "--b1", "2",
-                    "--d", "2", "--r", "1", "--digits", "10",
-                    "--method", "bessel"]) == 2
-        assert "HURWITZ_MAX_PRECISION" in out().err
+        monkeypatch.setattr(limits, "_half_odd_walk", walk)
+        for b0 in ("20001", "200001"):
+            assert run(["limit", "--alpha", "1", "--b0", b0, "--b1", "2",
+                        "--d", "2", "--r", "1", "--digits", "10",
+                        "--method", "bessel"]) == 2
+            assert "HURWITZ_MAX_PRECISION" in out().err
+
+    def test_ball_across_a_rounding_boundary_recomputed(self, out,
+                                                        monkeypatch):
+        # the first ball, 1.71825 +- 10^-7, renders at 4 digits as 1.7182 at
+        # one end and 1.7183 at the other: no text is certified from it, and
+        # the route is asked again at twice the digits
+        asked, right = [], limits.xi_limit
+
+        def route(params, digits):
+            asked.append(digits)
+            if len(asked) == 1:
+                return PrecReal(Fraction(171825, 10 ** 5),
+                                Fraction(1, 10 ** 7))
+            return right(params, digits)
+
+        monkeypatch.setattr(limits, "xi_limit", route)
+        assert run(["limit", *E_FLAGS, "--digits", "4", "--json"]) == 0
+        doc = json.loads(out().out)
+        assert asked == [4, 8]
+        assert doc["value"] == "1.7183" and doc["certified"] is True
 
     def test_malformed_precision_cap_exit_2(self, out, monkeypatch):
         monkeypatch.setenv("HURWITZ_MAX_PRECISION", "abc")

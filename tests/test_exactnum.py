@@ -299,3 +299,47 @@ class TestDyadicBall:
             for digits in range(1, 8):
                 assert ball.rel_err_at_most(digits) == (
                     rel is not None and rel <= F(1, 10 ** digits))
+
+    @given(st.integers(-10 ** 60, 10 ** 60), st.integers(0, 10 ** 40),
+           st.integers(-5, 5), st.integers(1, 40))
+    @example(10 ** 7 + 1, 1, 0, 7)  # r 10^D == |m| - r: at the boundary
+    @example(-(10 ** 7 + 1), 1, -3, 7)
+    @example(10 ** 7, 1, 0, 7)  # one unit short of it
+    @example(3 * (10 ** 30 + 1), 3, 2, 30)
+    @example(5, 0, 0, 40)  # exact
+    @example(0, 0, 0, 1)
+    @example(1, 1, 0, 1)  # |m| = r: no relative bound
+    def test_rel_err_test_matches_the_fraction(self, m, r, e, digits):
+        ball = PrecReal._new(m, r, e, 0)
+        rel = ball.rel_err()
+        assert ball.rel_err_at_most(digits) == (
+            rel is not None and rel <= F(1, 10 ** digits))
+
+    @given(st.integers(1, 12), st.data())
+    def test_rel_err_test_at_the_exact_boundary(self, digits, data):
+        # r 10^D = |m| - r exactly, and one unit of m to either side
+        r = data.draw(st.integers(1, 10 ** 20))
+        for dm, holds in ((0, True), (1, True), (-1, False)):
+            m = r * (10 ** digits + 1) + dm
+            for sign in (1, -1):
+                assert PrecReal._new(sign * m, r, 0, 0).rel_err_at_most(
+                    digits) is holds
+
+
+class TestCertifiedDecimal:
+    @given(balls_with_point(), st.integers(0, 30))
+    def test_text_only_when_both_ends_render_alike(self, ball_x, digits):
+        ball, _ = ball_x
+        text = ball.decimal(digits, certified=True)
+        ends = [fraction_decimal(v, digits) for v in (ball.lo, ball.hi)]
+        if ends[0] == ends[1]:
+            assert text == ends[0] == ball.decimal(digits)
+        else:
+            assert text is None
+
+    def test_a_ball_across_a_rounding_boundary_prints_nothing(self):
+        # 1.71825 +- 10^-7: its ends render as 1.7182 and 1.7183
+        ball = PrecReal(F(171825, 10 ** 5), F(1, 10 ** 7))
+        assert ball.decimal(4, certified=True) is None
+        assert ball.decimal(3, certified=True) == "1.718"
+        assert PrecReal(F(-1, 8)).decimal(2, certified=True) == "-0.13"

@@ -566,6 +566,42 @@ class TestHalfOddBessel:
                 assert abs(got - want) <= abs(want) * mpmath.mpf(10) ** -29
 
 
+    @pytest.mark.parametrize("nu,z,digits", [
+        (F(81, 2), F(1, 100), 30), (F(21, 2), F(1, 1000), 30),
+        (F(201, 2), F(1, 10), 100)])
+    @pytest.mark.parametrize("fn", [bessel_I, bessel_J])
+    def test_certified_at_the_first_attempt(self, monkeypatch, fn, nu, z,
+                                            digits):
+        # the walk's loss is computed before any work: no attempt is wasted
+        widths, right = [], limits._certify
+
+        def spy(compute, digits, extra=0):
+            return right(lambda w: widths.append(w) or compute(w), digits,
+                         extra)
+
+        monkeypatch.setattr(limits, "_certify", spy)
+        assert fn(nu, z, digits).rel_err_at_most(digits)
+        assert len(widths) == 1, widths
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([1, -1]), st.integers(-20, 20),
+           st.integers(1, 10 ** 6), st.integers(1, 10 ** 6))
+    @example(1, 0, 1, 1)
+    @example(-1, -20, 7, 3)
+    def test_walk_determinant(self, s, k, zn, zd):
+        # each step multiplies a d - b c by -s zn^2
+        (a, b), (c, d), den = limits._half_odd_walk(s, k, (zn, zd))
+        assert den == zn ** abs(k)
+        assert a * d - b * c == (-s) ** abs(k) * den * den
+
+    def test_walk_rows_by_hand(self):
+        # X_{3/2} = S/z - C for J and C - S/z for I; X_{-3/2} = s S - C/z
+        for s in (1, -1):
+            assert limits._half_odd_walk(s, 1, (3, 2)) \
+                == ((0, 3), (3 * s, -2 * s), 3)
+            assert limits._half_odd_walk(s, -1, (3, 2)) \
+                == ((-2, 3 * s), (3, 0), 3)
+
     def test_ratio_is_tanh(self):
         for z in (F(1, 2), F(1), F(2, 3)):
             ratio = bessel_I(F(1, 2), z, 25) / bessel_I(F(-1, 2), z, 25)
@@ -688,7 +724,7 @@ class TestXiLimits:
 
     def test_one_quotient_from_one_weighted_sum(self, monkeypatch):
         # no series_AB, no ball arithmetic: one weighted kernel call per
-        # attempt and one integer quotient
+        # attempt and one integer quotient, the half-odd walk included
         calls, right = [], limits._sum_ratio_series
 
         def spy(*args, **kwargs):
@@ -696,16 +732,22 @@ class TestXiLimits:
             return right(*args, **kwargs)
 
         def refused(*args):
-            raise AssertionError("xi_limit left the one-quotient route")
+            raise AssertionError("a limit left the one-quotient route")
 
-        monkeypatch.setattr(limits, "_sum_ratio_series", spy)
-        for name in ("series_AB", "_transformed"):
-            monkeypatch.setattr(limits, name, refused)
-        monkeypatch.setattr(PrecReal, "__truediv__", refused)
-        v = xi_limit(CFParams(1, 2, 2, 3, 2), 100)
-        assert calls == [{"weighted": True}]
-        monkeypatch.undo()
-        assert overlap(v, exp_prec(F(1), 110) - 1)
+        cases = [(xi_limit, (1, 2, 2, 3, 2)),
+                 (xi_bessel, (1, 2, 2, 3, 2)),  # sigma 3/2: one walk step
+                 (xi_bessel, (4, 3, 1, 2, 1))]  # sigma 7/2, J-form
+        for fn, t in cases:
+            monkeypatch.setattr(limits, "_sum_ratio_series", spy)
+            monkeypatch.setattr(limits, "series_AB", refused)
+            monkeypatch.setattr(PrecReal, "__truediv__", refused)
+            calls.clear()
+            v = fn(CFParams(*t), 100)
+            assert calls == [{"weighted": True}], (fn, t)
+            monkeypatch.undo()
+            lo, hi = convergent_bracket(denom_stream(CFParams(*t)),
+                                        10 ** 110)
+            assert v.lo <= hi and lo <= v.hi
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 4), st.integers(1, 20), st.integers(1, 10),
@@ -753,20 +795,26 @@ class TestXiBessel:
 
 
 def test_one_walk_per_attempt(monkeypatch):
-    # a half-odd attempt sums the two seed series (cos, sin or cosh, sinh)
-    # once, at one precision, for the orders sigma - 1 and sigma together
-    requested = []
-    right = limits._sum_ratio_series
+    # a half-odd attempt walks the order recurrence once on integers and
+    # makes one weighted kernel call for both orders sigma - 1 and sigma
+    walks, sums = [], []
+    walk, kernel = limits._half_odd_walk, limits._sum_ratio_series
 
-    def spy(t0, ratios, digits):
-        requested.append(digits)
-        return right(t0, ratios, digits)
+    def walk_spy(*args):
+        walks.append(args)
+        return walk(*args)
 
-    monkeypatch.setattr(limits, "_sum_ratio_series", spy)
+    def kernel_spy(*args, **kwargs):
+        sums.append(kwargs)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(limits, "_half_odd_walk", walk_spy)
+    monkeypatch.setattr(limits, "_sum_ratio_series", kernel_spy)
     for t in ((1, 2, 2, 3, 2), (1, 1, 2, 2, 1), (4, 3, 1, 2, 1)):
-        requested.clear()
+        walks.clear()
+        sums.clear()
         xi_bessel(CFParams(*t), 25)
-        assert len(requested) == 2 and len(set(requested)) == 1, t
+        assert len(walks) == 1 and sums == [{"weighted": True}], t
 
 
 class TestWlang:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from hurwitzcf import cf_engine, fibpoly, hurwitz, identities, limits
+from hurwitzcf.errors import PrecisionExhausted
 from hurwitzcf.exactnum import PrecReal
 
 S = cf_engine.stream_from_list([1, 2, 3, 4])
@@ -43,6 +44,11 @@ REFUSALS = {  # test id: (call, error, message)
             ValueError, "n must be >= 1"),
     "bessel-z": (lambda: limits.bessel_I(Fraction(3, 2), 0, 10), ValueError,
                  "z must be positive"),
+    # an order of 10^400: the walk's loss, past any float, is still refused
+    "bessel-order": (
+        lambda: limits.xi_bessel(hurwitz.CFParams(1, 10 ** 400 + 1, 2, 2, 1),
+                                 10), PrecisionExhausted,
+        "HURWITZ_MAX_PRECISION"),
     "perron": (lambda: limits.perron_d1(0, 1, 10), ValueError,
                "beta0, beta1 must be >= 1"),
     "negative-radius": (lambda: PrecReal(1, -1), ValueError,
