@@ -14,12 +14,12 @@ no gcd is taken.
 B's terms are A's terms a_k times their index, B = sum_k k a_k, so every
 family limit is one `_attempt`: one weighted binary splitting gives A and B
 over one denominator, and integer rows give (m00 A + m01 B) / (m10 A +
-m11 B) as one integer quotient.  `xi_limit` takes the rows of
+m11 B) as one PrecReal quotient of two balls.  `xi_limit` takes the rows of
 `fib_transform`; `xi_bessel` at half-odd sigma folds into them the order
 recurrence walked on integers from cosh, sinh (cos, sin), which are A and
 s g B at sigma = 1/2, and `bessel_I`, `bessel_J` take the same walk: no
-Gamma evaluator exists here.  `series_AB` (two series, two balls) stays
-public; `perron_d1` keeps that route as the oracle for `lehmer_d1`.
+Gamma evaluator exists here.  `series_AB` (two series, two balls) is public
+but unused here; `perron_d1`, the oracle of `lehmer_d1`, sums two series too.
 """
 
 from __future__ import annotations
@@ -390,11 +390,10 @@ def _bessel_half_odd(s: int, nu, z, digits: int) -> PrecReal:
 
     def compute(w: int) -> PrecReal:
         _, (c, d), den = _half_odd_walk(s, k, (zn, zd))
-        [(x, ex)], sden, eden = _weighted_rows(
+        [x], sden = _weighted_rows(
             [(c * zn, 2 * s * d * zd)], (1, 2), (s * zn * zn, 4 * zd * zd), w)
         pref = sqrt_prec(2 * zd / (pi_prec(w) * zn), w)
-        return pref * PrecReal._ratio(x, den * zn * sden, ex, den * zn * eden,
-                                      mantissa_bits(w))
+        return pref * (x / (den * zn * sden))
 
     return _certify(compute, digits, _walk_digits(k, (zn, zd)))
 
@@ -419,8 +418,9 @@ def _certify(compute: Callable[[int], PrecReal], digits: int,
     """Run compute(w) until the result is certified to 10^-digits relative
     and absolute error, the latter so that the first ``digits`` fractional
     digits are the ball's at any magnitude: w starts at digits + 10 + extra
-    working digits and doubles after each failed attempt.  This is the only
-    place that sets a working precision; no attempt runs above
+    working digits and doubles after each failed attempt, or after a
+    ZeroDivisionError (PrecReal's quotient by a ball that holds 0).  This is
+    the only place that sets a working precision; no attempt runs above
     HURWITZ_MAX_PRECISION bits."""
     _check_digits(digits)
     w = digits + _TAIL_GUARD_DIGITS + extra
@@ -440,53 +440,29 @@ def _certify(compute: Callable[[int], PrecReal], digits: int,
         w *= 2
 
 
-def _series_quotient(x: int, y: int, den: int, ex: int, ey: int,
-                     eden: int, prec: int) -> PrecReal:
-    """The ball X/Y for X = x/den ± ex/eden and Y = y/den ± ey/eden
-    (den, eden > 0; ex, ey >= 0).  The center is one shifted floor division
-    x/y at prec bits.  The radius bounds (EX + |x/y| EY) / (|Y| - EY) by a
-    power of two read off bit lengths, a few bits loose, with no second
-    big division.  A Y that EY might reach half of raises
-    ZeroDivisionError."""
-    if y < 0:
-        x, y = -x, -y
-    leden = eden.bit_length()
-    low = y.bit_length() - den.bit_length() - 1  # |Y| >= 2^low
-    top = x.bit_length() - y.bit_length() + 1  # |x/y| < 2^top, x != 0
-
-    def bits(e: int) -> int:  # e/eden < 2^bits(e), e > 0
-        return e.bit_length() - leden + 1
-
-    if ey and bits(ey) >= low:
-        raise ZeroDivisionError("divisor interval may contain zero")
-    k = prec - top  # |x/y| 2^k < 2^prec
-    q, inexact = _shifted_quotient(x, y, k)
-    # |X/Y - x/y| < (2^bits(ex) + 2^(top + bits(ey))) / 2^(low - 1),
-    # below 2^(2 - low + the larger exponent); r counts units of 2^-k
-    exps = []
-    if ex:
-        exps.append(bits(ex))
-    if ey and x:
-        exps.append(top + bits(ey))
-    r = (1 << max(max(exps) + 2 - low + k, 0) if exps else 0) + inexact
-    return PrecReal._new(q, r, -k, prec)
+def _row_ball(x: int, e: int, den: int, eden: int, prec: int) -> PrecReal:
+    """The ball x ± 2^k at prec bits; 2^k, k = bits(e) + bits(den) -
+    bits(eden) + 1, exceeds e den/eden (e >= 0; den, eden > 0): no division."""
+    k = e.bit_length() + den.bit_length() - eden.bit_length() + 1
+    return PrecReal._new(x << max(-k, 0), 1 << max(k, 0), min(k, 0), prec)
 
 
 def _weighted_rows(rows, sigma: Pair, rho: Pair, w: int):
     """Each integer row (m0, m1) applied to A = 0F1(; sigma; rho) = a/den
     and B = sum_k k a_k = b/den of one weighted split at w digits, with
     tails ea/eden, eb/eden (sound as |ratio| of 0F1 falls for every m):
-    [(m0 a + m1 b, |m0| ea + |m1| eb), ...], den, eden."""
+    ([den (m0 A + m1 B) as _row_ball(m0 a + m1 b, |m0| ea + |m1| eb), ...],
+    den)."""
     a, b, den, ea, eb, eden, _ = _sum_ratio_series(
         (1, 1), _0f1(sigma, rho), w, weighted=True)
-    return ([(m0 * a + m1 * b, abs(m0) * ea + abs(m1) * eb)
-             for m0, m1 in rows], den, eden)
+    return [_row_ball(m0 * a + m1 * b, abs(m0) * ea + abs(m1) * eb, den,
+                      eden, mantissa_bits(w)) for m0, m1 in rows], den
 
 
 def _attempt(rows, sigma: Pair, rho: Pair, w: int) -> PrecReal:
     """One attempt of any family limit: (m00 A + m01 B) / (m10 A + m11 B)."""
-    ((x, ex), (y, ey)), den, eden = _weighted_rows(rows, sigma, rho, w)
-    return _series_quotient(x, y, den, ex, ey, eden, mantissa_bits(w))
+    (x, y), _ = _weighted_rows(rows, sigma, rho, w)
+    return x / y  # den cancels
 
 
 def xi_limit(params: CFParams, digits: int) -> PrecReal:
@@ -531,6 +507,9 @@ def perron_d1(beta0: int, beta1: int, digits: int) -> PrecReal:
     balls divided; lehmer_d1 takes one weighted split and one quotient.
     The two share the series and the kernel, so they are no independent
     check of each other."""
+    if type(beta0) is not int or type(beta1) is not int:
+        raise TypeError("beta0, beta1 must be ints, got "
+                        f"{type(beta0).__name__}, {type(beta1).__name__}")
     if beta0 < 1 or beta1 < 1:
         raise ValueError("beta0, beta1 must be >= 1")
     rho = (1, beta1 * beta1)
@@ -544,14 +523,15 @@ def perron_d1(beta0: int, beta1: int, digits: int) -> PrecReal:
 
 def wlang_limit_check(m: int, n: int, digits: int) -> bool:
     """Compare P_n(x)/Q_n(x) at x = 1/(4 m^2) against
-    sqrt(x) I_1(2 sqrt(x))/I_0(2 sqrt(x)) (= B/A at sigma = 1, rho = x)."""
+    sqrt(x) I_1(2 sqrt(x))/I_0(2 sqrt(x)) (= B/A at sigma = 1, rho = x): a
+    paper check that only the tests run, kept here as it takes its limit as
+    xi_limit does, one _attempt under _certify."""
     from .identities import eval_unipoly, p_poly, q_poly
     _check_digits(digits)
     if m < 2:
         raise ValueError("m must be >= 2")
     x = Fraction(1, 4 * m * m)
     lhs = eval_unipoly(p_poly(n), x) / eval_unipoly(q_poly(n), x)
-    sv = series_AB(Fraction(1), x, digits + 5)
-    rhs = sv.B / sv.A
-    tol = Fraction(1, 10 ** digits)
-    return abs(lhs - rhs.value) + rhs.err < tol
+    rhs = _certify(lambda w: _attempt([(0, 1), (1, 0)], (1, 1), _pair(x), w),
+                   digits + 5)
+    return abs(lhs - rhs.value) + rhs.err < Fraction(1, 10 ** digits)

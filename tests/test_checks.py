@@ -90,6 +90,11 @@ def _scaled_certify(monkeypatch):
     monkeypatch.setattr(limits, "_certify", _scaled(limits._certify))
 
 
+def _scaled_quotient(monkeypatch):
+    # the one attempt that xi_limit and xi_bessel share: they still agree
+    monkeypatch.setattr(limits, "_attempt", _scaled(limits._attempt))
+
+
 def _flipped_case_row(monkeypatch):
     first, *rest = classify._CASES["half-odd"]
     monkeypatch.setitem(classify._CASES, "half-odd",
@@ -110,6 +115,8 @@ FAULTS = {  # test id: (suite, fault, a failure it must report)
     "limits-certify": ("limits", _scaled_certify,
                        "lehmer outside the convergent bracket"),
     "limits-perron": ("limits", _scaled_perron, "lehmer vs perron at"),
+    "limits-quotient": ("limits", _scaled_quotient,
+                        "series outside the convergent bracket"),
     "classify": ("classify", _flipped_case_row, "'tag': 'integer'"),
 }
 

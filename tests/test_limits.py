@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from hurwitzcf import limits
 from hurwitzcf.cf_engine import convergents
 from hurwitzcf.errors import PrecisionExhausted, UnsupportedOrder
-from hurwitzcf.exactnum import PrecReal, _split
+from hurwitzcf.exactnum import PrecReal, _is_pow2, _split
 from hurwitzcf.hurwitz import CFParams, denom_stream, magic_pairs, sigma_tag
 from hurwitzcf.limits import (_sum_ratio_series, bessel_I, bessel_J,
                               cos_prec, cosh_prec, exp_prec, lehmer_d1,
@@ -213,7 +213,8 @@ class TestBinarySplitting:
     @pytest.mark.parametrize("digits", [5, 60, 400])
     @pytest.mark.parametrize("sigma,rho", SIGMA_RHO + [(F(1, 2), F(-25, 4)),
                                                        (F(3, 2), F(-400, 9))])
-    def test_weighted_tails_contain_the_true_tails(self, sigma, rho, digits):
+    def test_weighted_tails_contain_the_true_tails(self, monkeypatch, sigma,
+                                                   rho, digits):
         # A = sum_k a_k and B = sum_k k a_k from one weighted split; B's
         # tail |a_N| (N q/(1-q) + q/(1-q)^2) rests on |ratio| falling
         (_, ratio), _ = series_a_b(sigma, rho)
@@ -237,6 +238,36 @@ class TestBinarySplitting:
         sv = series_AB(sigma, rho, digits)
         assert sv.B.lo - F(tail_b, tail_den) <= F(b, den) \
             <= sv.B.hi + F(tail_b, tail_den)
+        # each row's ball den (m0 A + m1 B), from these sums, holds the
+        # deep Fraction sums and is at least den times the row's tail
+        out = a, b, den, tail_a, tail_b, tail_den, n
+        monkeypatch.setattr(limits, "_sum_ratio_series", lambda *_, **k: out)
+        # the last row's signed tails cancel: only |m0|, |m1| bound it
+        rows = [(1, 0), (0, 1), (3, -2), (-5, 7), (tail_b, -tail_a)]
+        balls, row_den = limits._weighted_rows(
+            rows, (sigma.numerator, sigma.denominator),
+            (rho.numerator, rho.denominator), digits)
+        deep_a = sum(terms[:deep])
+        deep_b = sum(k * t for k, t in enumerate(terms[:deep]))
+        assert row_den == den
+        for (m0, m1), ball in zip(rows, balls):
+            assert ball.lo <= den * (m0 * deep_a + m1 * deep_b) <= ball.hi
+            assert ball.err >= den * (abs(m0) * F(tail_a, tail_den)
+                                      + abs(m1) * F(tail_b, tail_den))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 300), st.integers(1, 2 ** 300),
+           st.integers(1, 2 ** 300))
+    @example(0, 7, 3)  # no tail: the radius is still above 0
+    @example(3, 5, 2 ** 100)  # a radius of 2^-95
+    def test_row_radius_is_a_power_of_two_above_the_tail(self, e, den,
+                                                          eden):
+        err = limits._row_ball(0, e, den, eden, 0).err
+        assert err.numerator == 1 or err.denominator == 1
+        assert _is_pow2(err.numerator) and _is_pow2(err.denominator)
+        assert err > F(e * den, eden)
+        # and no more than three bits loose
+        assert not e or err < 8 * F(e * den, eden)
 
     @pytest.mark.parametrize("series", TAYLOR)
     def test_taylor_matches_naive_sum(self, series):
@@ -723,13 +754,23 @@ class TestXiLimits:
         assert overlap(v, ref)
 
     def test_one_quotient_from_one_weighted_sum(self, monkeypatch):
-        # no series_AB, no ball arithmetic: one weighted kernel call per
-        # attempt and one integer quotient, the half-odd walk included
-        calls, right = [], limits._sum_ratio_series
+        # no series_AB, no _ratio: each attempt makes one weighted kernel
+        # call and one ball quotient, the half-odd walk included
+        calls = []
+        kernel, divide, certify = (limits._sum_ratio_series,
+                                   PrecReal.__truediv__, limits._certify)
 
-        def spy(*args, **kwargs):
+        def kernel_spy(*args, **kwargs):
             calls.append(kwargs)
-            return right(*args, **kwargs)
+            return kernel(*args, **kwargs)
+
+        def divide_spy(x, y):
+            calls.append("/")
+            return divide(x, y)
+
+        def certify_spy(compute, digits, extra=0):
+            return certify(lambda w: calls.append("attempt") or compute(w),
+                           digits, extra)
 
         def refused(*args):
             raise AssertionError("a limit left the one-quotient route")
@@ -738,12 +779,16 @@ class TestXiLimits:
                  (xi_bessel, (1, 2, 2, 3, 2)),  # sigma 3/2: one walk step
                  (xi_bessel, (4, 3, 1, 2, 1))]  # sigma 7/2, J-form
         for fn, t in cases:
-            monkeypatch.setattr(limits, "_sum_ratio_series", spy)
+            monkeypatch.setattr(limits, "_sum_ratio_series", kernel_spy)
+            monkeypatch.setattr(limits, "_certify", certify_spy)
+            monkeypatch.setattr(PrecReal, "__truediv__", divide_spy)
             monkeypatch.setattr(limits, "series_AB", refused)
-            monkeypatch.setattr(PrecReal, "__truediv__", refused)
+            monkeypatch.setattr(PrecReal, "_ratio", staticmethod(refused))
             calls.clear()
             v = fn(CFParams(*t), 100)
-            assert calls == [{"weighted": True}], (fn, t)
+            attempts = calls.count("attempt")
+            assert attempts >= 1 and calls == [
+                "attempt", {"weighted": True}, "/"] * attempts, (fn, t)
             monkeypatch.undo()
             lo, hi = convergent_bracket(denom_stream(CFParams(*t)),
                                         10 ** 110)

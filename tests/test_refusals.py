@@ -51,6 +51,10 @@ REFUSALS = {  # test id: (call, error, message)
         "HURWITZ_MAX_PRECISION"),
     "perron": (lambda: limits.perron_d1(0, 1, 10), ValueError,
                "beta0, beta1 must be >= 1"),
+    "perron-float": (lambda: limits.perron_d1(2.0, 1, 10), TypeError,
+                     "beta0, beta1 must be ints, got float, int"),
+    "perron-fraction": (lambda: limits.perron_d1(Fraction(3, 2), 1, 10),
+                        TypeError, "must be ints, got Fraction, int"),
     "negative-radius": (lambda: PrecReal(1, -1), ValueError,
                         "error bound must be nonnegative"),
 }
