@@ -293,6 +293,8 @@ class PrecReal:
         ``certified``, None unless both ends (m - r) 2^e and (m + r) 2^e
         render to the same text, so that every printed digit is the
         ball's."""
+        if digits < 0:
+            raise ValueError(f"digits must be >= 0, got {digits}")
         scale = 10 ** digits
         m = self.m * scale
 

@@ -102,12 +102,13 @@ def _sum_ratio_series(t0: Pair, ratios: Ratios, digits: int,
     ratio(m) = (a, b) with b > 0 is the integer pair a/b = t_{m+1}/t_m
     (ratios.pairs(i, j) lists ratio(i..j-1)); it need not be reduced, and
     a = 0 ends the series.  The stop is accepted once |t_N| is below
-    10^-(digits+guard) relative to the partial sum and q = |ratio(N)| <= 1/2,
-    where N is the number of ratios applied (the partial sum holds
-    t_0..t_N).  Tail contract: the tail is at most |t_N| q / (1 - q) if,
-    from N on, either |ratio(m)| is nonincreasing (the geometric bound) or
-    the terms alternate in sign and shrink in absolute value (the tail is
-    then at most the first omitted term, |t_N| q; Machin's arctan).
+    2^-k <= 10^-(digits+guard) relative to the partial sum and
+    q = |ratio(N)| <= 1/2, where N is the number of ratios applied (the
+    partial sum holds t_0..t_N).  Tail contract: the tail is at most
+    |t_N| q / (1 - q) if, from N on, either |ratio(m)| is nonincreasing
+    (the geometric bound) or the terms alternate in sign and shrink in
+    absolute value (the tail is then at most the first omitted term,
+    |t_N| q; Machin's arctan).
 
     N is chosen before any term is summed.  The peak term is at the first m
     with |ratio(m)| <= 1; from there on, the first m >= 1 whose estimated
@@ -117,11 +118,11 @@ def _sum_ratio_series(t0: Pair, ratios: Ratios, digits: int,
     dozen float operations and a few single ratios.  Its ratios are summed
     by exact binary splitting (Haible & Papanikolaou 1998), so s_num/den
     equals the term-by-term sum of the same terms.  The stop condition is
-    then checked in exact arithmetic.  If the terms cancel and it fails, the
-    aim moves below the exact partial sum and the search goes on from
-    N + 1, folding only the new ratios.  Every search takes N at most
-    100 (digits + 20) and refuses a series that would need more before
-    building any pairs.
+    then checked exactly, by one comparison of integers shifted by k and
+    2k bits.  If the terms cancel and it fails, the aim moves below the
+    exact partial sum and the search goes on from N + 1, folding only the
+    new ratios.  Every search takes N at most 100 (digits + 20) and refuses
+    a series that would need more before building any pairs.
 
     ratios.log_size is a hint only: certification never rests on it.  An
     estimate that is off by more than float rounding costs extra terms,
@@ -134,11 +135,11 @@ def _sum_ratio_series(t0: Pair, ratios: Ratios, digits: int,
     t0n, t0d = t0
     if t0n == 0:
         return (0, 0, 1, 0, 0, 1, 0) if weighted else (0, 1, 0, 1, 0)
-    scale = 10 ** (digits + _TAIL_GUARD_DIGITS)
-    scale_bits = scale.bit_length()
+    # 2^-k <= 10^-(digits+guard): k rounds up, and 3.32193 > log2 10
+    k = -(-332193 * (digits + _TAIL_GUARD_DIGITS) // 100000)
     limit = 100 * (digits + 20)
-    # the aim is one factor e below the threshold, so the exact check
-    # nearly always passes at the first candidate
+    # the aim is a factor e below 10^-(digits+guard), e/2 below 2^-k, so
+    # the exact check nearly always passes at the first candidate
     log_thresh = -(digits + _TAIL_GUARD_DIGITS) * math.log(10) - 1
     log_t0 = math.log(abs(t0n)) - math.log(t0d)
 
@@ -176,11 +177,10 @@ def _sum_ratio_series(t0: Pair, ratios: Ratios, digits: int,
         s_num, den = t0n * (Q + T), t0d * Q
         last = t0n * P  # t_m = last / den
         a, b = ratio(m)
-        # |t_m| < 10^-(digits+guard) * max(|S|, 10^-(digits+guard)), with
-        # |t_m| (m + 2) if weighted, or every term after t_m is 0 (the tail
-        # below is then 0)
-        if not a or _below(last * (m + 2) if weighted else last, s_num, den,
-                           scale, scale_bits):
+        # |t_m| < 2^-k max(|S|, 2^-k), with |t_m| (m + 2) if weighted, or
+        # every term after t_m is 0 (the tail below is then 0)
+        x = last * (m + 2) if weighted else last
+        if not a or abs(x) << 2 * k < max(abs(s_num) << k, den):
             c, g = abs(last * a), b - abs(a)
             if not weighted:
                 return s_num, den, c, den * g, m + 1
@@ -190,22 +190,6 @@ def _sum_ratio_series(t0: Pair, ratios: Ratios, digits: int,
             log_top = max(math.log(abs(s_num)) - math.log(den),
                           log_t0 + ratios.log_size(m + 1))
         lo = m + 1
-
-
-def _below(last: int, s_num: int, den: int, scale: int,
-           scale_bits: int) -> bool:
-    """|last| scale^2 < max(|s_num| scale, den), decided from bit lengths
-    and multiplied out only when those are within two bits."""
-    # 2^(lhs_bits - 3) <= lhs < 2^lhs_bits (last != 0) and
-    # 2^(rhs_bits - 2) <= rhs < 2^rhs_bits
-    lhs_bits = last.bit_length() + 2 * scale_bits
-    rhs_bits = max(s_num.bit_length() + scale_bits if s_num else 0,
-                   den.bit_length())
-    if rhs_bits - lhs_bits >= 2:
-        return True
-    if lhs_bits - rhs_bits >= 3:
-        return False
-    return abs(last) * scale * scale < max(abs(s_num) * scale, den)
 
 
 def _0f1(sigma: Pair, rho: Pair) -> Ratios:

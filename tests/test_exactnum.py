@@ -138,6 +138,9 @@ class TestPrecReal:
     def test_decimal_rendering(self):
         assert PrecReal(F(1, 3)).decimal(6) == "0.333333"
         assert PrecReal(F(-7, 4)).decimal(2) == "-1.75"
+        # no fractional digits: the integer part, rounded half up
+        assert PrecReal(F(-7, 4)).decimal(0) == "-2"
+        assert PrecReal(F(7, 2)).decimal(0) == "4"
 
     def test_repr(self):
         # a dyadic center and radius are held exactly

@@ -326,6 +326,22 @@ class TestBinarySplitting:
         scaled = summed(t0, lambda m: tuple(k * x for x in ratio(m)), digits)
         assert scaled == summed(t0, ratio, digits)
 
+    # the stop contract, checked on Fractions: 2^-k must round
+    # 10^-(digits+10) down, so k rounded down would fail here
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("digits", [5, 60, 400])
+    def test_last_term_is_below_the_stop(self, digits, weighted):
+        eps = F(1, 10 ** (digits + 10))
+        for t0, ratio in ALL_SERIES:
+            out = _sum_ratio_series((t0.numerator, t0.denominator),
+                                    walked(ratio), digits, weighted)
+            n = out[-1]  # t_0 .. t_N summed, N = n - 1 >= 1
+            total = naive_sum(t0, ratio, n)
+            assert total == F(out[0], out[2] if weighted else out[1])
+            last = abs(total - naive_sum(t0, ratio, n - 1))
+            assert last * (n + 1 if weighted else 1) < eps * max(abs(total),
+                                                                 eps)
+
 
 def reference_walk(t0, ratio, digits):
     """The kernel as it was before N was chosen up front, kept as the
@@ -335,8 +351,7 @@ def reference_walk(t0, ratio, digits):
     t0n, t0d = t0
     if t0n == 0:
         return 0, 1, 0, 1, 0
-    scale = 10 ** (digits + 10)
-    scale_bits = scale.bit_length()
+    k = -(-332193 * (digits + 10) // 100000)  # 2^-k <= 10^-(digits + 10)
     log_thresh = -(digits + 10) * math.log(10) - 1
     log_t = log_top = math.log(abs(t0n)) - math.log(t0d)
     pairs = []
@@ -353,7 +368,7 @@ def reference_walk(t0, ratio, digits):
                 n = m
             s_num, den = t0n * (Q + T), t0d * Q
             last = t0n * P
-            if not a or limits._below(last, s_num, den, scale, scale_bits):
+            if not a or abs(last) << 2 * k < max(abs(s_num) << k, den):
                 return s_num, den, abs(last * a), den * (b - abs(a)), m + 1
             if s_num:
                 log_top = math.log(abs(s_num)) - math.log(den)
@@ -432,17 +447,14 @@ class TestChosenLength:
         (F(11), F(-10000), 10, 5, 290)])
     def test_cancellation_re_aims(self, monkeypatch, sigma, rho, digits,
                                   failed, terms):
-        checks, below = [], limits._below
-
-        def spy(*args):
-            checks.append(below(*args))
-            return checks[-1]
-
-        monkeypatch.setattr(limits, "_below", spy)
+        # one fold per exact check: every failed check folds once more
+        folds = []
+        monkeypatch.setattr(limits, "_split",
+                            lambda *a: folds.append(a) or _split(*a))
         ratios = limits._0f1((sigma.numerator, sigma.denominator),
                              (rho.numerator, rho.denominator))
         result = _sum_ratio_series((1, 1), ratios, digits)
-        assert checks.count(False) == failed and checks[-1]
+        assert len(folds) == failed + 1
         assert result[4] == terms
         monkeypatch.undo()
         assert result == reference_walk(
@@ -941,6 +953,19 @@ def test_limits_deep_certify_at_the_first_attempt(monkeypatch):
             fn(CFParams(*t), digits)
     assert len(widths) == 20
     assert all(len(tried) == 1 for tried in widths), widths
+
+
+def test_higher_precision_never_loosens_the_ball():
+    calls = [(f"{fn.__name__}{t}", lambda D, fn=fn, t=t: fn(CFParams(*t), D))
+             for t in GOLDEN_TUPLES for fn in (xi_limit, xi_bessel)]
+    calls += [("sin 1", lambda D: sin_prec(F(1), D)),
+              ("exp -3", lambda D: exp_prec(F(-3), D)), ("pi", pi_prec),
+              ("I_7/2(1/3)", lambda D: bessel_I(F(7, 2), F(1, 3), D))]
+    for name, call in calls:
+        errs = [call(D).err for D in range(5, 61)]
+        grew = [D for D, (e, e1) in enumerate(zip(errs, errs[1:]), 6)
+                if e1 > e]
+        assert grew == [], name
 
 
 def test_certified_path_takes_no_long_gcd(monkeypatch):

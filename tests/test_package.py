@@ -25,6 +25,13 @@ def test_readme_magic_pairs_example():
     assert magic_pairs(CFParams(1, 2, 2, 3, 2)) == ((6, 4), (1, 16))
 
 
+def test_readme_limit_example():
+    from hurwitzcf import CFParams, xi_limit
+    # e - 1 = 1.71828...69995957..., rounded half up at the 50th digit
+    assert xi_limit(CFParams(1, 2, 2, 3, 2), 50).decimal(50, certified=True) \
+        == "1.71828182845904523536028747135266249775724709369996"
+
+
 @functools.lru_cache(maxsize=None)
 def _loaded(code: str) -> frozenset:
     """The modules loaded after running `code` in a fresh interpreter that

@@ -57,6 +57,8 @@ REFUSALS = {  # test id: (call, error, message)
                         TypeError, "must be ints, got Fraction, int"),
     "negative-radius": (lambda: PrecReal(1, -1), ValueError,
                         "error bound must be nonnegative"),
+    "decimal-digits": (lambda: PrecReal(1).decimal(-2), ValueError,
+                       "digits must be >= 0, got -2"),
 }
 
 
