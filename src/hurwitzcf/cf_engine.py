@@ -2,8 +2,10 @@
 
 A partial-denominator stream is any callable index -> int (a_0 may be any
 integer, a_n >= 1 for n >= 1), so infinite quasi-periodic streams plug in
-directly.  The recurrence path is the workhorse; the Euler-Mindig even-subset
-formula is kept as an independent oracle.
+directly.  The recurrence path is the workhorse: each step computes
+p_n = a_n p_{n-1} + p_{n-2} and the same for q, as the one addition
+p_{n-1} + p_{n-2} when a_n = 1 (two of every three terms of e - 1).  The
+Euler-Mindig even-subset formula is kept as an independent oracle.
 """
 
 from __future__ import annotations
@@ -25,38 +27,60 @@ class Convergent(NamedTuple):
 
 
 def stream_from_list(a: Sequence[int]) -> DenomStream:
+    """The stream a_0, a_1, ... of a finite list; a negative index raises
+    IndexError rather than counting from the end."""
     a = list(a)
-    return lambda i: a[i]
+
+    def stream(i: int) -> int:
+        if i < 0:
+            raise IndexError(i)
+        return a[i]
+
+    return stream
 
 
 def convergents(a: DenomStream, n_max: int) -> list[Convergent]:
     """Convergents for n = -1, 0, ..., n_max by the standard recurrence
-    p_n = a_n p_{n-1} + p_{n-2}, q_n = a_n q_{n-1} + q_{n-2}."""
+    p_n = a_n p_{n-1} + p_{n-2}, q_n = a_n q_{n-1} + q_{n-2}.
+
+    Each step makes the two new integers and one Convergent: a unit term
+    costs one addition each, with no product, and the entry is built by
+    tuple.__new__, skipping the Python-level NamedTuple constructor."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    out = [Convergent(-1, 1, 0)]
+    new = tuple.__new__
     p_prev, q_prev = 1, 0
     p, q = a(0), 1
-    out.append(Convergent(0, p, q))
+    out = [new(Convergent, (-1, 1, 0)), new(Convergent, (0, p, q))]
+    append = out.append
     for n in range(1, n_max + 1):
         an = a(n)
-        p, p_prev = an * p + p_prev, p
-        q, q_prev = an * q + q_prev, q
-        out.append(Convergent(n, p, q))
+        if an == 1:
+            p, p_prev = p + p_prev, p
+            q, q_prev = q + q_prev, q
+        else:
+            p, p_prev = an * p + p_prev, p
+            q, q_prev = an * q + q_prev, q
+        append(new(Convergent, (n, p, q)))
     return out
 
 
 def _last_convergent(a: DenomStream, n: int) -> Convergent:
     """The convergent at n alone, by the recurrence of `convergents`
-    without keeping the earlier ones."""
+    without keeping the earlier ones: each step keeps only (p_i, p_{i-1})
+    and (q_i, q_{i-1}), and a unit term is one addition each."""
     if n < 0:
         raise ValueError("n must be >= 0")
     p_prev, q_prev = 1, 0
     p, q = a(0), 1
     for i in range(1, n + 1):
         ai = a(i)
-        p, p_prev = ai * p + p_prev, p
-        q, q_prev = ai * q + q_prev, q
+        if ai == 1:
+            p, p_prev = p + p_prev, p
+            q, q_prev = q + q_prev, q
+        else:
+            p, p_prev = ai * p + p_prev, p
+            q, q_prev = ai * q + q_prev, q
     return Convergent(n, p, q)
 
 

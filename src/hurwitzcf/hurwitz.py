@@ -11,6 +11,7 @@ convolution recurrence, and - via cf_engine - the plain convergent recurrence.
 from __future__ import annotations
 
 import math
+from operator import mul
 from typing import Literal
 
 from .cf_engine import Convergent, DenomStream
@@ -173,7 +174,10 @@ def prec_recurrence_p(params: CFParams, n_max: int) -> list[int]:
     p_{nd+r-1} = F_{nd+r+1}(a)
                  + sum_{k<n} p_{kd+r-1} (beta0 + beta1 k - a) F_{(n-k)d}(a)
 
-    with p_{r-1} = F_{r+1}(a).
+    with p_{r-1} = F_{r+1}(a).  The weight p_{kd+r-1} (beta0 + beta1 k - a)
+    is formed once, when p_{kd+r-1} is found; step n then sums the n
+    products of the weights with F_{nd}, F_{(n-1)d}, ..., F_d: still
+    O(n_max^2) big-integer products, and no convergent of cf_engine.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -183,9 +187,11 @@ def prec_recurrence_p(params: CFParams, n_max: int) -> list[int]:
     while len(fib) < n_max * d + r + 2:
         fib.append(a * fib[-1] + fib[-2])
     out: list[int] = []
+    weights: list[int] = []  # p_{kd+r-1} (b0 + b1 k - a), k < n
     for n in range(n_max + 1):
-        out.append(fib[n * d + r + 1] + sum(
-            out[k] * (b0 + b1 * k - a) * fib[(n - k) * d] for k in range(n)))
+        p = fib[n * d + r + 1] + sum(map(mul, weights, fib[n * d:0:-d]))
+        out.append(p)
+        weights.append(p * (b0 + b1 * n - a))
     return out
 
 

@@ -111,6 +111,41 @@ def naive_euler_mindig(a, n: int) -> Convergent:
     return Convergent(n, em_sum(0), em_sum(1))
 
 
+def plain_convergents(a, n_max: int) -> list[Convergent]:
+    """Convergents for n = -1, 0, ..., n_max by the recurrence
+    p_n = a_n p_{n-1} + p_{n-2}, q_n = a_n q_{n-1} + q_{n-2}, with the
+    product taken at every step, unit terms included."""
+    out = [Convergent(-1, 1, 0)]
+    p_prev, q_prev = 1, 0
+    p, q = a(0), 1
+    out.append(Convergent(0, p, q))
+    for n in range(1, n_max + 1):
+        an = a(n)
+        p, p_prev = an * p + p_prev, p
+        q, q_prev = an * q + q_prev, q
+        out.append(Convergent(n, p, q))
+    return out
+
+
+def double_sum_numerators(params: CFParams, n_max: int) -> list[int]:
+    """p_{nd+r-1}, n = 0..n_max, by the compact recurrence as written,
+
+        p_{nd+r-1} = F_{nd+r+1}(a)
+                     + sum_{k<n} p_{kd+r-1} (beta0 + beta1 k - a) F_{(n-k)d},
+
+    each weight recomputed inside every later sum."""
+    a, b0, b1, d, r = (params.alpha, params.beta0, params.beta1,
+                       params.d, params.r)
+    fib = [0, 1]
+    while len(fib) < n_max * d + r + 2:
+        fib.append(a * fib[-1] + fib[-2])
+    out: list[int] = []
+    for n in range(n_max + 1):
+        out.append(fib[n * d + r + 1] + sum(
+            out[k] * (b0 + b1 * k - a) * fib[(n - k) * d] for k in range(n)))
+    return out
+
+
 class TestFallingFactorial:
     def test_empty_product(self):
         assert falling_factorial(F(3, 2), 0) == 1

@@ -4,11 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hurwitzcf.cf_engine import (_last_convergent, convergents, euler_mindig,
-                                 eval_finite, shift_check, stream_from_list)
+from hurwitzcf.cf_engine import (Convergent, _last_convergent, convergents,
+                                 euler_mindig, eval_finite, shift_check,
+                                 stream_from_list)
 from hurwitzcf.errors import IndexTooLarge
+from hurwitzcf.hurwitz import CFParams, denom_stream
 
-from reference import is_even_set, naive_euler_mindig
+from reference import is_even_set, naive_euler_mindig, plain_convergents
 
 E_STREAM = [2, 1, 2, 1, 1, 4, 1, 1, 6, 1, 1, 8, 1, 1, 10, 1, 1, 12]
 TAN1_STREAM = [1, 1, 1, 3, 1, 5, 1, 7, 1, 9, 1, 11]
@@ -37,6 +39,32 @@ def test_determinant_identity_and_coprimality():
             n = cur.n
             assert cur.p * prev.q - prev.p * cur.q == (-1) ** (n - 1)
             assert math.gcd(cur.p, cur.q) == 1
+
+
+# a_0 is any integer; the later terms are mostly 1, the unit-term step
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-3, 9),
+       st.lists(st.sampled_from([1, 1, 1, 2, 3, 7]), max_size=40))
+@example(1, [1] * 40)
+@example(0, [1, 2, 1, 1, 5])
+@example(0, [])
+def test_convergents_equal_the_plain_recurrence(a0, rest):
+    s = stream_from_list([a0] + rest)
+    n = len(rest)
+    convs = convergents(s, n)
+    assert convs == plain_convergents(s, n)
+    for c in convs:
+        assert type(c) is Convergent
+        assert c._fields == ("n", "p", "q")
+    assert _last_convergent(s, n) == convs[-1]
+
+
+def test_determinant_identity_at_depth():
+    # p_n q_{n-1} - p_{n-1} q_n = (-1)^(n+1) through thousands of unit terms
+    for params in (CFParams(1, 2, 2, 3, 2), CFParams(2, 1, 1, 2, 1)):
+        convs = convergents(denom_stream(params), 3000)
+        for prev, cur in zip(convs, convs[1:]):
+            assert cur.p * prev.q - prev.p * cur.q == (-1) ** (cur.n + 1)
 
 
 def test_is_even_set_examples():

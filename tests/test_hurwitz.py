@@ -19,7 +19,8 @@ from hurwitzcf.hurwitz import (CFParams, _scaled_first_sum,
                                fib_transform, magic_pairs,
                                normalized_numerator, prec_recurrence_p,
                                sigma_tag)
-from reference import falling_factorial, gbinom, sigma_rho
+from reference import (double_sum_numerators, falling_factorial, gbinom,
+                       sigma_rho)
 
 E_MINUS_1 = CFParams(1, 2, 2, 3, 2)
 TAN_1 = CFParams(1, 1, 2, 2, 1)
@@ -301,6 +302,19 @@ class TestPrecRecurrence:
         ps = prec_recurrence_p(TAN_1, 3)
         convs = convergents(denom_stream(TAN_1), 6)
         assert ps[3] == convs[7].p
+
+    # the weights formed once against the double sum as written; at
+    # n_max = 0 the slice of Fibonacci numbers is empty
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 6), st.integers(1, 4),
+           st.integers(1, 4), st.integers(0, 8), st.integers(0, 12))
+    @example(1, 2, 2, 3, 2, 0)
+    @example(1, 1, 1, 1, 2, 12)
+    @example(3, 1, 2, 4, 8, 12)
+    def test_equals_the_double_sum(self, a, b0, b1, d, r, n_max):
+        params = CFParams(a, b0, b1, d, r % (2 * d + 1))  # r <= 2d
+        assert (prec_recurrence_p(params, n_max)
+                == double_sum_numerators(params, n_max))
 
 
 def _grid(alpha_max=3, beta_max=3, d_max=3):

@@ -12,6 +12,8 @@ S = cf_engine.stream_from_list([1, 2, 3, 4])
 P = hurwitz.CFParams(1, 2, 2, 3, 2)
 
 REFUSALS = {  # test id: (call, error, message)
+    "stream-from-list": (lambda: cf_engine.stream_from_list([3, 1, 4])(-1),
+                         IndexError, "-1"),
     "convergents": (lambda: cf_engine.convergents(S, -1), ValueError,
                     "n_max must be >= 0"),
     "last-convergent": (lambda: cf_engine._last_convergent(S, -1),
