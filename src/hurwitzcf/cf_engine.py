@@ -99,15 +99,16 @@ def euler_mindig(a: DenomStream, n: int) -> Convergent:
         # waiting[i] holds one product (of the elements left out of the
         # set) per partial even set whose next undecided position is i.  At
         # i, an even run i..gap-1 (possibly empty) starts there and gap is
-        # outside the set, or the run i..n ends the set.  Products are
-        # never merged: one leaf per even set.
+        # outside the set, or the run i..n ends the set.  A unit a_gap
+        # passes the products on unmultiplied.  Products are never merged:
+        # one leaf per even set.
         waiting = [[] for _ in range(n + 2)]
         waiting[lo].append(1)
         for i in range(lo, n + 1):
             prods = waiting[i]
             for gap in range(i, n + 1, 2):
                 v = vals[gap]
-                waiting[gap + 1] += [p * v for p in prods]
+                waiting[gap + 1] += prods if v == 1 else [p * v for p in prods]
             if (n - i) % 2:
                 waiting[n + 1] += prods
         return sum(waiting[n + 1])

@@ -3,10 +3,12 @@
 The two characterization theorems (d >= 2) are one case table, `_CASES`.
 `brute_force_sweep` confirms it one tuple at a time: `hurwitz.sigma_tag` of
 the integer pair N/D = ((b0 - alpha) F_d + L_d) / (b1 F_d), at alpha, must be
-the tag claimed by exactly the matching rows.  Only F_{d-1}, F_d are carried
-across d (L_d = alpha F_d + 2 F_{d-1}).  The report counts every tuple of the
-box and lists each mismatch; none is raised.  A box whose cost (tuples,
-weighted by the length of F_d) exceeds SWEEP_GUARD is refused.
+the tag claimed by exactly the matching rows.  At an (alpha, d) with no row
+no theorem claims anything, so a tuple passes iff D does not divide 2N: one
+remainder, with `sigma_tag` called only for a mismatch.  Only F_{d-1}, F_d
+are carried across d (L_d = alpha F_d + 2 F_{d-1}).  The report counts every
+tuple of the box and lists each mismatch; none is raised.  A box whose cost
+(tuples, weighted by the length of F_d) exceeds SWEEP_GUARD is refused.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from .exactnum import _fraction_text
 from .hurwitz import CFParams, SigmaTag, magic_pairs, sigma_tag
 
 # the most work brute_force_sweep accepts, in tuples at small d (see the
-# cost in brute_force_sweep): a few seconds on a 2-core box
+# cost in brute_force_sweep): on one core of a 2-core box, about 0.3 s at
+# small d and 1-2 s at large d, where the work on the long F_d dominates
 SWEEP_GUARD = 4_000_000
 
 
@@ -101,16 +104,28 @@ class SweepReport(NamedTuple):
         }
 
 
+def _mismatch(a: int, b0: int, b1: int, d: int, num: int, den: int) -> dict:
+    return {"alpha": a, "beta0": b0, "beta1": b1, "d": d,
+            "sigma": _fraction_text(Fraction(num, den)),
+            "tag": sigma_tag(num, den)}
+
+
 def brute_force_sweep(alpha_max: int, d_max: int,
                       beta_max: int) -> SweepReport:
     """Exhaustively confirm both characterizations on the box
     alpha <= alpha_max, 2 <= d <= d_max, beta0, beta1 <= beta_max."""
+    bounds = (alpha_max, d_max, beta_max)
+    if any(type(x) is not int for x in bounds):
+        raise TypeError("alpha_max, d_max, beta_max must be ints, got "
+                        + ", ".join(type(x).__name__ for x in bounds))
     if alpha_max < 2 or d_max < 2 or beta_max < 2:
         raise ValueError("all bounds must be >= 2")
     size = alpha_max * (d_max - 1) * beta_max ** 2
     # a tuple works on F_d(alpha), about d log2(alpha) bits long; each
-    # 64-bit word of it adds about 1/50 of the tuple's fixed cost.  The
-    # weight 1 + bits/3200 is compared unrounded, scaled by 3200.
+    # 64-bit word of it added about 1/50 of the fixed cost of a tuple
+    # tagged by sigma_tag.  The one-remainder tuples keep that weight, so
+    # the same boxes are refused.  The weight 1 + bits/3200 is compared
+    # unrounded, scaled by 3200.
     cost = size * (3200 + d_max * alpha_max.bit_length())
     if cost > SWEEP_GUARD * 3200:
         raise ValueError(f"{size} tuples up to d = {d_max} (cost "
@@ -121,21 +136,34 @@ def brute_force_sweep(alpha_max: int, d_max: int,
         f1, fd = 1, a  # F_{d-1}, F_d
         for d in range(2, d_max + 1):
             rows, ld = _rows_at(a, d), a * fd + 2 * f1  # L_d
-            for b1 in betas:
-                den = b1 * fd
-                for b0 in betas:
-                    num = (b0 - a) * fd + ld
-                    tag = sigma_tag(num, den)
-                    claim = "other"  # tag claimed by matching rows, or "both"
-                    for th, i, c, e, want in rows:
-                        if sigma_tag(c * b0 + e, b1) == want:
-                            hits[th][i] += 1
-                            claim = th if claim in ("other", th) else "both"
-                    if claim != tag:
-                        mismatches.append({
-                            "alpha": a, "beta0": b0, "beta1": b1, "d": d,
-                            "sigma": _fraction_text(Fraction(num, den)),
-                            "tag": tag})
+            if not rows:
+                # no theorem claims anything here, so a tuple passes iff
+                # sigma is "other": iff D does not divide 2N.  2N runs over
+                # an arithmetic progression in b0, the same for every b1.
+                twice = range(2 * ((1 - a) * fd + ld),
+                              2 * ((beta_max + 1 - a) * fd + ld), 2 * fd)
+                for b1 in betas:
+                    den = b1 * fd
+                    for num2 in twice:
+                        if not num2 % den:
+                            mismatches.append(_mismatch(
+                                a, twice.index(num2) + 1, b1, d, num2 // 2,
+                                den))
+            else:
+                for b1 in betas:
+                    den = b1 * fd
+                    for b0 in betas:
+                        num = (b0 - a) * fd + ld
+                        tag = sigma_tag(num, den)
+                        claim = "other"  # claimed by matching rows, or "both"
+                        for th, i, c, e, want in rows:
+                            if sigma_tag(c * b0 + e, b1) == want:
+                                hits[th][i] += 1
+                                claim = (th if claim in ("other", th)
+                                         else "both")
+                        if claim != tag:
+                            mismatches.append(
+                                _mismatch(a, b0, b1, d, num, den))
             f1, fd = fd, a * fd + f1
     return SweepReport(alpha_max, d_max, beta_max, size, hits["half-odd"],
                        hits["integer"], mismatches)

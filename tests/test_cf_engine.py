@@ -111,6 +111,8 @@ def test_naive_euler_mindig_agrees_with_run_enumeration():
 @given(st.lists(st.integers(1, 50), min_size=1, max_size=15))
 @example([7])
 @example(list(range(50, 35, -1)))
+@example([1] * 15)  # every product passed on unmultiplied
+@example([1, 3, 1, 1, 7, 1, 2, 1, 1, 50, 1, 4, 1, 1, 9])  # units mixed in
 def test_batched_walk_equals_naive(a):
     s = stream_from_list(a)
     n = len(a) - 1

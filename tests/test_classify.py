@@ -3,6 +3,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hurwitzcf import classify
 from hurwitzcf.classify import (SWEEP_GUARD, SigmaClass, brute_force_sweep,
@@ -234,6 +236,37 @@ class TestSweep:
         assert got["mismatches"]
         assert got == reference_sweep(*box, *ref_args)
 
+    # one row dropped on both sides.  The alpha=4 row is the only one at
+    # (4, 2), which then takes the no-row path; (1, 3) keeps its half-odd
+    # row when its integer row goes.  Every tuple the dropped row claimed
+    # is a mismatch, tagged with its theorem.
+    @pytest.mark.parametrize("claim, index, count", [
+        ("half-odd", 3, 14), ("integer", 0, 21)])
+    def test_dropped_case_row_matches_reference(self, monkeypatch, claim,
+                                                index, count):
+        rows = classify._CASES[claim]
+        _, d, a, *_ = rows[index]
+        monkeypatch.setitem(classify._CASES, claim,
+                            rows[:index] + rows[index + 1:])
+        ref_cases = {"half-odd": list(_REF_HALF_ODD_CASES),
+                     "integer": list(_REF_INTEGER_CASES)}
+        del ref_cases[claim][index]
+
+        box = (8, 5, 8)
+        got = brute_force_sweep(*box).to_dict()
+        assert got == reference_sweep(*box, ref_cases["half-odd"],
+                                      ref_cases["integer"])
+        assert len(got["mismatches"]) == count
+        assert {(m["alpha"], m["d"], m["tag"])
+                for m in got["mismatches"]} == {(a, d, claim)}
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(2, 12), st.integers(2, 30), st.integers(2, 10))
+    def test_random_box_matches_reference_sweep(self, alpha_max, d_max,
+                                                beta_max):
+        box = (alpha_max, d_max, beta_max)
+        assert brute_force_sweep(*box).to_dict() == reference_sweep(*box)
+
     def test_mismatch_sigma_beyond_the_str_digit_limit(self, monkeypatch):
         # a wrong row at d = 1700, where sigma's denominator has more than
         # 640 digits, the lowest limit the interpreter accepts
@@ -266,8 +299,8 @@ class TestSweep:
         assert 10 * 60 * 11 * 20 ** 2 <= SWEEP_GUARD
 
     # few tuples, but F_d(2) of 50000 and 500000 bits: refused by their
-    # cost; (2, 1599, 35) is just under the tuple guard with F_d of 1600
-    # bits, a weight of 1.5 that must not round down to 1
+    # cost; (2, 1599, 35) is just under the tuple guard with a weight of
+    # 1 + 1599 * 2 / 3200 that must not round down to 1
     @pytest.mark.parametrize("box", [(2, 50000, 2), (2, 500000, 2),
                                      (2, 1599, 35)])
     def test_size_guard_counts_long_integers(self, monkeypatch, capsys, box):

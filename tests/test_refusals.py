@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from hurwitzcf import cf_engine, fibpoly, hurwitz, identities, limits
+from hurwitzcf import (cf_engine, classify, fibpoly, hurwitz, identities,
+                       limits)
 from hurwitzcf.errors import PrecisionExhausted
 from hurwitzcf.exactnum import PrecReal
 
@@ -57,6 +58,12 @@ REFUSALS = {  # test id: (call, error, message)
                      "beta0, beta1 must be ints, got float, int"),
     "perron-fraction": (lambda: limits.perron_d1(Fraction(3, 2), 1, 10),
                         TypeError, "must be ints, got Fraction, int"),
+    "sweep-float": (lambda: classify.brute_force_sweep(40.0, 10, 14),
+                    TypeError,
+                    "alpha_max, d_max, beta_max must be ints, got float, "
+                    "int, int"),
+    "sweep-beta-float": (lambda: classify.brute_force_sweep(40, 10, 14.0),
+                         TypeError, "must be ints, got int, int, float"),
     "negative-radius": (lambda: PrecReal(1, -1), ValueError,
                         "error bound must be nonnegative"),
     "decimal-digits": (lambda: PrecReal(1).decimal(-2), ValueError,
