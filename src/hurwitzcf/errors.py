@@ -21,9 +21,5 @@ class PrecisionExhausted(HurwitzError):
     """Internal precision escalation hit its cap before certification."""
 
 
-class UnsupportedOrder(HurwitzError):
-    """Standalone Bessel value requested at an order with no elementary form."""
-
-
 class UnsupportedD(HurwitzError):
     """Classification theorems only apply for quasi-period d >= 2."""

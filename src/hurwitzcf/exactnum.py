@@ -74,9 +74,11 @@ def mantissa_bits(digits: int) -> int:
     return (digits * 10 + 2) // 3 + 64
 
 
-def _check_digits(digits: int) -> None:
-    if digits < 1:
-        raise ValueError(f"digits must be >= 1, got {digits}")
+def _check_digits(digits: int, least: int = 1) -> None:
+    if type(digits) is not int:  # bools too: True would certify 1 digit
+        raise TypeError(f"digits must be an int, got {type(digits).__name__}")
+    if digits < least:
+        raise ValueError(f"digits must be >= {least}, got {digits}")
 
 
 # Working bits of a ball that has to be rounded but was given no precision:
@@ -293,8 +295,7 @@ class PrecReal:
         ``certified``, None unless both ends (m - r) 2^e and (m + r) 2^e
         render to the same text, so that every printed digit is the
         ball's."""
-        if digits < 0:
-            raise ValueError(f"digits must be >= 0, got {digits}")
+        _check_digits(digits, 0)
         scale = 10 ** digits
         m = self.m * scale
 

@@ -117,21 +117,3 @@ def fib_via_even_sets(n: int) -> tuple:
     for s in _even_subsets(1, n - 1):
         coeffs[(n - 1) - len(s)] += 1
     return tuple(_trim(coeffs))
-
-
-def fib_generating_check(d: int, r: int, alpha: int, N: int) -> bool:
-    """Check the generating function of the subsequence F_{nd+r+1}(alpha):
-
-    (1 - L_d(a) t + (-1)^d t^2) * sum_{n<=N} F_{nd+r+1}(a) t^n
-        = F_{r+1}(a) + (-1)^(r+1) F_{d-r-1}(a) t   (mod t^(N+1))
-    """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    a = alpha
-    s = [0, 0] + [fib_eval(n * d + r + 1, a) for n in range(N + 1)]
-    lucas, sign = lucas_eval(d, a), (-1) ** d
-    expect = [fib_eval(r + 1, a),
-              (-1) ** (r + 1) * fib_eval(d - r - 1, a)] + [0] * (N - 1)
-    # coefficient n of the product: s_n - L_d s_{n-1} + (-1)^d s_{n-2}
-    return all(s[n + 2] - lucas * s[n + 1] + sign * s[n] == want
-               for n, want in enumerate(expect))

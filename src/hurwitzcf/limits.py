@@ -2,9 +2,8 @@
 
 Everything here reduces to exact rational series with rigorous truncation
 bounds.  With sigma, rho rational the two series are A = 0F1(; sigma; rho)
-and B = rho/sigma 0F1(; sigma+1; rho), and cos, sin, cosh, sinh are the same
-series at sigma = 1/2, 3/2.  One term ratio, `_0f1`, gives all of them as
-integer pairs, the format of every ratio passed to `_sum_ratio_series`,
+and B = rho/sigma 0F1(; sigma+1; rho).  One term ratio, `_0f1`, gives both
+as integer pairs, the format of every ratio passed to `_sum_ratio_series`,
 together with a closed-form estimate of the size of the terms (lgamma),
 from which the kernel chooses the number of terms before summing any.
 Every rational on the way to a limit is such a pair (num, den), unreduced,
@@ -17,21 +16,19 @@ over one denominator, and integer rows give (m00 A + m01 B) / (m10 A +
 m11 B) as one PrecReal quotient of two balls.  `xi_limit` takes the rows of
 `fib_transform`; `xi_bessel` at half-odd sigma folds into them the order
 recurrence walked on integers from cosh, sinh (cos, sin), which are A and
-s g B at sigma = 1/2, and `bessel_I`, `bessel_J` take the same walk: no
-Gamma evaluator exists here.  `series_AB` (two series, two balls) is public
-but unused here; `perron_d1`, the oracle of `lehmer_d1`, sums two series too.
+s g B at sigma = 1/2: no Gamma evaluator, no pi and no square root exist
+here.  `perron_d1`, the oracle of `lehmer_d1`, sums its two series apart
+(`_ball`) and divides the balls.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .errors import PrecisionExhausted, UnsupportedOrder
-from .exactnum import (PrecReal, _check_digits, _shifted_quotient, _split,
-                       mantissa_bits)
+from .errors import PrecisionExhausted
+from .exactnum import PrecReal, _check_digits, _split, mantissa_bits
 from .hurwitz import CFParams, fib_transform, magic_pairs, sigma_tag
 
 _TAIL_GUARD_DIGITS = 10
@@ -46,14 +43,6 @@ def _max_precision_bits() -> int:
     except ValueError:
         raise ValueError(f"HURWITZ_MAX_PRECISION must be an integer number "
                          f"of bits, got {text!r}") from None
-
-
-def _pair(x) -> Pair:
-    """A rational as the pair (num, den); a pair passes through."""
-    if isinstance(x, tuple):
-        return x
-    x = Fraction(x)
-    return x.numerator, x.denominator
 
 
 # ---------------------------------------------------------------------------
@@ -105,10 +94,8 @@ def _sum_ratio_series(t0: Pair, ratios: Ratios, digits: int,
     2^-k <= 10^-(digits+guard) relative to the partial sum and
     q = |ratio(N)| <= 1/2, where N is the number of ratios applied (the
     partial sum holds t_0..t_N).  Tail contract: the tail is at most
-    |t_N| q / (1 - q) if, from N on, either |ratio(m)| is nonincreasing
-    (the geometric bound) or the terms alternate in sign and shrink in
-    absolute value (the tail is then at most the first omitted term,
-    |t_N| q; Machin's arctan).
+    |t_N| q / (1 - q) if |ratio(m)| is nonincreasing from N on (the
+    geometric bound), as every 0F1 ratio at sigma > 0 is.
 
     N is chosen before any term is summed.  The peak term is at the first m
     with |ratio(m)| <= 1; from there on, the first m >= 1 whose estimated
@@ -229,103 +216,8 @@ def _ball(t0: Pair, ratios: Ratios, digits: int) -> PrecReal:
                            mantissa_bits(digits))
 
 
-class SeriesValue(NamedTuple):
-    A: PrecReal
-    B: PrecReal
-    terms_used: int
-
-
-def series_AB(sigma: Fraction | Pair, rho: Fraction | Pair,
-              digits: int) -> SeriesValue:
-    """A = sum_m rho^m / (m! (sigma+m-1)_m) and
-    B = sum_m rho^(m+1) / (m! (sigma+m)_(m+1)), certified to the requested
-    precision (the terms decay superfactorially for either sign of rho).
-    sigma and rho are rationals or integer pairs (num, den)."""
-    _check_digits(digits)
-    (p, q), (u, v) = sigma, rho = _pair(sigma), _pair(rho)
-    if p <= 0:
-        raise ValueError("sigma must be positive")
-    prec = mantissa_bits(digits)
-    a = _sum_ratio_series((1, 1), _0f1(sigma, rho), digits)
-    # B's first term is rho / sigma, its ratio that of 0F1(; sigma + 1; rho)
-    b = _sum_ratio_series((u * q, v * p), _0f1((p + q, q), rho), digits)
-    return SeriesValue(PrecReal._ratio(*a[:4], prec),
-                       PrecReal._ratio(*b[:4], prec), max(a[4], b[4]))
-
-
 # ---------------------------------------------------------------------------
-# elementary kernels (certified Taylor sums at rational arguments):
-# cos, cosh = 0F1(; 1/2; -+x^2/4) and sin, sinh = x 0F1(; 3/2; -+x^2/4)
-
-
-def _taylor(x, sign: int, odd: bool, digits: int) -> PrecReal:
-    p, q = _pair(x)
-    ratio = _0f1((3, 2) if odd else (1, 2), (sign * p * p, 4 * q * q))
-    return _ball((p, q) if odd else (1, 1), ratio, digits)
-
-
-def sin_prec(x: Fraction, digits: int) -> PrecReal:
-    return _taylor(x, -1, True, digits)
-
-
-def cos_prec(x: Fraction, digits: int) -> PrecReal:
-    return _taylor(x, -1, False, digits)
-
-
-def sinh_prec(x: Fraction, digits: int) -> PrecReal:
-    return _taylor(x, 1, True, digits)
-
-
-def cosh_prec(x: Fraction, digits: int) -> PrecReal:
-    return _taylor(x, 1, False, digits)
-
-
-def exp_prec(x: Fraction, digits: int) -> PrecReal:
-    p, q = _pair(x)
-    # p = 0: every ratio is 0, and the kernel stops at m = 0 unasked
-    log_x = math.log(abs(p)) - math.log(q) if p else -math.inf
-    return _ball((1, 1), Ratios(
-        lambda i, j: [(p, q * (m + 1)) for m in range(i, j)],
-        lambda m: m * log_x - math.lgamma(m + 1)), digits)
-
-
-def _arctan_inv(x: int, digits: int) -> PrecReal:
-    """arctan(1/x) = sum_n (-1)^n / ((2n+1) x^(2n+1)) for integer x >= 2.
-
-    |ratio| grows toward 1/x^2, but the series alternates with decreasing
-    terms: the kernel's second tail condition."""
-    log_x = math.log(x)
-    return _ball((1, x), Ratios(
-        lambda i, j: [(-(2 * m + 1), x * x * (2 * m + 3))
-                      for m in range(i, j)],
-        lambda m: -2 * m * log_x - math.log(2 * m + 1)), digits)
-
-
-def pi_prec(digits: int) -> PrecReal:
-    # Machin: pi = 16 arctan(1/5) - 4 arctan(1/239)
-    return 16 * _arctan_inv(5, digits) - 4 * _arctan_inv(239, digits)
-
-
-def sqrt_prec(x, digits: int) -> PrecReal:
-    """Certified square root of a nonnegative rational or PrecReal ball:
-    with n = floor(v 4^bits) at each end v, isqrt(n) 2^-bits bounds the
-    root of lo from below and (isqrt(n) + 1) 2^-bits that of hi above."""
-    _check_digits(digits)
-    bits = mantissa_bits(digits)
-    if isinstance(x, PrecReal):
-        ends = [(x.m - x.r, 1, x.e), (x.m + x.r, 1, x.e)]
-    else:
-        ends = [(*_pair(x), 0)] * 2
-    lo, hi = (_shifted_quotient(num, den, e + 2 * bits)[0]
-              for num, den, e in ends)
-    if lo < 0:
-        raise ValueError("square root of a possibly-negative value")
-    a, b = math.isqrt(lo), math.isqrt(hi) + 1
-    return PrecReal._new(a + b, b - a, -bits - 1, bits)
-
-
-# ---------------------------------------------------------------------------
-# half-odd-order Bessel functions (elementary forms)
+# half-odd orders: the Bessel order recurrence on integers
 
 
 def _half_odd_walk(s: int, k: int, z: Pair) -> tuple[Pair, Pair, int]:
@@ -358,39 +250,6 @@ def _walk_digits(k: int, z: Pair) -> int:
     nats = (math.lgamma(2 * n + 1) - math.lgamma(n + 1) - n * math.log(2)
             + n * (math.log(zd) - math.log(zn)))
     return max(0, math.ceil(2 * nats / math.log(10))) + 10
-
-
-def _bessel_half_odd(s: int, nu, z, digits: int) -> PrecReal:
-    """I_nu(z) (s = 1) or J_nu(z) (s = -1) at half-odd nu and z > 0:
-    sqrt(2/(pi z)) (c C + d S)/den for the walk's row of order nu, where
-    C = A and S = 2 s B / z at sigma = 1/2, rho = s z^2/4."""
-    nu, z = Fraction(nu), Fraction(z)
-    if sigma_tag(nu.numerator, nu.denominator) != "half-odd":
-        raise UnsupportedOrder(f"{'I' if s == 1 else 'J'}_{nu} has no "
-                               "elementary standalone form")
-    if z <= 0:
-        raise ValueError("z must be positive")
-    k, (zn, zd) = int(nu - Fraction(1, 2)), _pair(z)
-
-    def compute(w: int) -> PrecReal:
-        _, (c, d), den = _half_odd_walk(s, k, (zn, zd))
-        [x], sden = _weighted_rows(
-            [(c * zn, 2 * s * d * zd)], (1, 2), (s * zn * zn, 4 * zd * zd), w)
-        pref = sqrt_prec(2 * zd / (pi_prec(w) * zn), w)
-        return pref * (x / (den * zn * sden))
-
-    return _certify(compute, digits, _walk_digits(k, (zn, zd)))
-
-
-def bessel_I(nu, z, digits: int) -> PrecReal:
-    """Standalone modified Bessel value; only half-odd orders have an
-    elementary form, anything else is refused (ratios go through the 0F1
-    series and never need this)."""
-    return _bessel_half_odd(1, nu, z, digits)
-
-
-def bessel_J(nu, z, digits: int) -> PrecReal:
-    return _bessel_half_odd(-1, nu, z, digits)
 
 
 # ---------------------------------------------------------------------------
@@ -503,19 +362,3 @@ def perron_d1(beta0: int, beta1: int, digits: int) -> PrecReal:
             / _ball((beta1, beta0), _0f1((beta0 + beta1, beta1), rho), w)
 
     return _certify(compute, digits)
-
-
-def wlang_limit_check(m: int, n: int, digits: int) -> bool:
-    """Compare P_n(x)/Q_n(x) at x = 1/(4 m^2) against
-    sqrt(x) I_1(2 sqrt(x))/I_0(2 sqrt(x)) (= B/A at sigma = 1, rho = x): a
-    paper check that only the tests run, kept here as it takes its limit as
-    xi_limit does, one _attempt under _certify."""
-    from .identities import eval_unipoly, p_poly, q_poly
-    _check_digits(digits)
-    if m < 2:
-        raise ValueError("m must be >= 2")
-    x = Fraction(1, 4 * m * m)
-    lhs = eval_unipoly(p_poly(n), x) / eval_unipoly(q_poly(n), x)
-    rhs = _certify(lambda w: _attempt([(0, 1), (1, 0)], (1, 1), _pair(x), w),
-                   digits + 5)
-    return abs(lhs - rhs.value) + rhs.err < Fraction(1, 10 ** digits)

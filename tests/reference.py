@@ -1,12 +1,14 @@
 """References written straight from the paper's formulas and definitions,
 for the tests only: the package never calls them, and they share no code
-with the routes they check.
+with the routes they check.  The paper check wlang_limit_check holds the
+package's polynomials against one of them.
 
 The test classes here are collected through tests/test_exactnum.py, which
 imports them.
 """
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import reduce
 
@@ -15,6 +17,7 @@ from hypothesis import given, strategies as st
 
 from hurwitzcf.cf_engine import Convergent
 from hurwitzcf.hurwitz import CFParams, magic_pairs
+from hurwitzcf.identities import eval_unipoly, p_poly, q_poly
 
 F = Fraction
 
@@ -146,6 +149,83 @@ def double_sum_numerators(params: CFParams, n_max: int) -> list[int]:
     return out
 
 
+# Values for the limits' tests, from stdlib decimal, math.isqrt and exact
+# Fractions: nothing here calls hurwitzcf.limits or hurwitzcf.exactnum.
+
+
+def exp_ref(x: int, digits: int) -> Fraction:
+    """e^x by stdlib Decimal.exp at ``digits`` significant digits.  Decimal
+    rounds exp correctly, so |e^x - exp_ref(x, digits)| < e^x 10^(1-digits)."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        return Fraction(Decimal(x).exp())
+
+
+def taylor_ref(x: Fraction, odd: bool, sign: int, digits: int) -> Fraction:
+    """sum_k sign^k x^(2k+p) / (2k+p)!, p = 1 if odd, for |x| <= 1: sin and
+    cos at sign = -1, sinh and cosh at sign = 1, within 10^-digits.  The
+    terms are summed in Decimal at digits + 20 significant digits until one
+    is below 10^-(digits+20).  Each term is at most 1/n! and fewer than
+    digits + 25 are summed, each with a relative rounding error of a few
+    10^-(digits+19); the terms left out fall by a factor 6 each."""
+    if abs(x) > 1:
+        raise ValueError(f"taylor_ref needs |x| <= 1, got {x}")
+    with localcontext() as ctx:
+        ctx.prec = digits + 20
+        y, eps = Decimal(x.numerator) / x.denominator, Decimal(10) ** -(
+            digits + 20)
+        n = 1 if odd else 0
+        term = total = y if odd else Decimal(1)
+        while abs(term) >= eps:
+            term = term * sign * y * y / ((n + 1) * (n + 2))
+            total += term
+            n += 2
+        return Fraction(total)
+
+
+def sqrt_bounds(n: int, bits: int) -> tuple[Fraction, Fraction]:
+    """lo <= sqrt(n) < hi = lo + 2^-bits for an integer n >= 0, from
+    math.isqrt(n 4^bits)."""
+    a = math.isqrt(n << 2 * bits)
+    return Fraction(a, 1 << bits), Fraction(a + 1, 1 << bits)
+
+
+def series_ab_ref(sigma: Fraction, rho: Fraction,
+                  digits: int) -> tuple[Fraction, Fraction, Fraction]:
+    """(A, B, err): A = 0F1(; sigma; rho) = sum_k a_k with
+    a_k = rho^k / (k! (sigma)_k), and B = sum_k k a_k
+    (= rho/sigma 0F1(; sigma+1; rho)), for sigma > 0, as exact partial sums
+    over k < N, and err < 10^-digits bounding both tails.  The ratio
+    a_{k+1}/a_k = rho / ((k+1)(sigma+k)) falls in absolute value, so once it
+    is at most 1/2 at N, |a_{N+j}| <= |a_N| 2^-j: A's tail is at most
+    2 |a_N| and B's at most (2N + 2) |a_N| = err."""
+    if sigma <= 0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
+    eps = Fraction(1, 10 ** digits)
+    a = b = Fraction(0)
+    term, k = Fraction(1), 0
+    while True:
+        ratio = rho / ((k + 1) * (sigma + k))
+        err = (2 * k + 2) * abs(term)
+        if 2 * abs(ratio) <= 1 and err < eps:
+            return a, b, err
+        a, b, term, k = a + term, b + k * term, term * ratio, k + 1
+
+
+def wlang_limit_check(m: int, n: int, digits: int) -> bool:
+    """The paper's generalized continued fraction: P_n(x)/Q_n(x) at
+    x = 1/(4 m^2) is within 10^-digits of its limit
+    sqrt(x) I_1(2 sqrt(x)) / I_0(2 sqrt(x)) = B/A at sigma = 1, rho = x.
+    A >= 1 > B >= 0 and both tails are below err < 1/4, so
+    |B/A - b/a| <= err (a + b) / (a (a - err)) <= 4 err."""
+    if m < 2:
+        raise ValueError("m must be >= 2")
+    x = Fraction(1, 4 * m * m)
+    lhs = eval_unipoly(p_poly(n), x) / eval_unipoly(q_poly(n), x)
+    a, b, err = series_ab_ref(Fraction(1), x, digits + 5)
+    return abs(lhs - b / a) + 4 * err < Fraction(1, 10 ** digits)
+
+
 class TestFallingFactorial:
     def test_empty_product(self):
         assert falling_factorial(F(3, 2), 0) == 1
@@ -184,3 +264,72 @@ class TestGbinom:
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
             gbinom(F(1), -2)
+
+
+class TestReferences:
+    @pytest.mark.parametrize("x", [F(1, 3), F(1, 2), F(1), F(-2, 7),
+                                   F(-3, 5)])
+    def test_taylor_vs_math(self, x):
+        for odd, sign, fn in ((True, -1, math.sin), (False, -1, math.cos),
+                              (True, 1, math.sinh), (False, 1, math.cosh)):
+            assert abs(float(taylor_ref(x, odd, sign, 20)) - fn(x)) < 1e-15
+
+    def test_taylor_guard(self):
+        with pytest.raises(ValueError, match="taylor_ref needs"):
+            taylor_ref(F(3, 2), True, -1, 10)
+
+    def test_pythagorean_identity(self):
+        s, c = (taylor_ref(F(3, 7), odd, -1, 60) for odd in (True, False))
+        assert abs(s * s + c * c - 1) < F(3, 10 ** 60)
+
+    def test_exp_vs_math_and_taylor(self):
+        for x in (1, -3, 2):
+            assert abs(float(exp_ref(x, 20)) / math.exp(x) - 1) < 1e-15
+        # e = cosh 1 + sinh 1: the two references agree
+        e = sum(taylor_ref(F(1), odd, 1, 60) for odd in (True, False))
+        assert abs(exp_ref(1, 62) - e) < F(3, 10 ** 60)
+
+    # each reference against itself 30 digits deeper, within its stated error
+    @pytest.mark.parametrize("digits", [10, 40, 80])
+    def test_exp_ref_within_one_unit(self, digits):
+        for x in (1, -3, 2):
+            deep = exp_ref(x, digits + 30)
+            assert abs(exp_ref(x, digits) - deep) < deep / 10 ** (digits - 1)
+
+    @pytest.mark.parametrize("digits", [20, 60, 200])
+    def test_taylor_ref_within_its_bound(self, digits):
+        for x in (F(1), F(-1), F(1, 3), F(-2, 7)):
+            for odd in (True, False):
+                for sign in (1, -1):
+                    deep = taylor_ref(x, odd, sign, digits + 30)
+                    assert abs(taylor_ref(x, odd, sign, digits) - deep) \
+                        < F(1, 10 ** digits)
+
+    # sigma half-odd, integer and other; the terms of -25/4 cancel
+    @pytest.mark.parametrize("sigma,rho", [
+        (F(3, 2), F(1, 16)), (F(7, 2), F(-1, 4)), (F(2), F(1, 9)),
+        (F(1, 2), F(-25, 4)), (F(11, 18), F(-1, 324)), (F(1), F(1, 16))])
+    def test_series_ab_ref_tails_within_err(self, sigma, rho):
+        a, b, err = series_ab_ref(sigma, rho, 30)
+        deep_a, deep_b, deep_err = series_ab_ref(sigma, rho, 80)
+        assert err < F(1, 10 ** 30)
+        assert abs(a - deep_a) <= err + deep_err
+        assert abs(b - deep_b) <= err + deep_err
+
+    def test_sqrt_bounds(self):
+        lo, hi = sqrt_bounds(2, 100)
+        assert lo * lo <= 2 < hi * hi and hi - lo == F(1, 2 ** 100)
+        assert sqrt_bounds(16, 3) == (4, F(33, 8))
+
+    def test_series_ab_ref_is_cos_and_sin(self):
+        # sigma = 1/2, rho = -x^2/4: A = cos x and B = -(x/2) sin x
+        for x in (F(1), F(-2, 3)):
+            a, b, err = series_ab_ref(F(1, 2), -x * x / 4, 50)
+            assert err < F(1, 10 ** 50)
+            s, c = (taylor_ref(x, odd, -1, 60) for odd in (True, False))
+            assert abs(a - c) < err + F(1, 10 ** 60)
+            assert abs(b + x * s / 2) < err + F(1, 10 ** 60)
+
+    def test_series_ab_ref_sigma_refused(self):
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            series_ab_ref(F(-1, 2), F(1, 4), 10)

@@ -15,10 +15,9 @@ from hurwitzcf.hurwitz import (CFParams, closed_form_convergent, denom_stream,
                                normalized_numerator, prec_recurrence_p)
 from hurwitzcf.identities import (eval_unipoly, p_poly, q_poly, verify_rsum,
                                   verify_ssum)
-from hurwitzcf.limits import (cos_prec, exp_prec, lehmer_d1, perron_d1,
-                              series_AB, sin_prec, wlang_limit_check,
-                              xi_bessel, xi_limit)
-from reference import falling_factorial, sigma_rho
+from hurwitzcf.limits import lehmer_d1, perron_d1, xi_bessel, xi_limit
+from reference import (exp_ref, falling_factorial, series_ab_ref, sigma_rho,
+                       taylor_ref, wlang_limit_check)
 
 F = Fraction
 
@@ -33,13 +32,14 @@ def test_criterion_1_e_minus_one():
     t0 = time.time()
     params = CFParams(1, 2, 2, 3, 2)
     v = xi_limit(params, 30)
-    ref = exp_prec(F(1), 80) - 1  # far below 1/q_60^2 ~ 1e-62
-    tol_ok = abs(v.value - ref.value) + v.err + ref.err < F(1, 10 ** 28)
+    # within e 10^-79 (stdlib Decimal.exp), far below 1/q_60^2 ~ 1e-62
+    ref, ref_err = exp_ref(1, 80) - 1, F(1, 10 ** 78)
+    tol_ok = abs(v.value - ref) + v.err + ref_err < F(1, 10 ** 28)
 
     convs = convergents(denom_stream(params), 60)
     c = convs[-1]
     assert c.n == 60
-    bracket_ok = abs(ref.value - F(c.p, c.q)) < F(1, c.q ** 2)
+    bracket_ok = abs(ref - F(c.p, c.q)) + ref_err < F(1, c.q ** 2)
     elapsed = time.time() - t0
     _report("e-1 limit to 1e-28 and 60th-convergent bracket",
             tol_ok and bracket_ok and elapsed < 1.0, f"{elapsed:.2f}s")
@@ -48,8 +48,9 @@ def test_criterion_1_e_minus_one():
 def test_criterion_2_tan_one():
     t0 = time.time()
     v = xi_limit(CFParams(1, 1, 2, 2, 1), 30)
-    ref = sin_prec(F(1), 40) / cos_prec(F(1), 40)
-    ok = abs(v.value - ref.value) + v.err + ref.err < F(1, 10 ** 28)
+    # sin 1, cos 1 within 10^-60 each (Decimal Taylor sums), cos 1 > 1/2
+    ref = taylor_ref(F(1), True, -1, 60) / taylor_ref(F(1), False, -1, 60)
+    ok = abs(v.value - ref) + v.err + F(1, 10 ** 58) < F(1, 10 ** 28)
     elapsed = time.time() - t0
     _report("tan(1) limit to 1e-28", ok and elapsed < 1.0, f"{elapsed:.2f}s")
 
@@ -57,9 +58,11 @@ def test_criterion_2_tan_one():
 def test_criterion_3_ugly_example():
     params = CFParams(4, 3, 1, 2, 1)
     v = xi_limit(params, 20)
-    s, c = sin_prec(F(1, 2), 40), cos_prec(F(1, 2), 40)
+    # sin, cos within 10^-60 each; 53 c - 97 s is about 0.0127, so the
+    # quotient is within 10^-55
+    s, c = (taylor_ref(F(1, 2), odd, -1, 60) for odd in (True, False))
     ref = 4 * (11 * s - 6 * c) / (53 * c - 97 * s)
-    tol_ok = abs(v.value - ref.value) + v.err + ref.err < F(1, 10 ** 18)
+    tol_ok = abs(v.value - ref) + v.err + F(1, 10 ** 55) < F(1, 10 ** 18)
 
     convs = convergents(denom_stream(params), 11)  # 12 partial denominators
     a, b = convs[-2], convs[-1]
@@ -170,18 +173,19 @@ def test_criterion_8_gcf_limit():
 def _normalized_deviation(params: CFParams, n: int) -> Fraction:
     # limit of the normalized numerator: F_{r+1} A + s F_{d-r-1} F_d b1 B
     sigma, rho = sigma_rho(params)
-    sv = series_AB(sigma, rho, 40)
+    A, B, err = series_ab_ref(sigma, rho, 40)
     a, b1, d, r = params.alpha, params.beta1, params.d, params.r
     s = -1 if (d - r) % 2 else 1
-    lim = fib_eval(r + 1, a) * sv.A \
-        + s * fib_eval(d - r - 1, a) * fib_eval(d, a) * b1 * sv.B
+    m0 = fib_eval(r + 1, a)
+    m1 = s * fib_eval(d - r - 1, a) * fib_eval(d, a) * b1
+    lim, lim_err = m0 * A + m1 * B, (abs(m0) + abs(m1)) * err
     p = prec_recurrence_p(params, n)[n]
     fd = fib_eval(d, a)
     norm = F(p) / (F(fd * b1) ** n * falling_factorial(sigma + n - 1, n))
     # the package's 40-digit ball must hold this exact value
     ball = normalized_numerator(params, n, 40)
     assert ball.lo <= norm <= ball.hi, (params, n)
-    return abs(norm - lim.value) + lim.err
+    return abs(norm - lim) + lim_err
 
 
 def test_criterion_9_normalized_numerator_asymptotics():

@@ -3,9 +3,30 @@ from fractions import Fraction
 import pytest
 
 from hurwitzcf import fibpoly
-from hurwitzcf.fibpoly import (fib_eval, fib_generating_check, fib_poly,
-                               fib_via_even_sets, lucas_eval, lucas_poly)
-from hurwitzcf.limits import sqrt_prec
+from hurwitzcf.exactnum import PrecReal
+from hurwitzcf.fibpoly import (fib_eval, fib_poly, fib_via_even_sets,
+                               lucas_eval, lucas_poly)
+from reference import sqrt_bounds
+
+
+def fib_generating_check(d: int, r: int, alpha: int, N: int) -> bool:
+    """The paper's generating function of the subsequence F_{nd+r+1}(alpha):
+
+    (1 - L_d(a) t + (-1)^d t^2) * sum_{n<=N} F_{nd+r+1}(a) t^n
+        = F_{r+1}(a) + (-1)^(r+1) F_{d-r-1}(a) t   (mod t^(N+1)),
+
+    with fib_eval and lucas_eval looked up on the module at each call, so
+    that a fault planted there shows."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    a, fib = alpha, fibpoly.fib_eval
+    s = [0, 0] + [fib(n * d + r + 1, a) for n in range(N + 1)]
+    lucas, sign = fibpoly.lucas_eval(d, a), (-1) ** d
+    expect = [fib(r + 1, a), (-1) ** (r + 1) * fib(d - r - 1, a)] \
+        + [0] * (N - 1)
+    # coefficient n of the product: s_n - L_d s_{n-1} + (-1)^d s_{n-2}
+    return all(s[n + 2] - lucas * s[n + 1] + sign * s[n] == want
+               for n, want in enumerate(expect))
 
 
 def test_fib_seed_values():
@@ -98,10 +119,13 @@ def test_fib_product_difference_identity():
 
 def test_closed_form_via_characteristic_roots():
     # F_n(q) = (rho1^n - rho2^n)/sqrt(q^2+4), certified to < 1e-20
-    digits = 60
+    bits = 256
     tol = Fraction(1, 10 ** 20)
     for q in range(1, 7):
-        disc = sqrt_prec(Fraction(q * q + 4), digits)
+        # the root's isqrt bounds as a ball held to 256 bits
+        lo, hi = sqrt_bounds(q * q + 4, bits)
+        disc = PrecReal._ratio(*((lo + hi) / 2).as_integer_ratio(),
+                               *((hi - lo) / 2).as_integer_ratio(), bits)
         rho1 = (q + disc) * Fraction(1, 2)
         rho2 = (q - disc) * Fraction(1, 2)
         p1, p2 = rho1, rho2

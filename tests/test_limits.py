@@ -9,14 +9,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from hurwitzcf import limits
 from hurwitzcf.cf_engine import convergents
-from hurwitzcf.errors import PrecisionExhausted, UnsupportedOrder
+from hurwitzcf.errors import PrecisionExhausted
 from hurwitzcf.exactnum import PrecReal, _is_pow2, _split
 from hurwitzcf.hurwitz import CFParams, denom_stream, magic_pairs, sigma_tag
-from hurwitzcf.limits import (_sum_ratio_series, bessel_I, bessel_J,
-                              cos_prec, cosh_prec, exp_prec, lehmer_d1,
-                              perron_d1, pi_prec, series_AB, sin_prec,
-                              sinh_prec, sqrt_prec, wlang_limit_check,
+from hurwitzcf.limits import (_sum_ratio_series, lehmer_d1, perron_d1,
                               xi_bessel, xi_limit)
+from reference import TestReferences  # noqa: F401
+from reference import exp_ref, taylor_ref, wlang_limit_check
 
 F = Fraction
 
@@ -36,102 +35,106 @@ def convergent_bracket(denoms, bound=10 ** 27, count=200):
     return sorted((F(c.p, c.q), F(c1.p, c1.q)))
 
 
+def meets(ball, ref, err):
+    """The ball meets the interval ref ± err of a reference value."""
+    return ball.lo <= ref + err and ref - err <= ball.hi
+
+
+def kernel_value(t0, ratios, digits):
+    """_sum_ratio_series with its unreduced pairs read as values:
+    (partial sum, tail bound, terms)."""
+    s_num, den, tail_num, tail_den, n = _sum_ratio_series(t0, ratios, digits)
+    return F(s_num, den), F(tail_num, tail_den), n
+
+
+def ab_series(sigma, rho):
+    """[(t0, Ratios)] of A = 0F1(; sigma; rho), from t0 = 1, and of
+    B = rho/sigma 0F1(; sigma+1; rho), from t0 = rho/sigma: _0f1's pairs,
+    as the limits pass them to the kernel."""
+    (p, q), (u, v) = sigma.as_integer_ratio(), rho.as_integer_ratio()
+    return [((1, 1), limits._0f1((p, q), (u, v))),
+            ((u * q, v * p), limits._0f1((p + q, q), (u, v)))]
+
+
+def exp_ratios(x):
+    """e^x = sum_m x^m / m! from t0 = 1: the ratios x / (m+1), and
+    log |t_m / t_0| = m log |x| - log m! in closed form."""
+    p, q = x.numerator, x.denominator
+    log_x = math.log(abs(p)) - math.log(q)
+    return limits.Ratios(lambda i, j: [(p, q * (m + 1)) for m in range(i, j)],
+                         lambda m: m * log_x - math.lgamma(m + 1))
+
+
+def arctan_ratios(x: int):
+    """arctan(1/x) = sum_n (-1)^n / ((2n+1) x^(2n+1)) from t0 = 1/x: the
+    ratios -(2m+1) / (x^2 (2m+3)), below 1/2 in absolute value throughout,
+    though growing toward 1/x^2."""
+    log_x = math.log(x)
+    return limits.Ratios(
+        lambda i, j: [(-(2 * m + 1), x * x * (2 * m + 3))
+                      for m in range(i, j)],
+        lambda m: -2 * m * log_x - math.log(2 * m + 1))
+
+
+def taylor_ball(x, sign, odd, digits):
+    """sin, cos (sign -1) or sinh, cosh (sign 1) at x through the kernel:
+    x 0F1(; 3/2; sign x^2/4) if odd, else 0F1(; 1/2; sign x^2/4)."""
+    p, q = x.as_integer_ratio()
+    ratios = limits._0f1((3, 2) if odd else (1, 2), (sign * p * p, 4 * q * q))
+    return limits._ball((p, q) if odd else (1, 1), ratios, digits)
+
+
 def close_to_float(ball, x, tol=1e-12):
     assert ball.err < F(1, 10 ** 13)
     assert abs(float(ball.value) - x) < tol
 
 
 class TestKernels:
+    """The kernel's balls (_ball) on the elementary series."""
+
     def test_sin_cos_vs_math(self):
         for x in (F(1, 3), F(1, 2), F(1), F(-2, 7)):
-            close_to_float(sin_prec(x, 20), math.sin(x))
-            close_to_float(cos_prec(x, 20), math.cos(x))
+            close_to_float(taylor_ball(x, -1, True, 20), math.sin(x))
+            close_to_float(taylor_ball(x, -1, False, 20), math.cos(x))
 
     def test_sinh_cosh_exp_vs_math(self):
         for x in (F(1, 2), F(1), F(-3, 5)):
-            close_to_float(sinh_prec(x, 20), math.sinh(x))
-            close_to_float(cosh_prec(x, 20), math.cosh(x))
-            close_to_float(exp_prec(x, 20), math.exp(x))
+            close_to_float(taylor_ball(x, 1, True, 20), math.sinh(x))
+            close_to_float(taylor_ball(x, 1, False, 20), math.cosh(x))
+            close_to_float(limits._ball((1, 1), exp_ratios(x), 20),
+                           math.exp(x))
 
     def test_pythagorean_identity_certified(self):
         x = F(3, 7)
-        one = sin_prec(x, 30) * sin_prec(x, 30) \
-            + cos_prec(x, 30) * cos_prec(x, 30)
+        s, c = taylor_ball(x, -1, True, 30), taylor_ball(x, -1, False, 30)
+        one = s * s + c * c
         assert one.lo <= 1 <= one.hi
         assert one.err < F(1, 10 ** 25)
-
-    def test_pi(self):
-        close_to_float(pi_prec(25), math.pi, 1e-14)
-
-    def test_pi_1000_digits_contains_pi(self):
-        mpmath = pytest.importorskip("mpmath")
-        ball = pi_prec(1000)
-        assert ball.rel_err() < F(1, 10 ** 1000)
-        with mpmath.workdps(1100):
-            man, exp = (+mpmath.pi).man_exp
-        # pi lies within one unit in the last place of mpmath's value
-        approx, ulp = F(man) * F(2) ** exp, F(2) ** exp
-        assert ball.lo <= approx - ulp and approx + ulp <= ball.hi
-
-    @staticmethod
-    def alternating_enclosure(x: int, digits: int):
-        """arctan(1/x) as S_M ± e, with e = 1/((2M+3) x^(2M+3)) the first
-        omitted term, which bounds an alternating tail of shrinking terms,
-        and M the least index with e < 10^-(digits+40)."""
-        M = 0
-        while (2 * M + 3) * x ** (2 * M + 3) <= 10 ** (digits + 40):
-            M += 1
-        s = sum(F((-1) ** n, (2 * n + 1) * x ** (2 * n + 1))
-                for n in range(M + 1))
-        return s, F(1, (2 * M + 3) * x ** (2 * M + 3))
-
-    @pytest.mark.parametrize("digits", [10, 60, 300])
-    def test_arctan_and_pi_hold_an_independent_enclosure(self, digits):
-        # the kernel's tail |t_N| q / (1 - q) must cover Machin's
-        # alternating tail, whose |ratio| grows toward 1/x^2
-        for x in (2, 3, 5, 239):
-            s, e = self.alternating_enclosure(x, digits)
-            ball = limits._arctan_inv(x, digits)
-            assert ball.lo <= s - e and s + e <= ball.hi
-        (s5, e5), (s239, e239) = (self.alternating_enclosure(x, digits)
-                                  for x in (5, 239))
-        s, e = 16 * s5 - 4 * s239, 16 * e5 + 4 * e239
-        ball = pi_prec(digits)
-        assert ball.lo <= s - e and s + e <= ball.hi
-
-    def test_sqrt(self):
-        r = sqrt_prec(F(2), 30)
-        assert r.lo ** 2 <= 2 <= r.hi ** 2
-        assert r.err < F(1, 10 ** 28)
-        with pytest.raises(ValueError):
-            sqrt_prec(F(-1), 10)
 
 
 class TestSeries:
     def test_rho_zero(self):
         # the kernel stops at m = 0: every ratio is 0, and t_0 of B is 0
-        sv = series_AB(F(3, 2), F(0), 20)
-        assert sv.A.value == 1 and sv.B.value == 0
-        assert sv.A.err == sv.B.err == 0 and sv.terms_used == 1
-
-    def test_sigma_must_be_positive(self):
-        with pytest.raises(ValueError):
-            series_AB(F(-1, 2), F(1, 4), 10)
+        (a0, ra), (b0, rb) = ab_series(F(3, 2), F(0))
+        assert kernel_value(a0, ra, 20) == (1, 0, 1)
+        assert kernel_value(b0, rb, 20) == (0, 0, 0)
 
     def test_first_terms_by_hand(self):
         # A = 1 + rho/sigma + rho^2/(2 (sigma+1)_2) + ...
         sigma, rho = F(3, 2), F(1, 16)
-        sv = series_AB(sigma, rho, 30)
+        (a, ea, _), (b, eb, _) = (kernel_value(t0, ratios, 30)
+                                  for t0, ratios in ab_series(sigma, rho))
         partial = 1 + rho / sigma + rho ** 2 / (2 * (sigma + 1) * sigma)
-        assert abs(sv.A.value - partial) < F(1, 10 ** 4)
-        # the radius bounds the tail plus the rounding
-        assert sv.B.value > 0
-        assert sv.A.err < F(1, 10 ** 30) and sv.B.err < F(1, 10 ** 30)
+        assert abs(a - partial) < F(1, 10 ** 4)
+        # each tail is below 10^-30 of its sum
+        assert b > 0
+        assert ea < a * F(1, 10 ** 30) and eb < b * F(1, 10 ** 30)
 
     def test_negative_rho_alternates(self):
-        sv = series_AB(F(3, 2), F(-1, 4), 25)
-        assert 0 < sv.A.value < 1
-        assert sv.B.value < 0
+        (a, _, _), (b, _, _) = (kernel_value(t0, ratios, 25)
+                                for t0, ratios in ab_series(F(3, 2), F(-1, 4)))
+        assert 0 < a < 1
+        assert b < 0
 
 
 def pair(ratio):
@@ -159,11 +162,8 @@ def walked(ratio):
 
 
 def summed(t0, ratio, digits):
-    """_sum_ratio_series with its unreduced pairs read as values:
-    (partial sum, tail bound, terms)."""
-    s_num, den, tail_num, tail_den, n = _sum_ratio_series(
-        (t0.numerator, t0.denominator), walked(ratio), digits)
-    return F(s_num, den), F(tail_num, tail_den), n
+    """kernel_value for a Fraction t0 and a per-term ratio m -> (a, b)."""
+    return kernel_value(t0.as_integer_ratio(), walked(ratio), digits)
 
 
 def naive_sum(t0, ratio, terms):
@@ -177,7 +177,7 @@ def naive_sum(t0, ratio, terms):
 
 
 def series_a_b(sigma, rho):
-    """(t0, ratio) of the two series behind series_AB."""
+    """(t0, ratio) of A and B, as ab_series, with Fraction ratios."""
     return ((F(1), pair(lambda m: rho / ((m + 1) * (sigma + m)))),
             (rho / sigma, pair(lambda m: rho / ((m + 1) * (sigma + m + 1)))))
 
@@ -234,10 +234,11 @@ class TestBinarySplitting:
                   + (2 * deep + 2) * last)
         assert true_a <= F(tail_a, tail_den)
         assert true_b <= F(tail_b, tail_den)
-        # B = rho/sigma 0F1(; sigma+1; rho): the same value as series_AB's
-        sv = series_AB(sigma, rho, digits)
-        assert sv.B.lo - F(tail_b, tail_den) <= F(b, den) \
-            <= sv.B.hi + F(tail_b, tail_den)
+        # B = rho/sigma 0F1(; sigma+1; rho), summed on its own: the same
+        # value within the two tails
+        _, (b0, rb) = ab_series(sigma, rho)
+        b_alone, tail_alone, _ = kernel_value(b0, rb, digits)
+        assert abs(F(b, den) - b_alone) <= F(tail_b, tail_den) + tail_alone
         # each row's ball den (m0 A + m1 B), from these sums, holds the
         # deep Fraction sums and is at least den times the row's tail
         out = a, b, den, tail_a, tail_b, tail_den, n
@@ -276,32 +277,35 @@ class TestBinarySplitting:
         assert partial == naive_sum(t0, ratio, n)
         assert abs(naive_sum(t0, ratio, n + 40) - partial) <= tail
 
+    # _ball, perron_d1's rounding of each series into a PrecReal
     @pytest.mark.parametrize("sigma,rho", SIGMA_RHO)
     def test_series_ab_balls_contain_naive_sums(self, sigma, rho):
-        sv = series_AB(sigma, rho, 50)
-        (a0, ra), (b0, rb) = series_a_b(sigma, rho)
-        deep = sv.terms_used + 40
-        assert sv.A.lo <= naive_sum(a0, ra, deep) <= sv.A.hi
-        assert sv.B.lo <= naive_sum(b0, rb, deep) <= sv.B.hi
+        for (t0, ratios), (f0, ratio) in zip(ab_series(sigma, rho),
+                                             series_a_b(sigma, rho)):
+            deep = _sum_ratio_series(t0, ratios, 50)[-1] + 40
+            ball = limits._ball(t0, ratios, 50)
+            assert ball.lo <= naive_sum(f0, ratio, deep) <= ball.hi
 
     def test_taylor_kernel_balls_contain_definitions(self):
         def series(x, sign, p, step):  # sum sign^k x^(step k+p)/(step k+p)!
             return sum(F(sign) ** k * x ** (step * k + p)
                        / math.factorial(step * k + p) for k in range(90))
-        cases = [(sin_prec, F(1, 2), -1, 1, 2), (cos_prec, F(1), -1, 0, 2),
-                 (sinh_prec, F(-3, 5), 1, 1, 2), (cosh_prec, F(2, 3), 1, 0, 2),
-                 (exp_prec, F(-2), 1, 0, 1)]
-        for fn, x, sign, p, step in cases:
-            ball = fn(x, 60)
-            assert ball.lo <= series(x, sign, p, step) <= ball.hi, fn.__name__
+        cases = [(F(1, 2), -1, 1, 2), (F(1), -1, 0, 2), (F(-3, 5), 1, 1, 2),
+                 (F(2, 3), 1, 0, 2), (F(-2), 1, 0, 1)]
+        for x, sign, p, step in cases:
+            ball = (taylor_ball(x, sign, p == 1, 60) if step == 2
+                    else limits._ball((1, 1), exp_ratios(x), 60))
+            assert ball.lo <= series(x, sign, p, step) <= ball.hi, x
             assert ball.rel_err() < F(1, 10 ** 60)
 
     def test_cancelling_terms_still_certify(self):
         # exp(-30): terms reach 10^11 while the sum is ~10^-13
-        ball = exp_prec(F(-30), 20)
+        ball = limits._ball((1, 1), exp_ratios(F(-30)), 20)
         assert ball.rel_err() < F(1, 10 ** 20)
         ref = naive_sum(F(1), pair(lambda m: F(-30) / (m + 1)), 200)
         assert ball.lo <= ref <= ball.hi
+        # and stdlib Decimal.exp, within e^-30 10^-39
+        assert meets(ball, exp_ref(-30, 40), F(1, 10 ** 50))
 
     def test_terminating_series_is_exact(self):
         def ratio(m):
@@ -379,28 +383,10 @@ def reference_walk(t0, ratio, digits):
             raise PrecisionExhausted("series did not certify")
 
 
-def kernel_calls(monkeypatch, call):
-    """Run call() and return each (t0, ratios, digits, result) the kernel
-    was asked for."""
-    seen, right = [], limits._sum_ratio_series
-
-    def spy(t0, ratios, digits):
-        result = right(t0, ratios, digits)
-        seen.append((t0, ratios, digits, result))
-        return result
-
-    monkeypatch.setattr(limits, "_sum_ratio_series", spy)
-    call()
-    return seen
-
-
-def assert_walk_agrees(monkeypatch, call):
-    calls = kernel_calls(monkeypatch, call)
-    assert calls
-    for t0, ratios, digits, result in calls:
-        def ratio(m):
-            return ratios.pairs(m, m + 1)[0]
-        assert result == reference_walk(t0, ratio, digits), (t0, digits)
+def assert_walk_agrees(t0, ratios, digits):
+    result = _sum_ratio_series(t0, ratios, digits)
+    assert result == reference_walk(
+        t0, lambda m: ratios.pairs(m, m + 1)[0], digits), (t0, digits)
 
 
 GRID_SIGMAS = [F(1, 2), F(3, 2), F(7, 2), F(5, 3), F(11, 18), F(2), F(40, 3)]
@@ -414,20 +400,19 @@ class TestChosenLength:
     picked it term by term.  Both must return the same five integers."""
 
     @pytest.mark.parametrize("digits", [10, 25, 100, 1000])
-    def test_series_ab_grid_matches_walk(self, monkeypatch, digits):
+    def test_series_ab_grid_matches_walk(self, digits):
         for sigma in GRID_SIGMAS:
             for rho in GRID_RHOS:
                 # both series: A from t0 = 1, B from t0 = rho / sigma
-                assert_walk_agrees(monkeypatch,
-                                   lambda: series_AB(sigma, rho, digits))
+                for t0, ratios in ab_series(sigma, rho):
+                    assert_walk_agrees(t0, ratios, digits)
 
     @pytest.mark.parametrize("digits", [10, 25, 100, 1000])
-    def test_exp_and_arctan_match_walk(self, monkeypatch, digits):
+    def test_exp_and_arctan_match_walk(self, digits):
         for x in (F(1, 2), F(-3, 5), F(-2), F(-30), F(10), F(7, 3)):
-            assert_walk_agrees(monkeypatch, lambda: exp_prec(x, digits))
+            assert_walk_agrees((1, 1), exp_ratios(x), digits)
         for x in (5, 239):
-            assert_walk_agrees(monkeypatch,
-                               lambda: limits._arctan_inv(x, digits))
+            assert_walk_agrees((1, x), arctan_ratios(x), digits)
 
     @settings(max_examples=40, deadline=None)
     @given(st.fractions(F(1, 30), 400, max_denominator=60),
@@ -438,9 +423,8 @@ class TestChosenLength:
     @example(F(3, 2), 400, 9, -1, 25)  # re-aimed once, 45 terms
     @example(F(11), 10000, 1, -1, 10)  # re-aimed five times, 290 terms
     def test_random_0f1_matches_walk(self, sigma, u, v, sign, digits):
-        rho = F(sign * u, v)
-        with pytest.MonkeyPatch.context() as mp:
-            assert_walk_agrees(mp, lambda: series_AB(sigma, rho, digits))
+        for t0, ratios in ab_series(sigma, F(sign * u, v)):
+            assert_walk_agrees(t0, ratios, digits)
 
     @pytest.mark.parametrize("sigma,rho,digits,failed,terms", [
         (F(1, 2), F(-25, 4), 100, 1, 60), (F(3, 2), F(-400, 9), 25, 1, 45),
@@ -461,33 +445,32 @@ class TestChosenLength:
             (1, 1), lambda m: ratios.pairs(m, m + 1)[0], digits)
 
     @pytest.mark.parametrize("sigma", [F(2 ** 41 + 1, 3), F(10 ** 400, 7)])
-    def test_huge_sigma_matches_walk(self, monkeypatch, sigma):
+    def test_huge_sigma_matches_walk(self, sigma):
         # past 2^40 the estimate takes m log sigma for log (sigma)_m
         for rho in (F(1, 4), F(-10 ** 13)):
-            assert_walk_agrees(monkeypatch,
-                               lambda: series_AB(sigma, rho, 50))
+            for t0, ratios in ab_series(sigma, rho):
+                assert_walk_agrees(t0, ratios, 50)
 
-    @pytest.mark.parametrize("call", [
-        lambda: sin_prec(F(10 ** 6), 10),
-        lambda: series_AB(F(1), F(10 ** 40), 10)],
+    # sin 10^6 = 10^6 0F1(; 3/2; -10^12/4), and A at sigma = 1, rho = 10^40
+    @pytest.mark.parametrize("t0,sigma,rho", [
+        ((10 ** 6, 1), (3, 2), (-10 ** 12, 4)),
+        ((1, 1), (1, 1), (10 ** 40, 1))],
         ids=["sin 10^6", "rho 10^40"])
-    def test_runaway_refused_before_any_pairs(self, monkeypatch, call):
+    def test_runaway_refused_before_any_pairs(self, monkeypatch, t0, sigma,
+                                              rho):
         # the peak lies past 100 (digits + 20) terms: refused from a few
         # single-ratio probes, with no list of pairs and no fold
         lengths, folds = [], []
-        right = limits._sum_ratio_series
+        ratios = limits._0f1(sigma, rho)
 
-        def spy(t0, ratios, digits):
-            def pairs(i, j):
-                lengths.append(j - i)
-                return ratios.pairs(i, j)
-            return right(t0, limits.Ratios(pairs, ratios.log_size), digits)
+        def pairs(i, j):
+            lengths.append(j - i)
+            return ratios.pairs(i, j)
 
-        monkeypatch.setattr(limits, "_sum_ratio_series", spy)
         monkeypatch.setattr(limits, "_split",
                             lambda *a: folds.append(a) or (1, 1, 0))
         with pytest.raises(PrecisionExhausted):
-            call()
+            _sum_ratio_series(t0, limits.Ratios(pairs, ratios.log_size), 10)
         assert set(lengths) == {1} and len(lengths) < 64 and folds == []
 
 
@@ -551,21 +534,10 @@ class TestCertify:
 
 # every public function of limits that takes digits, called with it
 DIGITS_TAKERS = {
-    "series_AB": lambda D: series_AB(F(3, 2), F(1, 16), D),
-    "sin_prec": lambda D: sin_prec(F(1), D),
-    "cos_prec": lambda D: cos_prec(F(1), D),
-    "sinh_prec": lambda D: sinh_prec(F(1), D),
-    "cosh_prec": lambda D: cosh_prec(F(1), D),
-    "exp_prec": lambda D: exp_prec(F(1), D),
-    "pi_prec": lambda D: pi_prec(D),
-    "sqrt_prec": lambda D: sqrt_prec(F(2), D),
-    "bessel_I": lambda D: bessel_I(F(3, 2), F(1, 2), D),
-    "bessel_J": lambda D: bessel_J(F(3, 2), F(1, 2), D),
     "xi_limit": lambda D: xi_limit(CFParams(1, 2, 2, 3, 2), D),
     "xi_bessel": lambda D: xi_bessel(CFParams(1, 2, 2, 3, 2), D),
     "lehmer_d1": lambda D: lehmer_d1(3, 2, D),
     "perron_d1": lambda D: perron_d1(3, 2, D),
-    "wlang_limit_check": lambda D: wlang_limit_check(2, 5, D),
 }
 
 
@@ -584,37 +556,72 @@ def test_digits_below_one_refused_everywhere(name, digits):
         DIGITS_TAKERS[name](digits)
 
 
-# high orders at small arguments: the walk from the seeds loses more digits
-# than the first attempt's extra ones cover
+@pytest.mark.parametrize("digits", [10.0, True, F(10)])
+@pytest.mark.parametrize("name", list(DIGITS_TAKERS))
+def test_non_int_digits_refused_everywhere(name, digits):
+    with pytest.raises(TypeError, match="digits must be an int, got "
+                       + type(digits).__name__):
+        DIGITS_TAKERS[name](digits)
+
+
+# high orders at small arguments, where the walk's rows cancel the most
 SMALL_Z_HIGH_ORDER = [(F(81, 2), F(1, 100)), (F(21, 2), F(1, 1000)),
                       (F(41, 2), F(1, 10))]
 
 
+def half_odd_params(form, nu, z):
+    """The tuple whose xi_bessel walks to order nu at z = 2/b1, alpha = 1:
+    the I-form at d = 1 (sigma = b0/b1) or the J-form at d = 2, r = 1
+    (sigma = (b0 + 2)/b1)."""
+    b1 = int(2 / z)
+    return (CFParams(1, int(nu * b1), b1, 1, 0) if form == "I"
+            else CFParams(1, int(nu * b1) - 2, b1, 2, 1))
+
+
+def walk_vs_mpmath(s, k, z, dps=60):
+    """Check both rows of the walk to order k + 1/2 at z against mpmath:
+    sqrt(2/(pi z)) (c C + d S)/den is I (s = 1) or J (s = -1) at orders
+    k - 1/2 and k + 1/2, to 40 digits, with the sum formed at dps digits."""
+    mpmath = pytest.importorskip("mpmath")
+    bessel = mpmath.besseli if s == 1 else mpmath.besselj
+    with mpmath.workdps(dps):
+        rows = limits._half_odd_walk(s, k, z.as_integer_ratio())
+        x = mpmath.mpf(z.numerator) / z.denominator
+        C, S = ((mpmath.cosh(x), mpmath.sinh(x)) if s == 1
+                else (mpmath.cos(x), mpmath.sin(x)))
+        pref = mpmath.sqrt(2 / (mpmath.pi * x)) / rows[2]
+        for order, (c, d) in ((2 * k - 1, rows[0]), (2 * k + 1, rows[1])):
+            want = bessel(mpmath.mpf(order) / 2, x)
+            got = pref * (c * C + d * S)
+            assert abs(got - want) <= abs(want) * mpmath.mpf(10) ** -40, \
+                (s, order, z)
+
+
 class TestHalfOddBessel:
+    # each form is named by its Bessel function: I at odd d, J at even d
     @pytest.mark.parametrize("nu,z", SMALL_Z_HIGH_ORDER)
-    @pytest.mark.parametrize("fn", [bessel_I, bessel_J])
-    def test_certified_at_small_argument(self, fn, nu, z):
-        assert fn(nu, z, 30).rel_err_at_most(30)
+    @pytest.mark.parametrize("form", ["I", "J"], ids=["bessel_I", "bessel_J"])
+    def test_certified_at_small_argument(self, form, nu, z):
+        assert xi_bessel(half_odd_params(form, nu, z), 30).rel_err_at_most(30)
 
     @pytest.mark.parametrize("nu,z", SMALL_Z_HIGH_ORDER)
     def test_small_argument_vs_mpmath(self, nu, z):
-        mpmath = pytest.importorskip("mpmath")
-        for fn, ref in ((bessel_I, mpmath.besseli),
-                        (bessel_J, mpmath.besselj)):
-            ball = fn(nu, z, 30)
-            with mpmath.workdps(60):
-                want = ref(mpmath.mpf(nu.numerator) / nu.denominator,
-                           mpmath.mpf(z.numerator) / z.denominator)
-                got = mpmath.mpf(ball.value.numerator) / ball.value.denominator
-                assert abs(got - want) <= abs(want) * mpmath.mpf(10) ** -29
+        # the rows cancel to about 280 digits at order 81/2, z = 1/100
+        for s in (1, -1):
+            walk_vs_mpmath(s, int(nu - F(1, 2)), z, 400)
 
-
+    # orders 81/2, 21/2, 201/2 at z = 1/100, 1/1000, 1/10: the tuples
+    # (1, 8100, 200, 1, 0), (1, 21000, 2000, 1, 0), (1, 2010, 20, 1, 0) and
+    # (1, 8098, 200, 2, 1), (1, 20998, 2000, 2, 1), (1, 2008, 20, 2, 1)
     @pytest.mark.parametrize("nu,z,digits", [
         (F(81, 2), F(1, 100), 30), (F(21, 2), F(1, 1000), 30),
         (F(201, 2), F(1, 10), 100)])
-    @pytest.mark.parametrize("fn", [bessel_I, bessel_J])
-    def test_certified_at_the_first_attempt(self, monkeypatch, fn, nu, z,
+    @pytest.mark.parametrize("form", ["I", "J"], ids=["bessel_I", "bessel_J"])
+    def test_certified_at_the_first_attempt(self, monkeypatch, form, nu, z,
                                             digits):
+        params = half_odd_params(form, nu, z)
+        (p, g), _ = magic_pairs(params)
+        assert (F(p, g), F(2, g)) == (nu, z)
         # the walk's loss is computed before any work: no attempt is wasted
         widths, right = [], limits._certify
 
@@ -623,8 +630,14 @@ class TestHalfOddBessel:
                          extra)
 
         monkeypatch.setattr(limits, "_certify", spy)
-        assert fn(nu, z, digits).rel_err_at_most(digits)
+        assert xi_bessel(params, digits).rel_err_at_most(digits)
         assert len(widths) == 1, widths
+
+    def test_order_recurrences(self):
+        # the walk's rows at orders -7/2 .. 7/2 are mpmath's I and J
+        for k in range(-3, 4):
+            for s in (1, -1):
+                walk_vs_mpmath(s, k, F(3, 4))
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from([1, -1]), st.integers(-20, 20),
@@ -645,69 +658,47 @@ class TestHalfOddBessel:
             assert limits._half_odd_walk(s, -1, (3, 2)) \
                 == ((-2, 3 * s), (3, 0), 3)
 
-    def test_ratio_is_tanh(self):
-        for z in (F(1, 2), F(1), F(2, 3)):
-            ratio = bessel_I(F(1, 2), z, 25) / bessel_I(F(-1, 2), z, 25)
-            t = sinh_prec(z, 30) / cosh_prec(z, 30)
-            assert overlap(ratio, t)
-
+    # the closed forms X_nu = sqrt(2/(pi z)) (c C + d S)/den, as the rows
+    # (c, d)/den of the walk to order nu
     def test_j_half(self):
-        val = bessel_J(F(1, 2), F(1), 25)
-        ref = sqrt_prec(2 / pi_prec(30), 30) * sin_prec(F(1), 30)
-        assert overlap(val, ref)
+        # J_{1/2} = sqrt(2/(pi z)) sin z: the seed row, so xi(1, 1, 6, 2, 0)
+        # (J-form, sigma 1/2, z = 1/3) is (cos z - sin z)/sin z
+        assert limits._half_odd_walk(-1, 0, (1, 3))[1] == (0, 1)
+        v = xi_bessel(CFParams(1, 1, 6, 2, 0), 25)
+        s, c = (taylor_ref(F(1, 3), odd, -1, 45) for odd in (True, False))
+        assert meets(v, (c - s) / s, F(1, 10 ** 40))
+
+    def test_ratio_is_tanh(self):
+        # [b0, 3 b0, 5 b0, ...] = I_{-1/2}(z) / I_{1/2}(z) = cosh z / sinh z
+        # at z = 1/b0: xi_bessel's I-form at sigma 1/2
+        for b0 in (1, 2, 3):
+            v = xi_bessel(CFParams(1, b0, 2 * b0, 1, 0), 25)
+            sh, ch = (taylor_ref(F(1, b0), odd, 1, 45)
+                      for odd in (True, False))
+            assert meets(v, ch / sh, F(1, 10 ** 40)), b0
 
     def test_i_three_halves_closed_form(self):
-        x = F(1, 2)
-        val = bessel_I(F(3, 2), x, 25)
-        pref = sqrt_prec(2 / (pi_prec(30) * x), 30)
-        ref = pref * (cosh_prec(x, 30) - sinh_prec(x, 30) / x)
-        assert overlap(val, ref)
+        # I_{3/2} at z = 1/2: cosh z - sinh z / z
+        assert limits._half_odd_walk(1, 1, (1, 2))[1:] == ((1, -2), 1)
 
     def test_j_three_halves_closed_form(self):
-        x = F(2, 3)
-        val = bessel_J(F(3, 2), x, 25)
-        pref = sqrt_prec(2 / (pi_prec(30) * x), 30)
-        ref = pref * (sin_prec(x, 30) / x - cos_prec(x, 30))
-        assert overlap(val, ref)
+        # J_{3/2} at z = 2/3: sin z / z - cos z
+        (c, d), den = limits._half_odd_walk(-1, 1, (2, 3))[1:]
+        assert (F(c, den), F(d, den)) == (-1, F(3, 2))
 
     def test_j_five_halves_closed_form(self):
-        z = F(1, 2)
-        val = bessel_J(F(5, 2), z, 25)
-        pref = sqrt_prec(2 / (pi_prec(30) * z), 30)
-        ref = pref * ((3 / z ** 2 - 1) * sin_prec(z, 30)
-                      - (3 / z) * cos_prec(z, 30))
-        assert overlap(val, ref)
+        # J_{5/2} at z = 1/2: (3/z^2 - 1) sin z - (3/z) cos z
+        assert limits._half_odd_walk(-1, 2, (1, 2))[1:] == ((-6, 11), 1)
 
     def test_j_seven_halves_closed_form(self):
-        z = F(1, 2)
-        val = bessel_J(F(7, 2), z, 25)
-        pref = sqrt_prec(2 / (pi_prec(30) * z), 30)
-        ref = pref * ((15 / z ** 3 - 6 / z) * sin_prec(z, 30)
-                      - (15 / z ** 2 - 1) * cos_prec(z, 30))
-        assert overlap(val, ref)
-
-    def test_order_recurrences(self):
-        z = F(3, 4)
-        for k in range(-3, 4):
-            nu = k + F(1, 2)
-            i_next = bessel_I(nu + 1, z, 25)
-            i_rec = bessel_I(nu - 1, z, 30) - (2 * nu / z) * bessel_I(nu, z, 30)
-            assert overlap(i_next, i_rec), nu
-            j_next = bessel_J(nu + 1, z, 25)
-            j_rec = (2 * nu / z) * bessel_J(nu, z, 30) - bessel_J(nu - 1, z, 30)
-            assert overlap(j_next, j_rec), nu
-
-    def test_integer_order_refused(self):
-        with pytest.raises(UnsupportedOrder):
-            bessel_I(1, F(1, 2), 10)
-        with pytest.raises(UnsupportedOrder):
-            bessel_J(F(1, 3), F(1, 2), 10)
+        # J_{7/2} at z = 1/2: (15/z^3 - 6/z) sin z - (15/z^2 - 1) cos z
+        assert limits._half_odd_walk(-1, 3, (1, 2))[1:] == ((-59, 108), 1)
 
     def test_ratio_vs_elementary(self):
-        # Lehmer: [3, 5, 7, ...] = I_{1/2}(1) / I_{3/2}(1), sigma = 3/2
+        # Lehmer: [3, 5, 7, ...] = I_{1/2}(1) / I_{3/2}(1), sigma = 3/2,
+        # = sinh 1 / (cosh 1 - sinh 1) = (e^2 - 1) / 2
         r = lehmer_d1(3, 2, 25)
-        ref = bessel_I(F(1, 2), 1, 30) / bessel_I(F(3, 2), 1, 30)
-        assert overlap(r, ref)
+        assert meets(r, (exp_ref(2, 40) - 1) / 2, F(1, 10 ** 38))
 
 
 class TestArithmeticProgression:
@@ -731,42 +722,41 @@ class TestArithmeticProgression:
 
 
 class TestXiLimits:
+    # references: stdlib Decimal.exp and Decimal Taylor sums at 45 digits,
+    # so every quotient below is within 10^-40
     def test_e_minus_one(self):
         v = xi_limit(CFParams(1, 2, 2, 3, 2), 30)
-        e = exp_prec(F(1), 35)
-        assert overlap(v, e - 1)
+        assert meets(v, exp_ref(1, 45) - 1, F(1, 10 ** 40))
 
     def test_tan_one(self):
         v = xi_limit(CFParams(1, 1, 2, 2, 1), 30)
-        t = sin_prec(F(1), 35) / cos_prec(F(1), 35)
-        assert overlap(v, t)
+        s, c = (taylor_ref(F(1), odd, -1, 45) for odd in (True, False))
+        assert meets(v, s / c, F(1, 10 ** 40))
 
     def test_sinh_family_m2(self):
         # xi(1, 3m-1, 2m, 3, 2) = 2 sinh(1/2m) / (cosh(1/2m) - (2m-1) sinh(1/2m))
         m = 2
         v = xi_limit(CFParams(1, 3 * m - 1, 2 * m, 3, 2), 30)
-        x = F(1, 2 * m)
-        ref = 2 * sinh_prec(x, 40) \
-            / (cosh_prec(x, 40) - (2 * m - 1) * sinh_prec(x, 40))
-        assert overlap(v, ref)
+        sh, ch = (taylor_ref(F(1, 2 * m), odd, 1, 45) for odd in (True, False))
+        assert meets(v, 2 * sh / (ch - (2 * m - 1) * sh), F(1, 10 ** 40))
 
     def test_sin_family_m3(self):
         # xi(1, 3m-2, 2m, 2, 1) = sin(1/m) / (cos(1/m) - (m-1) sin(1/m))
         m = 3
         v = xi_limit(CFParams(1, 3 * m - 2, 2 * m, 2, 1), 30)
-        x = F(1, m)
-        ref = sin_prec(x, 40) / (cos_prec(x, 40) - (m - 1) * sin_prec(x, 40))
-        assert overlap(v, ref)
+        s, c = (taylor_ref(F(1, m), odd, -1, 45) for odd in (True, False))
+        assert meets(v, s / (c - (m - 1) * s), F(1, 10 ** 40))
 
     def test_ugly_m0(self):
-        # 4(11 sin(1/2) - 6 cos(1/2)) / (53 cos(1/2) - 97 sin(1/2))
+        # 4(11 sin(1/2) - 6 cos(1/2)) / (53 cos(1/2) - 97 sin(1/2)), whose
+        # denominator is about 0.0127
         v = xi_limit(CFParams(4, 3, 1, 2, 1), 25)
-        s, c = sin_prec(F(1, 2), 45), cos_prec(F(1, 2), 45)
-        ref = 4 * (11 * s - 6 * c) / (53 * c - 97 * s)
-        assert overlap(v, ref)
+        s, c = (taylor_ref(F(1, 2), odd, -1, 45) for odd in (True, False))
+        assert meets(v, 4 * (11 * s - 6 * c) / (53 * c - 97 * s),
+                     F(1, 10 ** 40))
 
     def test_one_quotient_from_one_weighted_sum(self, monkeypatch):
-        # no series_AB, no _ratio: each attempt makes one weighted kernel
+        # no _ratio: each attempt makes one weighted kernel
         # call and one ball quotient, the half-odd walk included
         calls = []
         kernel, divide, certify = (limits._sum_ratio_series,
@@ -794,7 +784,6 @@ class TestXiLimits:
             monkeypatch.setattr(limits, "_sum_ratio_series", kernel_spy)
             monkeypatch.setattr(limits, "_certify", certify_spy)
             monkeypatch.setattr(PrecReal, "__truediv__", divide_spy)
-            monkeypatch.setattr(limits, "series_AB", refused)
             monkeypatch.setattr(PrecReal, "_ratio", staticmethod(refused))
             calls.clear()
             v = fn(CFParams(*t), 100)
@@ -875,6 +864,7 @@ def test_one_walk_per_attempt(monkeypatch):
 
 
 class TestWlang:
+    # the paper check of tests/reference.py
     def test_holds_at_depth(self):
         assert wlang_limit_check(2, 50, 20)
 
@@ -958,9 +948,9 @@ def test_limits_deep_certify_at_the_first_attempt(monkeypatch):
 def test_higher_precision_never_loosens_the_ball():
     calls = [(f"{fn.__name__}{t}", lambda D, fn=fn, t=t: fn(CFParams(*t), D))
              for t in GOLDEN_TUPLES for fn in (xi_limit, xi_bessel)]
-    calls += [("sin 1", lambda D: sin_prec(F(1), D)),
-              ("exp -3", lambda D: exp_prec(F(-3), D)), ("pi", pi_prec),
-              ("I_7/2(1/3)", lambda D: bessel_I(F(7, 2), F(1, 3), D))]
+    # perron_d1 rounds each series into a ball (_ball, PrecReal._ratio)
+    calls += [(f"perron_d1{b}", lambda D, b=b: perron_d1(*b, D))
+              for b in ((3, 2), (1, 1), (5, 3), (9, 1))]
     for name, call in calls:
         errs = [call(D).err for D in range(5, 61)]
         grew = [D for D, (e, e1) in enumerate(zip(errs, errs[1:]), 6)

@@ -45,8 +45,12 @@ REFUSALS = {  # test id: (call, error, message)
     "q-poly": (lambda: identities.q_poly(-1), ValueError, "n must be >= 0"),
     "gcf": (lambda: identities.gcf_convergent_check(0, Fraction(1, 16)),
             ValueError, "n must be >= 1"),
-    "bessel-z": (lambda: limits.bessel_I(Fraction(3, 2), 0, 10), ValueError,
-                 "z must be positive"),
+    # digits is an int: a float fails before the kernel shifts by it, and
+    # True is no count of digits
+    "digits-float": (lambda: limits.xi_limit(P, 10.0), TypeError,
+                     "digits must be an int, got float"),
+    "digits-bool": (lambda: limits.xi_limit(P, True), TypeError,
+                    "digits must be an int, got bool"),
     # an order of 10^400: the walk's loss, past any float, is still refused
     "bessel-order": (
         lambda: limits.xi_bessel(hurwitz.CFParams(1, 10 ** 400 + 1, 2, 2, 1),
@@ -68,6 +72,8 @@ REFUSALS = {  # test id: (call, error, message)
                         "error bound must be nonnegative"),
     "decimal-digits": (lambda: PrecReal(1).decimal(-2), ValueError,
                        "digits must be >= 0, got -2"),
+    "decimal-float": (lambda: PrecReal(1).decimal(5.5), TypeError,
+                      "digits must be an int, got float"),
 }
 
 
