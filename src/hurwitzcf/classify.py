@@ -2,13 +2,13 @@
 
 The two characterization theorems (d >= 2) are one case table, `_CASES`.
 `brute_force_sweep` confirms it one tuple at a time: `hurwitz.sigma_tag` of
-the integer pair N/D = ((b0 - alpha) F_d + L_d) / (b1 F_d), at alpha, must be
+the integer pair N/D = (b0 F_d + 2 F_{d-1}) / (b1 F_d), at alpha, must be
 the tag claimed by exactly the matching rows.  At an (alpha, d) with no row
 no theorem claims anything, so a tuple passes iff D does not divide 2N: one
 remainder, with `sigma_tag` called only for a mismatch.  Only F_{d-1}, F_d
-are carried across d (L_d = alpha F_d + 2 F_{d-1}).  The report counts every
-tuple of the box and lists each mismatch; none is raised.  A box whose cost
-(tuples, weighted by the length of F_d) exceeds SWEEP_GUARD is refused.
+are carried across d.  The report counts every tuple of the box and lists
+each mismatch; none is raised.  A box whose cost (tuples, weighted by the
+length of F_d) exceeds SWEEP_GUARD is refused.
 """
 
 from __future__ import annotations
@@ -135,13 +135,14 @@ def brute_force_sweep(alpha_max: int, d_max: int,
     for a in range(1, alpha_max + 1):
         f1, fd = 1, a  # F_{d-1}, F_d
         for d in range(2, d_max + 1):
-            rows, ld = _rows_at(a, d), a * fd + 2 * f1  # L_d
+            # N = (b0 - a) F_d + L_d = b0 F_d + 2 F_{d-1}
+            rows, n0 = _rows_at(a, d), 2 * f1  # N at b0 = 0
             if not rows:
                 # no theorem claims anything here, so a tuple passes iff
                 # sigma is "other": iff D does not divide 2N.  2N runs over
                 # an arithmetic progression in b0, the same for every b1.
-                twice = range(2 * ((1 - a) * fd + ld),
-                              2 * ((beta_max + 1 - a) * fd + ld), 2 * fd)
+                twice = range(2 * (fd + n0), 2 * ((beta_max + 1) * fd + n0),
+                              2 * fd)
                 for b1 in betas:
                     den = b1 * fd
                     for num2 in twice:
@@ -153,7 +154,7 @@ def brute_force_sweep(alpha_max: int, d_max: int,
                 for b1 in betas:
                     den = b1 * fd
                     for b0 in betas:
-                        num = (b0 - a) * fd + ld
+                        num = b0 * fd + n0
                         tag = sigma_tag(num, den)
                         claim = "other"  # claimed by matching rows, or "both"
                         for th, i, c, e, want in rows:

@@ -10,6 +10,7 @@ JSON output; all numeric inputs are decimal integers.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import cf_engine, checks, classify, fibpoly, hurwitz, identities, limits
@@ -222,7 +223,13 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left early, as `| head -1` does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1  # stdout is devnull now, so the flush at exit cannot fail
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from typing import Literal
 from .cf_engine import Convergent, DenomStream
 from .errors import NonIntegerResult
 from .exactnum import PrecReal, _check_digits, _split, mantissa_bits
-from .fibpoly import fib_eval, lucas_eval
+from .fibpoly import fib_eval
 
 
 _FIELDS = ("alpha", "beta0", "beta1", "d", "r")
@@ -107,12 +107,12 @@ def denom_stream(params: CFParams) -> DenomStream:
 
 
 def magic_pairs(params: CFParams) -> tuple[tuple[int, int], tuple[int, int]]:
-    """sigma = p/q = (beta0 - a)/beta1 + L_d/(beta1 F_d) and rho = s/q^2 as
-    unreduced pairs (num, den): the scale q = beta1 F_d and the sign
-    s = (-1)^(d-1) that every route of the family reads from here."""
+    """sigma = p/q and rho = s/q^2 as unreduced pairs (num, den): the scale
+    q = beta1 F_d and the sign s = (-1)^(d-1) that every route reads."""
     a, d = params.alpha, params.d
     fd = fib_eval(d, a)
-    return (((params.beta0 - a) * fd + lucas_eval(d, a), params.beta1 * fd),
+    # p = (beta0 - a) F_d + L_d = beta0 F_d + 2 F_{d-1} >= 1: sigma > 0
+    return ((params.beta0 * fd + 2 * fib_eval(d - 1, a), params.beta1 * fd),
             ((-1) ** (d - 1), (params.beta1 * fd) ** 2))
 
 

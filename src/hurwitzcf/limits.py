@@ -225,28 +225,25 @@ def _half_odd_walk(s: int, k: int, z: Pair) -> tuple[Pair, Pair, int]:
     z = (zn, zd) > 0: ((a, b), (c, d), den) with X_{k-1/2} = (a C + b S)/den
     and X_{k+1/2} = (c C + d S)/den, where C, S = cosh z, sinh z or
     cos z, sin z are X_{-1/2}, X_{1/2} without their sqrt(2/(pi z)).
-    A step up is X_{j+3/2} = s (X_{j-1/2} - (2j+1)/z X_{j+1/2}), a step down
-    X_{j-3/2} = s X_{j+1/2} + (2j-1)/z X_{j-1/2} (the Lommel polynomials;
-    Watson, Bessel Functions, 9.6); each multiplies den by zn, so
-    den = zn^|k| and a d - b c = (-s)^|k| den^2."""
+    Each step X_{j+3/2} = s (X_{j-1/2} - (2j+1)/z X_{j+1/2}) (the Lommel
+    polynomials; Watson, Bessel Functions, 9.6) multiplies den by zn, so
+    den = zn^k and a d - b c = (-s)^k den^2.  It only steps up: k >= 0, as
+    the family's sigma = k + 1/2 is positive."""
     zn, zd = z
     a, b, c, d = 1, 0, 0, 1
     for j in range(k):
         m = (2 * j + 1) * zd
         a, b, c, d = (zn * c, zn * d, s * (zn * a - m * c),
                       s * (zn * b - m * d))
-    for j in range(0, k, -1):
-        m = (2 * j - 1) * zd
-        a, b, c, d = s * zn * c + m * a, s * zn * d + m * b, zn * a, zn * b
-    return (a, b), (c, d), zn ** abs(k)
+    return (a, b), (c, d), zn ** k
 
 
 def _walk_digits(k: int, z: Pair) -> int:
-    """The extra working digits of the walk to order k + 1/2, known before
-    any work: 10 plus twice log10 (2|k| - 1)!! (zd/zn)^|k| (from lgamma),
-    the walk's coefficients over den; |k| is clamped at 2^1000, past any
-    precision cap."""
-    n, (zn, zd) = min(abs(k), 1 << 1000), z
+    """The extra working digits of the walk to order k + 1/2 (k >= 0), known
+    before any work: 10 plus twice log10 (2k - 1)!! (zd/zn)^k (from
+    lgamma), the walk's coefficients over den; k is clamped at 2^1000, past
+    any precision cap."""
+    n, (zn, zd) = min(k, 1 << 1000), z
     nats = (math.lgamma(2 * n + 1) - math.lgamma(n + 1) - n * math.log(2)
             + n * (math.log(zd) - math.log(zn)))
     return max(0, math.ceil(2 * nats / math.log(10))) + 10
@@ -318,11 +315,11 @@ def xi_limit(params: CFParams, digits: int) -> PrecReal:
 def xi_bessel(params: CFParams, digits: int) -> PrecReal:
     """The limit via the Bessel-function statement: the I-form for odd d,
     the J-form for even d, at z = 2/g, g = beta1 F_d(alpha).  At half-odd
-    sigma = k + 1/2 the walk's rows over cosh z, sinh z (cos z, sin z),
-    A and s g B at sigma = 1/2, give the orders sigma - 1 and sigma (their
-    sqrt(2/(pi z)) cancels), the latter in place of (-1)^(d+1) g B: the
-    attempt takes fib_transform times [[g a, s g^2 b], [s c, g d]] at
-    sigma = 1/2.  Off half-odd sigma the value is xi_limit's."""
+    sigma = k + 1/2 (k >= 0: sigma > 0) the walk's rows over cosh z, sinh z
+    (cos z, sin z), A and s g B at sigma = 1/2, give the orders sigma - 1
+    and sigma (their sqrt(2/(pi z)) cancels), the latter in place of
+    (-1)^(d+1) g B: the attempt takes fib_transform times [[g a, s g^2 b],
+    [s c, g d]] at sigma = 1/2.  Off half-odd sigma the value is xi_limit's."""
     (p, g), rho = magic_pairs(params)  # g = beta1 F_d, rho = (s, g^2)
     if sigma_tag(p, g) != "half-odd":
         return xi_limit(params, digits)
@@ -350,11 +347,7 @@ def perron_d1(beta0: int, beta1: int, digits: int) -> PrecReal:
     balls divided; lehmer_d1 takes one weighted split and one quotient.
     The two share the series and the kernel, so they are no independent
     check of each other."""
-    if type(beta0) is not int or type(beta1) is not int:
-        raise TypeError("beta0, beta1 must be ints, got "
-                        f"{type(beta0).__name__}, {type(beta1).__name__}")
-    if beta0 < 1 or beta1 < 1:
-        raise ValueError("beta0, beta1 must be >= 1")
+    CFParams(1, beta0, beta1, 1, 0)  # checks beta0, beta1 as lehmer_d1 does
     rho = (1, beta1 * beta1)
 
     def compute(w: int) -> PrecReal:

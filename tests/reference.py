@@ -212,6 +212,34 @@ def series_ab_ref(sigma: Fraction, rho: Fraction,
         a, b, term, k = a + term, b + k * term, term * ratio, k + 1
 
 
+def half_odd_bessel_ref(s: int, n: int, z: Fraction) -> tuple[Fraction,
+                                                                 Fraction]:
+    """(c, d) with sqrt(pi z/2) X_{n+1/2}(z) = c C + d S for n >= -1, where
+    X, C, S are I, cosh z, sinh z (s = 1) or J, cos z, sin z (s = -1): the
+    finite sums of DLMF 10.49.2 and 10.49.9 (z j_n(z) and z i_n^(1)(z)),
+    with a_k = (n+k)! / (2^k k! (n-k)!), k <= n (a_k(-nu) = a_k(nu), so
+    n = -1 has n = 0's a_0 = 1).
+    J: sin(z - n pi/2) sum_j (-1)^j a_2j / z^2j
+       + cos(z - n pi/2) sum_j (-1)^j a_2j+1 / z^(2j+1);
+    I: (e^z sum_k (-1)^k a_k / z^k + (-1)^(n+1) e^-z sum_k a_k / z^k) / 2,
+       with e^(+-z) = C +- S."""
+    m = n if n >= 0 else -1 - n
+    a = [Fraction(math.factorial(m + k),
+                  2 ** k * math.factorial(k) * math.factorial(m - k))
+         / z ** k for k in range(m + 1)]
+    if s == 1:
+        alt = sum((-1) ** k * t for k, t in enumerate(a))
+        plain = (-1) ** (n + 1) * sum(a)
+        return (alt + plain) / 2, (alt - plain) / 2
+    even = sum((-1) ** j * t for j, t in enumerate(a[::2]))
+    odd = sum((-1) ** j * t for j, t in enumerate(a[1::2]))
+    # sin(z - n pi/2), cos(z - n pi/2) as (C, S) rows, by n mod 4
+    sin_row, cos_row = {0: ((0, 1), (1, 0)), 1: ((-1, 0), (0, 1)),
+                        2: ((0, -1), (-1, 0)), 3: ((1, 0), (0, -1))}[n % 4]
+    return (sin_row[0] * even + cos_row[0] * odd,
+            sin_row[1] * even + cos_row[1] * odd)
+
+
 def wlang_limit_check(m: int, n: int, digits: int) -> bool:
     """The paper's generalized continued fraction: P_n(x)/Q_n(x) at
     x = 1/(4 m^2) is within 10^-digits of its limit
@@ -329,6 +357,25 @@ class TestReferences:
             s, c = (taylor_ref(x, odd, -1, 60) for odd in (True, False))
             assert abs(a - c) < err + F(1, 10 ** 60)
             assert abs(b + x * s / 2) < err + F(1, 10 ** 60)
+
+    def test_half_odd_bessel_ref_textbook_forms(self):
+        # X_{-1/2} = C, X_{1/2} = S, X_{3/2} = s (C - S/z) and
+        # X_{5/2} = (3/z^2 + s) S - (3/z) C, for I (s = 1) and J (s = -1)
+        for z in (F(2, 7), F(5)):
+            for s in (1, -1):
+                assert half_odd_bessel_ref(s, -1, z) == (1, 0)
+                assert half_odd_bessel_ref(s, 0, z) == (0, 1)
+                assert half_odd_bessel_ref(s, 1, z) == (s, -s / z)
+                assert half_odd_bessel_ref(s, 2, z) == (-3 / z, 3 / z / z + s)
+
+    @pytest.mark.parametrize("z", [F(3, 4), F(1, 100), F(5)])
+    def test_half_odd_bessel_ref_order_recurrence(self, z):
+        # X_{n+3/2} = s (X_{n-1/2} - (2n+1)/z X_{n+1/2}), row by row
+        for s in (1, -1):
+            rows = [half_odd_bessel_ref(s, n, z) for n in range(-1, 41)]
+            for lo, mid, hi, n in zip(rows, rows[1:], rows[2:], range(40)):
+                assert hi == tuple(s * (x - (2 * n + 1) / z * y)
+                                   for x, y in zip(lo, mid)), (s, n)
 
     def test_series_ab_ref_sigma_refused(self):
         with pytest.raises(ValueError, match="sigma must be positive"):

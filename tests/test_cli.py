@@ -425,6 +425,22 @@ class TestErrors:
                     "--d", "1", "--r", "0", "--n", "1"]) == 2
         assert "error:" in out().err
 
+    def test_closed_pipe_exits_1_without_traceback(self):
+        # `hurwitzcf poly --family fib --n-max 600 | head -1`: 5.6 MB of
+        # text, far past a pipe's buffer, for a reader that leaves after
+        # one line
+        src = str(Path(cf_engine.__file__).resolve().parents[1])
+        child = subprocess.Popen(
+            [sys.executable, "-m", "hurwitzcf.cli", "poly", "--family", "fib",
+             "--n-max", "600"], stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src))
+        assert child.stdout.readline() == b"fib[0]: 0\n"
+        child.stdout.close()
+        err = child.stderr.read()
+        child.stderr.close()
+        assert child.wait() == 1
+        assert err == b""
+
 
 # A pinned corpus: every verb, every method, family and suite, in text and
 # --json, the help texts and the error paths.  The sha256 over (argv,

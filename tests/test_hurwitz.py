@@ -13,7 +13,7 @@ from hurwitzcf.cf_engine import (_last_convergent, convergents, euler_mindig,
                                  eval_finite)
 from hurwitzcf.cli import run
 from hurwitzcf.errors import NonIntegerResult
-from hurwitzcf.fibpoly import fib_eval
+from hurwitzcf.fibpoly import fib_eval, lucas_eval
 from hurwitzcf.hurwitz import (CFParams, _scaled_first_sum,
                                closed_form_convergent, denom_stream,
                                fib_transform, magic_pairs,
@@ -352,11 +352,21 @@ def test_euler_mindig_at_its_guard():
             assert (em.p, em.q) == (convs[idx + 1].p, convs[idx + 1].q)
 
 
-def test_sigma_positive_and_falling_factorial_positive():
-    for params in _grid(4, 4, 4):
-        sigma, _ = sigma_rho(params)
-        assert sigma > 0
-        assert falling_factorial(sigma + 99, 100) > 0
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 10 ** 6), st.integers(1, 10 ** 6),
+       st.integers(1, 10 ** 6), st.integers(1, 40), st.integers(0, 5))
+@example(10 ** 6, 1, 1, 100, 0)  # the least beta0, at large alpha and d
+def test_sigma_positive_and_falling_factorial_positive(a, b0, b1, d, r):
+    # magic_pairs' p is the paper's (b0 - a) F_d + L_d, and it is at least
+    # F_d + 2 F_{d-1} >= 1, since L_d = a F_d + 2 F_{d-1}: sigma > 0
+    params = CFParams(a, b0, b1, d, r)
+    (p, _), _ = magic_pairs(params)
+    fd = fib_eval(d, a)
+    assert p == (b0 - a) * fd + lucas_eval(d, a)
+    assert p >= fd + 2 * fib_eval(d - 1, a) >= 1
+    sigma, _ = sigma_rho(params)
+    assert sigma > 0
+    assert falling_factorial(sigma + 99, 100) > 0
 
 
 def test_experimental_r_at_least_d():

@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import math
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -15,7 +16,8 @@ from hurwitzcf.hurwitz import CFParams, denom_stream, magic_pairs, sigma_tag
 from hurwitzcf.limits import (_sum_ratio_series, lehmer_d1, perron_d1,
                               xi_bessel, xi_limit)
 from reference import TestReferences  # noqa: F401
-from reference import exp_ref, taylor_ref, wlang_limit_check
+from reference import (exp_ref, half_odd_bessel_ref, taylor_ref,
+                       wlang_limit_check)
 
 F = Fraction
 
@@ -597,6 +599,19 @@ def walk_vs_mpmath(s, k, z, dps=60):
                 (s, order, z)
 
 
+# orders k + 1/2 of the exact check below: every step of the closed-form
+# and mpmath tests, and the long walks past them
+DLMF_ORDERS = [*range(14), 30, 81, 101]
+
+
+def walk_matches_dlmf(s, k, z):
+    """Both rows of limits._half_odd_walk to order k + 1/2 at z, over den,
+    equal the exact DLMF 10.49 sums of tests/reference.py: no mpmath."""
+    (a, b), (c, d), den = limits._half_odd_walk(s, k, z.as_integer_ratio())
+    return ((F(a, den), F(b, den)) == half_odd_bessel_ref(s, k - 1, z)
+            and (F(c, den), F(d, den)) == half_odd_bessel_ref(s, k, z))
+
+
 class TestHalfOddBessel:
     # each form is named by its Bessel function: I at odd d, J at even d
     @pytest.mark.parametrize("nu,z", SMALL_Z_HIGH_ORDER)
@@ -634,29 +649,52 @@ class TestHalfOddBessel:
         assert len(widths) == 1, widths
 
     def test_order_recurrences(self):
-        # the walk's rows at orders -7/2 .. 7/2 are mpmath's I and J
-        for k in range(-3, 4):
+        # the walk's rows at orders -1/2 .. 7/2 are mpmath's I and J
+        for k in range(4):
             for s in (1, -1):
                 walk_vs_mpmath(s, k, F(3, 4))
 
+    @pytest.mark.parametrize("z", [F(3, 4), F(1, 100), F(2, 7), F(5)])
+    def test_walk_rows_vs_dlmf(self, z):
+        for k in DLMF_ORDERS:
+            for s in (1, -1):
+                assert walk_matches_dlmf(s, k, z), (s, k)
+
+    def test_dlmf_check_sees_a_wrong_step(self, monkeypatch):
+        # the step j = 30 (order 61/2 to 63/2) takes 61/z + 1/zn: the exact
+        # check fails on every longer walk, with mpmath absent
+        def wrong(s, k, z):
+            zn, zd = z
+            a, b, c, d = 1, 0, 0, 1
+            for j in range(k):
+                m = (2 * j + 1) * zd + (j == 30)
+                a, b, c, d = (zn * c, zn * d, s * (zn * a - m * c),
+                              s * (zn * b - m * d))
+            return (a, b), (c, d), zn ** k
+
+        monkeypatch.setitem(sys.modules, "mpmath", None)
+        monkeypatch.setattr(limits, "_half_odd_walk", wrong)
+        for z in (F(3, 4), F(1, 100)):
+            for s in (1, -1):
+                assert walk_matches_dlmf(s, 30, z)
+                assert not walk_matches_dlmf(s, 81, z)
+                assert not walk_matches_dlmf(s, 101, z)
+
     @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from([1, -1]), st.integers(-20, 20),
+    @given(st.sampled_from([1, -1]), st.integers(0, 20),
            st.integers(1, 10 ** 6), st.integers(1, 10 ** 6))
     @example(1, 0, 1, 1)
-    @example(-1, -20, 7, 3)
     def test_walk_determinant(self, s, k, zn, zd):
         # each step multiplies a d - b c by -s zn^2
         (a, b), (c, d), den = limits._half_odd_walk(s, k, (zn, zd))
-        assert den == zn ** abs(k)
-        assert a * d - b * c == (-s) ** abs(k) * den * den
+        assert den == zn ** k
+        assert a * d - b * c == (-s) ** k * den * den
 
     def test_walk_rows_by_hand(self):
-        # X_{3/2} = S/z - C for J and C - S/z for I; X_{-3/2} = s S - C/z
+        # X_{3/2} = S/z - C for J and C - S/z for I
         for s in (1, -1):
             assert limits._half_odd_walk(s, 1, (3, 2)) \
                 == ((0, 3), (3 * s, -2 * s), 3)
-            assert limits._half_odd_walk(s, -1, (3, 2)) \
-                == ((-2, 3 * s), (3, 0), 3)
 
     # the closed forms X_nu = sqrt(2/(pi z)) (c C + d S)/den, as the rows
     # (c, d)/den of the walk to order nu
@@ -861,6 +899,23 @@ def test_one_walk_per_attempt(monkeypatch):
         sums.clear()
         xi_bessel(CFParams(*t), 25)
         assert len(walks) == 1 and sums == [{"weighted": True}], t
+
+
+def test_walk_never_steps_down(monkeypatch):
+    # sigma = k + 1/2 > 0 for every tuple, so every walk has k >= 0
+    orders, walk = [], limits._half_odd_walk
+
+    def walk_spy(s, k, z):
+        orders.append(k)
+        return walk(s, k, z)
+
+    monkeypatch.setattr(limits, "_half_odd_walk", walk_spy)
+    tuples = [*half_odd_grid(), *(half_odd_params(form, nu, z)
+                                  for nu, z in SMALL_Z_HIGH_ORDER
+                                  for form in ("I", "J"))]
+    for params in tuples:
+        xi_bessel(params, 10)
+    assert len(orders) == len(tuples) and min(orders) == 0
 
 
 class TestWlang:

@@ -57,11 +57,11 @@ REFUSALS = {  # test id: (call, error, message)
                                  10), PrecisionExhausted,
         "HURWITZ_MAX_PRECISION"),
     "perron": (lambda: limits.perron_d1(0, 1, 10), ValueError,
-               "beta0, beta1 must be >= 1"),
+               "alpha, beta0, beta1, d must all be >= 1"),
     "perron-float": (lambda: limits.perron_d1(2.0, 1, 10), TypeError,
-                     "beta0, beta1 must be ints, got float, int"),
+                     "beta0 must be an int, got float"),
     "perron-fraction": (lambda: limits.perron_d1(Fraction(3, 2), 1, 10),
-                        TypeError, "must be ints, got Fraction, int"),
+                        TypeError, "beta0 must be an int, got Fraction"),
     "sweep-float": (lambda: classify.brute_force_sweep(40.0, 10, 14),
                     TypeError,
                     "alpha_max, d_max, beta_max must be ints, got float, "
