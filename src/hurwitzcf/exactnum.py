@@ -2,19 +2,17 @@
 
 Integers are Python ints.  On the certified path a rational is an
 unreduced integer pair (num, den) with den > 0; ``fractions.Fraction``
-appears only in views and at the public edges.  ``PrecReal`` is a ball: a
-dyadic center m 2^e and a radius r 2^e in integers, rounded so that the
-ball always contains the true value, so every derived quantity carries its
-own certification without a gcd.
+appears only in views and at the public edges.  ``PrecReal`` is the ball
+a certified limit comes out as: a dyadic center m 2^e and a radius r 2^e
+in integers at a working precision, rounded so that the ball always
+contains the true value.  Its one operation, the quotient of two balls,
+carries that certification on without a gcd.
 """
 
 from __future__ import annotations
 
 from decimal import Decimal
 from fractions import Fraction
-from typing import Union
-
-Rat = Union[int, Fraction]
 
 
 def int_text(n: int) -> str:
@@ -24,7 +22,7 @@ def int_text(n: int) -> str:
     return format(Decimal(n), "f")
 
 
-def _fraction_text(q: Rat) -> str:
+def _fraction_text(q: int | Fraction) -> str:
     """str(q) of an int or Fraction, through int_text, so of any length."""
     num = int_text(q.numerator)
     return num if q.denominator == 1 else f"{num}/{int_text(q.denominator)}"
@@ -81,11 +79,6 @@ def _check_digits(digits: int, least: int = 1) -> None:
         raise ValueError(f"digits must be >= {least}, got {digits}")
 
 
-# Working bits of a ball that has to be rounded but was given no precision:
-# a non-dyadic exact rational, or a quotient of two exact balls.
-DEFAULT_PREC = 128
-
-
 def _shifted_quotient(num: int, den: int, k: int) -> tuple[int, bool]:
     """floor(num 2^k / den) for den > 0, and whether it is inexact."""
     q, rem = divmod(num << k, den) if k >= 0 else divmod(num, den << -k)
@@ -105,15 +98,13 @@ class PrecReal:
     (mantissa), ``r >= 0`` (radius) and ``e`` (exponent) give the interval
     [(m - r) 2^e, (m + r) 2^e], which contains the true value.
 
-    ``prec`` is the working precision in bits (Arb's design, Johansson,
-    IEEE TC 2017).  Each operation computes its center and radius in
-    integers, then drops the low bits of ``m`` and ``r`` beyond ``prec``
-    bits: the center is rounded toward minus infinity and the radius up,
-    by one unit for the dropped bits of the center.  A result takes the
-    larger precision of its operands; ``prec`` 0 marks an exact ball,
-    and sums and products of exact balls stay exact.  Quotients and
-    non-dyadic rationals are rounded at ``prec`` (``DEFAULT_PREC`` when 0).
-    ``PrecReal(value, err)`` is exact when both are dyadic.
+    ``prec > 0`` is the working precision in bits (Arb's design, Johansson,
+    IEEE TC 2017).  A ball is made by ``_new`` or ``_ratio`` and combined
+    only by ``/``, the one operation a certified limit takes: each computes
+    its center and radius in integers, then drops the low bits of ``m`` and
+    ``r`` beyond ``prec`` bits, the center rounded toward minus infinity
+    and the radius up, by one unit for the dropped bits of the center.  A
+    quotient takes the larger precision of its operands.
 
     Immutable.  ``value``, ``err``, ``lo``, ``hi`` and ``rel_err()`` are
     ``Fraction`` views, built only when asked for.
@@ -121,23 +112,14 @@ class PrecReal:
 
     __slots__ = ("m", "r", "e", "prec")
 
-    def __new__(cls, value: Rat = 0, err: Rat = 0) -> "PrecReal":
-        """The ball value ± err, exact when both are dyadic."""
-        value, err = Fraction(value), Fraction(err)
-        if err < 0:
-            raise ValueError("error bound must be nonnegative")
-        return PrecReal._ratio(value.numerator, value.denominator,
-                               err.numerator, err.denominator)
-
     @staticmethod
     def _new(m: int, r: int, e: int, prec: int) -> "PrecReal":
-        """The ball (m ± r) 2^e, cut to ``prec`` bits unless prec is 0."""
-        if prec:
-            drop = max(m.bit_length(), r.bit_length()) - prec
-            if drop > 0:
-                r = -(-r >> drop) + (m & ((1 << drop) - 1) != 0)
-                m >>= drop
-                e += drop
+        """The ball (m ± r) 2^e, cut to ``prec`` bits."""
+        drop = max(m.bit_length(), r.bit_length()) - prec
+        if drop > 0:
+            r = -(-r >> drop) + (m & ((1 << drop) - 1) != 0)
+            m >>= drop
+            e += drop
         ball = object.__new__(PrecReal)
         setattr_ = object.__setattr__
         setattr_(ball, "m", m)
@@ -147,18 +129,17 @@ class PrecReal:
         return ball
 
     @staticmethod
-    def _ratio(num: int, den: int, rad_num: int = 0, rad_den: int = 1,
-               prec: int = 0) -> "PrecReal":
+    def _ratio(num: int, den: int, rad_num: int, rad_den: int,
+               prec: int) -> "PrecReal":
         """The ball num/den ± rad_num/rad_den (den, rad_den > 0,
-        rad_num >= 0).  Dyadic inputs are held exactly, then cut to prec;
-        otherwise the center is one shifted floor division at prec bits
-        (DEFAULT_PREC when 0) and the radius is rounded up."""
+        rad_num >= 0) at ``prec`` bits.  Dyadic inputs are held exactly,
+        then cut; otherwise the center is one shifted floor division and
+        the radius is rounded up."""
         if _is_pow2(den) and _is_pow2(rad_den):
             shift = max(den.bit_length(), rad_den.bit_length()) - 1
             return PrecReal._new(num << (shift - den.bit_length() + 1),
                                  rad_num << (shift - rad_den.bit_length() + 1),
                                  -shift, prec)
-        prec = prec or DEFAULT_PREC
         top = (num.bit_length() - den.bit_length() if num
                else rad_num.bit_length() - rad_den.bit_length())
         k = prec - 1 - top  # |num/den| 2^k < 2^prec: no second rounding
@@ -222,48 +203,14 @@ class PrecReal:
     def contains_zero(self) -> bool:
         return abs(self.m) <= self.r
 
-    # -- arithmetic --------------------------------------------------------
+    # -- the quotient -----------------------------------------------------
 
-    def _coerce(self, x) -> "PrecReal":
-        if isinstance(x, PrecReal):
-            return x
-        if isinstance(x, int):
-            return PrecReal._new(x, 0, 0, 0)
-        x = Fraction(x)
-        return PrecReal._ratio(x.numerator, x.denominator, 0, 1, self.prec)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        e = min(self.e, o.e)
-        a, b = self.e - e, o.e - e
-        return PrecReal._new((self.m << a) + (o.m << b),
-                             (self.r << a) + (o.r << b), e,
-                             max(self.prec, o.prec))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PrecReal._new(-self.m, self.r, self.e, self.prec)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        r = abs(self.m) * o.r + abs(o.m) * self.r + self.r * o.r
-        return PrecReal._new(self.m * o.m, r, self.e + o.e,
-                             max(self.prec, o.prec))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
+    def __truediv__(self, o):
+        if not isinstance(o, PrecReal):
+            return NotImplemented
         if o.contains_zero():
             raise ZeroDivisionError("divisor interval contains zero")
-        prec = max(self.prec, o.prec) or DEFAULT_PREC
+        prec = max(self.prec, o.prec)
         num, den = (self.m, o.m) if o.m > 0 else (-self.m, -o.m)
         # q = floor(num 2^s / den) of at most prec bits
         s = prec - 1 - max(self.m.bit_length(),
@@ -276,12 +223,6 @@ class PrecReal:
         r = (-_shifted_quotient(-self.r, low, s)[0]
              - (-(abs(q) + inexact) * o.r // low) + inexact)
         return PrecReal._new(q, r, self.e - o.e - s, prec)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def __abs__(self):
-        return PrecReal._new(abs(self.m), self.r, self.e, self.prec)
 
     def __repr__(self):
         return f"PrecReal({_fraction_text(self.value)} ± " \

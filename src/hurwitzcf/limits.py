@@ -23,6 +23,7 @@ here.  `perron_d1`, the oracle of `lehmer_d1`, sums its two series apart
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from typing import Callable, NamedTuple
@@ -325,13 +326,14 @@ def xi_bessel(params: CFParams, digits: int) -> PrecReal:
         return xi_limit(params, digits)
     s, k = rho[0], (2 * p - g) // (2 * g)  # s = 1: I, -1: J
 
-    def compute(w: int) -> PrecReal:
+    @functools.cache  # formed once, at the first attempt: past the cap check
+    def rows() -> list[Pair]:
         (a, b), (c, d), _ = _half_odd_walk(s, k, (2, g))
-        rows = [(g * m0 * a + s * m1 * c, g * (s * g * m0 * b + m1 * d))
+        return [(g * m0 * a + s * m1 * c, g * (s * g * m0 * b + m1 * d))
                 for m0, m1 in fib_transform(params)]
-        return _attempt(rows, (1, 2), rho, w)
 
-    return _certify(compute, digits, _walk_digits(k, (2, g)))
+    return _certify(lambda w: _attempt(rows(), (1, 2), rho, w), digits,
+                    _walk_digits(k, (2, g)))
 
 
 def lehmer_d1(beta0: int, beta1: int, digits: int) -> PrecReal:
@@ -351,7 +353,7 @@ def perron_d1(beta0: int, beta1: int, digits: int) -> PrecReal:
     rho = (1, beta1 * beta1)
 
     def compute(w: int) -> PrecReal:
-        return beta1 * _ball((1, 1), _0f1((beta0, beta1), rho), w) \
+        return _ball((beta1, 1), _0f1((beta0, beta1), rho), w) \
             / _ball((beta1, beta0), _0f1((beta0 + beta1, beta1), rho), w)
 
     return _certify(compute, digits)

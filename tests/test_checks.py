@@ -10,6 +10,7 @@ import pytest
 
 from hurwitzcf import (cf_engine, checks, classify, fibpoly, hurwitz,
                        identities, limits)
+from hurwitzcf.exactnum import PrecReal
 
 
 @pytest.mark.parametrize("name", list(checks.SUITES))
@@ -57,8 +58,14 @@ def _false_gcf(monkeypatch):
 
 
 def _scaled(fn):
-    return lambda *args, **kwargs: fn(*args, **kwargs) * (
-        1 + Fraction(1, 10 ** 20))
+    # the ball times 1 + 10^-20, rebuilt from its Fraction views
+    def wrong(*args, **kwargs):
+        ball = fn(*args, **kwargs)
+        v, r = (x * (1 + Fraction(1, 10 ** 20))
+                for x in (ball.value, ball.err))
+        return PrecReal._ratio(v.numerator, v.denominator, r.numerator,
+                               r.denominator, ball.prec)
+    return wrong
 
 
 def _scaled_perron(monkeypatch):

@@ -212,8 +212,7 @@ class TestLimit:
         def route(params, digits):
             asked.append(digits)
             if len(asked) == 1:
-                return PrecReal(Fraction(171825, 10 ** 5),
-                                Fraction(1, 10 ** 7))
+                return PrecReal._ratio(171825, 10 ** 5, 1, 10 ** 7, 128)
             return right(params, digits)
 
         monkeypatch.setattr(limits, "xi_limit", route)

@@ -110,42 +110,33 @@ class TestPrecReal:
         assert abs(v.value - F(1, 3)) <= F(1, 3) * F(1, 10 ** 5)
 
     @given(st.fractions(max_denominator=1000),
-           st.fractions(max_denominator=1000),
-           st.fractions(max_denominator=1000))
-    def test_bounds_contain_exact_result(self, a, b, c):
-        pa, pb, pc = (rounded(x, 8) if x else PrecReal(0)
-                      for x in (a, b, c))
-        got = pa * pb + pc - pa
-        exact = a * b + c - a
-        assert abs(got.value - exact) <= got.err
-
-    @given(st.fractions(max_denominator=1000),
-           st.fractions(max_denominator=1000))
+           st.fractions(max_denominator=1000).filter(bool))
     @example(F(3), F(66323314785954797080018219, 3))
     @example(F(1), F(39418174802956416133889620, 3))
     def test_doubling_precision_tightens(self, a, b):
-        lo = rounded(a, 6) * rounded(b, 6)
-        hi = rounded(a, 12) * rounded(b, 12)
-        exact = a * b
+        lo = rounded(a, 6) / rounded(b, 6)
+        hi = rounded(a, 12) / rounded(b, 12)
+        exact = a / b
         assert abs(lo.value - exact) <= lo.err
         assert abs(hi.value - exact) <= hi.err
         assert hi.err <= lo.err
 
     def test_division_by_zero_interval(self):
         with pytest.raises(ZeroDivisionError):
-            PrecReal(1) / PrecReal(F(1, 100), F(1, 10))
+            rounded(F(1), 8) / ball_at(F(1, 100), F(1, 10), 53)
 
     def test_decimal_rendering(self):
-        assert PrecReal(F(1, 3)).decimal(6) == "0.333333"
-        assert PrecReal(F(-7, 4)).decimal(2) == "-1.75"
+        assert rounded(F(1, 3), 20).decimal(6) == "0.333333"
+        assert rounded(F(-7, 4), 8).decimal(2) == "-1.75"
         # no fractional digits: the integer part, rounded half up
-        assert PrecReal(F(-7, 4)).decimal(0) == "-2"
-        assert PrecReal(F(7, 2)).decimal(0) == "4"
+        assert rounded(F(-7, 4), 8).decimal(0) == "-2"
+        assert rounded(F(7, 2), 8).decimal(0) == "4"
 
     def test_repr(self):
         # a dyadic center and radius are held exactly
-        assert repr(PrecReal(F(-3, 8), F(1, 64))) == "PrecReal(-3/8 ± 1/64)"
-        assert repr(PrecReal(3)) == "PrecReal(3 ± 0)"
+        assert repr(ball_at(F(-3, 8), F(1, 64), 8)) == \
+            "PrecReal(-3/8 ± 1/64)"
+        assert repr(rounded(F(3), 8)) == "PrecReal(3 ± 0)"
 
     def test_repr_beyond_the_str_digit_limit(self):
         # the radius of a 5000-digit ball has a denominator 2^-e of more
@@ -159,7 +150,7 @@ class TestPrecReal:
             (v.value, v.err)
 
     def test_immutability(self):
-        v = PrecReal(1)
+        v = rounded(F(1), 8)
         with pytest.raises(AttributeError):
             v.value = 2
 
@@ -175,7 +166,7 @@ def fraction_decimal(v: Fraction, digits: int) -> str:
 
 
 def ball_at(v: Fraction, r: Fraction, prec: int) -> PrecReal:
-    """The ball v ± r at prec working bits (0: exact while dyadic)."""
+    """The ball v ± r at prec working bits."""
     v, r = F(v), F(r)
     return PrecReal._ratio(v.numerator, v.denominator, r.numerator,
                            r.denominator, prec)
@@ -188,7 +179,7 @@ def dyadics(lo, hi):
                      st.integers(0, 20))
 
 
-PRECS = st.sampled_from([0, 3, 8, 53, 200])
+PRECS = st.sampled_from([1, 3, 8, 53, 200])
 CENTERS = st.one_of(st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
                                  max_denominator=10 ** 6),
                     dyadics(-10 ** 6, 10 ** 6))
@@ -223,10 +214,6 @@ def operand_pairs(draw):
     return a, x, draw(balls_with_point(st.just(near)))
 
 
-OPS = {"+": lambda u, v: u + v, "-": lambda u, v: u - v,
-       "*": lambda u, v: u * v, "/": lambda u, v: u / v}
-
-
 class TestDyadicBall:
     @given(balls_with_point())
     @example((ball_at(F(-1, 3), F(1, 7), 3), F(-1, 3) + F(1, 7)))
@@ -234,53 +221,38 @@ class TestDyadicBall:
         ball, x = ball_x
         assert ball.lo <= x <= ball.hi
 
-    @given(operand_pairs(), st.sampled_from(sorted(OPS)))
+    # the quotient, a ball's one operation
+    @given(operand_pairs())
     @example((ball_at(F(1, 3), 0, 3), F(1, 3),
-              (ball_at(F(-1, 3), 0, 3), F(-1, 3))), "+")
+              (ball_at(F(-1, 3), 0, 3), F(-1, 3))))
     @example((ball_at(F(-7, 3), F(1, 5), 8), F(-7, 3),
-              (ball_at(F(7, 3), F(1, 5), 8), F(7, 3) - F(1, 5))), "-")
-    @example((PrecReal(1, F(1, 2)), F(3, 2),
-              (PrecReal(1, F(1, 2)), F(3, 2))), "*")
-    def test_operations_contain_the_exact_result(self, pair, op):
+              (ball_at(F(7, 3), F(1, 5), 8), F(7, 3) - F(1, 5))))
+    @example((ball_at(F(1), F(1, 2), 8), F(3, 2),
+              (ball_at(F(1), F(1, 2), 8), F(1, 2))))
+    def test_operations_contain_the_exact_result(self, pair):
         a, x, (b, y) = pair
-        if op == "/" and b.contains_zero():
+        if b.contains_zero():
             with pytest.raises(ZeroDivisionError):
                 a / b
             return
-        got = OPS[op](a, b)
-        assert got.lo <= OPS[op](x, y) <= got.hi
+        got = a / b
+        assert got.lo <= x / y <= got.hi
         assert got.r >= 0
-
-    @given(balls_with_point(), st.one_of(
-        st.integers(-10 ** 6, 10 ** 6),
-        st.fractions(max_denominator=10 ** 4).filter(bool)))
-    def test_scaling_contains_the_exact_result(self, ball_x, k):
-        ball, x = ball_x
-        for got, exact in ((ball * k, x * k), (k * ball, x * k),
-                           (-ball, -x), (abs(ball), abs(x))):
-            assert got.lo <= exact <= got.hi
-        if k:
-            got = ball / k
-            assert got.lo <= x / k <= got.hi
-        if not ball.contains_zero():
-            got = k / ball
-            assert got.lo <= k / x <= got.hi
 
     @given(CENTERS, RADII, PRECS)
     def test_divisor_containing_zero_is_refused(self, v, r, prec):
         divisor = ball_at(v, abs(v) + r, prec)  # [v - |v| - r, ...] holds 0
         assert divisor.contains_zero()
-        for dividend in (PrecReal(1), ball_at(F(-5, 3), F(1, 9), 53), 7):
+        for dividend in (ball_at(F(1), 0, 8), ball_at(F(-5, 3), F(1, 9), 53)):
             with pytest.raises(ZeroDivisionError):
                 dividend / divisor
 
-    @given(CENTERS, CENTERS, st.sampled_from(sorted(OPS)),
-           st.integers(2, 200), st.integers(1, 200))
-    @example(F(1, 3), F(1, 7), "*", 2, 1)
-    @example(F(0), F(3, 65), "/", 2, 1)
-    def test_higher_precision_never_looser(self, u, v, op, prec, more):
+    @given(CENTERS, CENTERS, st.integers(2, 200), st.integers(1, 200))
+    @example(F(1, 3), F(1, 7), 2, 1)
+    @example(F(0), F(3, 65), 2, 1)
+    def test_higher_precision_never_looser(self, u, v, prec, more):
         def at(p):
-            return OPS[op](ball_at(u, 0, p), ball_at(v, 0, p))
+            return ball_at(u, 0, p) / ball_at(v, 0, p)
         try:
             lo = at(prec)
         except ZeroDivisionError:  # a coarse divisor may touch 0
@@ -288,16 +260,17 @@ class TestDyadicBall:
         assert at(prec + more).err <= lo.err
 
     @given(balls_with_point(), st.integers(0, 60))
-    @example((PrecReal(F(5, 8)), F(5, 8)), 0)
-    @example((PrecReal(F(-1, 8)), F(-1, 8)), 2)
+    @example((ball_at(F(5, 8), 0, 8), F(5, 8)), 0)
+    @example((ball_at(F(-1, 8), 0, 8), F(-1, 8)), 2)
     def test_decimal_is_the_exact_rendering_of_the_center(self, ball_x,
                                                           digits):
         ball, _ = ball_x
         assert ball.decimal(digits) == fraction_decimal(ball.value, digits)
 
     def test_certified_digits_test_matches_rel_err(self):
-        for ball in (PrecReal(100, 1), ball_at(F(-1, 3), F(1, 10 ** 6), 80),
-                     PrecReal(1, 1), PrecReal(0)):
+        for ball in (ball_at(F(100), F(1), 8),
+                     ball_at(F(-1, 3), F(1, 10 ** 6), 80),
+                     ball_at(F(1), F(1), 8), ball_at(F(0), 0, 8)):
             rel = ball.rel_err()
             for digits in range(1, 8):
                 assert ball.rel_err_at_most(digits) == (
@@ -313,7 +286,7 @@ class TestDyadicBall:
     @example(0, 0, 0, 1)
     @example(1, 1, 0, 1)  # |m| = r: no relative bound
     def test_rel_err_test_matches_the_fraction(self, m, r, e, digits):
-        ball = PrecReal._new(m, r, e, 0)
+        ball = PrecReal._new(m, r, e, 256)  # held exactly
         rel = ball.rel_err()
         assert ball.rel_err_at_most(digits) == (
             rel is not None and rel <= F(1, 10 ** digits))
@@ -325,7 +298,7 @@ class TestDyadicBall:
         for dm, holds in ((0, True), (1, True), (-1, False)):
             m = r * (10 ** digits + 1) + dm
             for sign in (1, -1):
-                assert PrecReal._new(sign * m, r, 0, 0).rel_err_at_most(
+                assert PrecReal._new(sign * m, r, 0, 256).rel_err_at_most(
                     digits) is holds
 
 
@@ -342,7 +315,7 @@ class TestCertifiedDecimal:
 
     def test_a_ball_across_a_rounding_boundary_prints_nothing(self):
         # 1.71825 +- 10^-7: its ends render as 1.7182 and 1.7183
-        ball = PrecReal(F(171825, 10 ** 5), F(1, 10 ** 7))
+        ball = ball_at(F(171825, 10 ** 5), F(1, 10 ** 7), 128)
         assert ball.decimal(4, certified=True) is None
         assert ball.decimal(3, certified=True) == "1.718"
-        assert PrecReal(F(-1, 8)).decimal(2, certified=True) == "-0.13"
+        assert ball_at(F(-1, 8), 0, 8).decimal(2, certified=True) == "-0.13"

@@ -117,23 +117,29 @@ def test_fib_product_difference_identity():
                 assert lhs == (-1) ** (r + 1) * fib_eval(d - r - 1, a)
 
 
+def interval_ball(lo: Fraction, hi: Fraction, bits: int) -> PrecReal:
+    """The interval [lo, hi] as a ball held to ``bits`` bits."""
+    return PrecReal._ratio(*((lo + hi) / 2).as_integer_ratio(),
+                           *((hi - lo) / 2).as_integer_ratio(), bits)
+
+
 def test_closed_form_via_characteristic_roots():
-    # F_n(q) = (rho1^n - rho2^n)/sqrt(q^2+4), certified to < 1e-20
+    # F_n(q) = (rho1^n - rho2^n)/sqrt(q^2+4), rho1,2 = (q +- sqrt(q^2+4))/2,
+    # certified to < 1e-20
     bits = 256
     tol = Fraction(1, 10 ** 20)
     for q in range(1, 7):
         # the root's isqrt bounds as a ball held to 256 bits
-        lo, hi = sqrt_bounds(q * q + 4, bits)
-        disc = PrecReal._ratio(*((lo + hi) / 2).as_integer_ratio(),
-                               *((hi - lo) / 2).as_integer_ratio(), bits)
-        rho1 = (q + disc) * Fraction(1, 2)
-        rho2 = (q - disc) * Fraction(1, 2)
-        p1, p2 = rho1, rho2
+        disc = interval_ball(*sqrt_bounds(q * q + 4, bits), bits)
         for n in range(1, 31):
-            approx = (p1 - p2) / disc
+            # rho1^n and rho2^n are monotone in the root, so the ends of
+            # its ball span their ranges
+            p1, p2 = ([((q + sign * s) / 2) ** n for s in (disc.lo, disc.hi)]
+                      for sign in (1, -1))
+            approx = interval_ball(p1[0] - max(p2), p1[1] - min(p2),
+                                   bits) / disc
             exact = fib_eval(n, q)
             assert abs(approx.value - exact) + approx.err < tol, (q, n)
-            p1, p2 = p1 * rho1, p2 * rho2
 
 
 def test_even_set_form_matches_recurrence():

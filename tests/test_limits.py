@@ -109,9 +109,11 @@ class TestKernels:
     def test_pythagorean_identity_certified(self):
         x = F(3, 7)
         s, c = taylor_ball(x, -1, True, 30), taylor_ball(x, -1, False, 30)
-        one = s * s + c * c
-        assert one.lo <= 1 <= one.hi
-        assert one.err < F(1, 10 ** 25)
+        # sin x, cos x > 0: their squares are spanned by the balls' ends
+        assert s.lo > 0 and c.lo > 0
+        lo, hi = s.lo ** 2 + c.lo ** 2, s.hi ** 2 + c.hi ** 2
+        assert lo <= 1 <= hi
+        assert hi - lo < F(1, 10 ** 25)
 
 
 class TestSeries:
@@ -265,7 +267,7 @@ class TestBinarySplitting:
     @example(3, 5, 2 ** 100)  # a radius of 2^-95
     def test_row_radius_is_a_power_of_two_above_the_tail(self, e, den,
                                                           eden):
-        err = limits._row_ball(0, e, den, eden, 0).err
+        err = limits._row_ball(0, e, den, eden, 64).err  # one bit: exact
         assert err.numerator == 1 or err.denominator == 1
         assert _is_pow2(err.numerator) and _is_pow2(err.denominator)
         assert err > F(e * den, eden)
@@ -499,7 +501,7 @@ class TestCertify:
 
         def never(w):
             tried.append(w)
-            return PrecReal(1, 1)
+            return PrecReal._ratio(1, 1, 1, 1, 64)  # 1 ± 1: no digit
 
         with pytest.raises(PrecisionExhausted):
             limits._certify(never, 5, 100)
@@ -507,7 +509,7 @@ class TestCertify:
 
     def test_zero_division_retried_at_double_width(self):
         # a divisor ball that holds 0 counts as a failed attempt
-        tried, ball = [], PrecReal(1)
+        tried, ball = [], PrecReal._ratio(1, 1, 0, 1, 64)
 
         def divides_by_zero_once(w):
             tried.append(w)
@@ -899,6 +901,32 @@ def test_one_walk_per_attempt(monkeypatch):
         sums.clear()
         xi_bessel(CFParams(*t), 25)
         assert len(walks) == 1 and sums == [{"weighted": True}], t
+
+
+def test_rows_formed_once_across_attempts(monkeypatch):
+    # the rows do not depend on the working digits: a retried attempt
+    # reuses those of the first, with no second walk or transform
+    walks, transforms, widths = [], [], []
+    walk, transform = limits._half_odd_walk, limits.fib_transform
+    attempt = limits._attempt
+
+    def fails_once(rows, sigma, rho, w):
+        widths.append(w)
+        if len(widths) == 1:
+            raise ZeroDivisionError("divisor interval contains zero")
+        return attempt(rows, sigma, rho, w)
+
+    monkeypatch.setattr(limits, "_half_odd_walk",
+                        lambda *a: walks.append(a) or walk(*a))
+    monkeypatch.setattr(limits, "fib_transform",
+                        lambda p: transforms.append(p) or transform(p))
+    monkeypatch.setattr(limits, "_attempt", fails_once)
+    for route, walked in ((xi_limit, 0), (xi_bessel, 1)):
+        walks.clear()
+        transforms.clear()
+        widths.clear()
+        route(CFParams(4, 3, 1, 2, 1), 25)
+        assert (len(widths), len(transforms), len(walks)) == (2, 1, walked)
 
 
 def test_walk_never_steps_down(monkeypatch):

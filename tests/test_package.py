@@ -32,16 +32,28 @@ def test_readme_limit_example():
         == "1.71828182845904523536028747135266249775724709369996"
 
 
+def _run(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with ``args``, importing this checkout's
+    hurwitzcf."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        os.path.dirname(os.path.dirname(hurwitzcf.__file__)),
+        os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True)
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = _run("-m", "hurwitzcf", "verify", "--suite", "cf")
+    assert (proc.returncode, proc.stdout) == (0, "suite cf: ok\n")
+
+
 @functools.lru_cache(maxsize=None)
 def _loaded(code: str) -> frozenset:
     """The modules loaded after running `code` in a fresh interpreter that
     imports this checkout's hurwitzcf."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
-        os.path.dirname(os.path.dirname(hurwitzcf.__file__)),
-        os.environ.get("PYTHONPATH")])))
     probe = code + "\nimport sys\nprint(*sys.modules, file=sys.stderr)"
-    proc = subprocess.run([sys.executable, "-c", probe], env=env,
-                          capture_output=True, text=True, check=True)
+    proc = _run("-c", probe)
+    proc.check_returncode()
     return frozenset(proc.stderr.split())
 
 

@@ -11,6 +11,7 @@ from hurwitzcf.exactnum import PrecReal
 
 S = cf_engine.stream_from_list([1, 2, 3, 4])
 P = hurwitz.CFParams(1, 2, 2, 3, 2)
+BALL = PrecReal._ratio(1, 1, 0, 1, 64)
 
 REFUSALS = {  # test id: (call, error, message)
     "stream-from-list": (lambda: cf_engine.stream_from_list([3, 1, 4])(-1),
@@ -68,12 +69,16 @@ REFUSALS = {  # test id: (call, error, message)
                     "int, int"),
     "sweep-beta-float": (lambda: classify.brute_force_sweep(40, 10, 14.0),
                          TypeError, "must be ints, got int, int, float"),
-    "negative-radius": (lambda: PrecReal(1, -1), ValueError,
-                        "error bound must be nonnegative"),
-    "decimal-digits": (lambda: PrecReal(1).decimal(-2), ValueError,
+    "decimal-digits": (lambda: BALL.decimal(-2), ValueError,
                        "digits must be >= 0, got -2"),
-    "decimal-float": (lambda: PrecReal(1).decimal(5.5), TypeError,
+    "decimal-float": (lambda: BALL.decimal(5.5), TypeError,
                       "digits must be an int, got float"),
+    # a ball's one operation is the quotient of two balls
+    "ball-over-int": (lambda: BALL / 2, TypeError, "unsupported operand"),
+    "int-times-ball": (lambda: 2 * BALL, TypeError, "unsupported operand"),
+    "ball-plus-ball": (lambda: BALL + BALL, TypeError,
+                       "unsupported operand"),
+    "minus-ball": (lambda: -BALL, TypeError, "bad operand type"),
 }
 
 
