@@ -4,8 +4,10 @@ Partial denominators: r copies of alpha, then beta0, then repeating blocks of
 d - 1 copies of alpha followed by beta0 + beta1*n for n = 1, 2, ...
 
 Three independent routes to the (nd+r-1)st convergent numerators live here:
-the closed form (integer sums scaled by powers of beta1 F_d), the compact
-convolution recurrence, and - via cf_engine - the plain convergent recurrence.
+the closed form (integer sums scaled by powers of beta1 F_d, each summed by
+binary splitting from its middle term outward, over ratios whose
+denominators multiply to n!), the compact convolution recurrence, and - via
+cf_engine - the plain convergent recurrence.
 """
 
 from __future__ import annotations
@@ -128,8 +130,16 @@ def fib_transform(params: CFParams) -> tuple[tuple[int, int], tuple[int, int]]:
 
 
 def _rising(p: int, q: int, n: int) -> int:
-    """prod_{j<n} (p + jq) = q^n (sigma)_n at sigma = p/q, an integer."""
-    return math.prod(p + j * q for j in range(n))
+    """prod_{j<n} (p + jq) = q^n (sigma)_n at sigma = p/q, an integer: a
+    balanced product tree, so that the two halves multiplied last are of
+    about the same size."""
+    def tree(i: int, j: int) -> int:
+        if j - i <= 8:
+            return math.prod(p + k * q for k in range(i, j))
+        mid = (i + j) // 2
+        return tree(i, mid) * tree(mid, j)
+
+    return tree(0, n)
 
 
 def _scaled_first_sum(n: int, p: int, q: int, s: int) -> tuple[int, int]:
@@ -137,13 +147,17 @@ def _scaled_first_sum(n: int, p: int, q: int, s: int) -> tuple[int, int]:
 
     first = sum_{k<=n/2} ((n-k)!/k!) C(n+sigma-1-k, n-2k) rho^k.
 
-    q^n first = X_n(p) = sum_k s^k C(n-k, k) (p+kq)...(p+(n-1-k)q) is an
-    integer: t_0 = prod_{j<n} (p+jq) and t_{k+1}/t_k = s (n-2k)(n-2k-1) /
-    ((n-k)(k+1)(p+(n-1-k)q)(p+kq)), summed by binary splitting."""
-    _, Q, T = _split([(s * (n - 2 * k) * (n - 2 * k - 1),
-                       (n - k) * (k + 1) * (p + (n - 1 - k) * q) * (p + k * q))
-                      for k in range(n // 2)], 0, n // 2)
-    return divmod(_rising(p, q, n) * (Q + T), Q)
+    q^n first = X_n(p) = sum_k t_k, t_k = s^k C(n-k, k) (p+kq)...(p+(n-1-k)q),
+    is an integer, summed by binary splitting from its middle term
+    K = n // 2 down to t_0: t_K = s^K for even n and s^K (K+1)(p+Kq) for
+    odd n, and t_{k-1}/t_k = s (n-k+1) k (p+(k-1)q)(p+(n-k)q) /
+    ((n-2k+2)(n-2k+1)).  The denominators multiply to Q = n!."""
+    K = n // 2
+    _, Q, T = _split([(s * (n - k + 1) * k * (p + (k - 1) * q)
+                       * (p + (n - k) * q), (n - 2 * k + 2) * (n - 2 * k + 1))
+                      for k in range(K, 0, -1)], 0, K)
+    t_K = s ** K * ((K + 1) * (p + K * q) if n % 2 else 1)
+    return divmod(t_K * (Q + T), Q)
 
 
 def closed_form_convergent(params: CFParams, n: int) -> Convergent:
@@ -151,7 +165,9 @@ def closed_form_convergent(params: CFParams, n: int) -> Convergent:
     integers.  The second sum is rho (first at n-1 and sigma+1), so with
     q = beta1 F_d(alpha) the scaled sums are X_n(p) and
     q^(n+1) second = s X_{n-1}(p+q); fib_transform's second column
-    carries g = +-q, divided out exactly."""
+    carries g = +-q, divided out exactly.  Each sum is one binary splitting
+    from its middle term and one division by n! (or (n-1)!), whose
+    remainder must be 0: NonIntegerResult otherwise."""
     if n < 0:
         raise ValueError("n must be >= 0")
     (p, q), (s, _) = magic_pairs(params)
@@ -199,11 +215,11 @@ def normalized_numerator(params: CFParams, n: int, digits: int) -> PrecReal:
     """p_{nd+r-1} / (F_d(a)^n beta1^n (sigma+n-1)_n), rendered to the
     requested precision.  Converges to the series limit as n grows.
 
-    With sigma = p/q, q = beta1 F_d(a), the denominator is
-    prod_{j<n} (p + jq), an integer."""
+    The numerator is the closed form's; with sigma = p/q, q = beta1 F_d(a),
+    the denominator is prod_{j<n} (p + jq), an integer."""
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_digits(digits)
     (p, q), _ = magic_pairs(params)
-    return PrecReal._ratio(prec_recurrence_p(params, n)[n], _rising(p, q, n),
-                           0, 1, mantissa_bits(digits))
+    return PrecReal._ratio(closed_form_convergent(params, n).p,
+                           _rising(p, q, n), 0, 1, mantissa_bits(digits))

@@ -149,6 +149,23 @@ def double_sum_numerators(params: CFParams, n_max: int) -> list[int]:
     return out
 
 
+def top_down_first_sum(n: int, p: int, q: int, s: int) -> int:
+    """X_n(p) = sum_k s^k C(n-k, k) (p+kq)...(p+(n-1-k)q), term by term
+    from the first term down: t_0 = prod_{j<n} (p + jq) and
+    t_{k+1} = t_k s (n-2k)(n-2k-1) / ((n-k)(k+1)(p+(n-1-k)q)(p+kq)).
+    Every term is an integer, so each division must be exact."""
+    t = math.prod(p + j * q for j in range(n))
+    total = t
+    for k in range(n // 2):
+        t, rem = divmod(t * s * (n - 2 * k) * (n - 2 * k - 1),
+                        (n - k) * (k + 1) * (p + (n - 1 - k) * q)
+                        * (p + k * q))
+        if rem:
+            raise ArithmeticError(f"term {k + 1} of X_{n} is not an integer")
+        total += t
+    return total
+
+
 # Values for the limits' tests, from stdlib decimal, math.isqrt and exact
 # Fractions: nothing here calls hurwitzcf.limits or hurwitzcf.exactnum.
 

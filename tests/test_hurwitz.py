@@ -14,13 +14,13 @@ from hurwitzcf.cf_engine import (_last_convergent, convergents, euler_mindig,
 from hurwitzcf.cli import run
 from hurwitzcf.errors import NonIntegerResult
 from hurwitzcf.fibpoly import fib_eval, lucas_eval
-from hurwitzcf.hurwitz import (CFParams, _scaled_first_sum,
+from hurwitzcf.hurwitz import (CFParams, _rising, _scaled_first_sum,
                                closed_form_convergent, denom_stream,
                                fib_transform, magic_pairs,
                                normalized_numerator, prec_recurrence_p,
                                sigma_tag)
 from reference import (double_sum_numerators, falling_factorial, gbinom,
-                       sigma_rho)
+                       sigma_rho, top_down_first_sum)
 
 E_MINUS_1 = CFParams(1, 2, 2, 3, 2)
 TAN_1 = CFParams(1, 1, 2, 2, 1)
@@ -252,16 +252,42 @@ class TestClosedFormSums:
             ref = _last_convergent(denom_stream(params), cf.n)
             assert (cf.p, cf.q) == (ref.p, ref.q), (params, n)
 
+    # the middle-out sum against the first-term-down reference, exact
+    # integers on both sides; n = 0 and 1 sum no ratio at all
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 300), st.integers(1, 10 ** 6),
+           st.integers(1, 10 ** 4), st.sampled_from((1, -1)))
+    @example(0, 6, 4, 1)
+    @example(1, 6, 4, 1)
+    @example(2, 6, 4, -1)
+    @example(3, 10, 4, 1)
+    @example(200, 1, 1, -1)
+    @example(201, 1, 1, 1)
+    def test_middle_out_equals_top_down(self, n, p, q, s):
+        assert _scaled_first_sum(n, p, q, s) \
+            == (top_down_first_sum(n, p, q, s), 0)
+
+    @pytest.mark.parametrize("params", [E_MINUS_1, UGLY])
+    @pytest.mark.parametrize("n", [2000, 2001])
+    def test_middle_out_equals_top_down_at_depth(self, params, n):
+        (p, q), (s, _) = magic_pairs(params)
+        for m, base in ((n, p), (n - 1, p + q)):  # the first and second sums
+            assert _scaled_first_sum(m, base, q, s) \
+                == (top_down_first_sum(m, base, q, s), 0), (params, m)
+
     def test_large_index_against_recurrence(self):
         for params in (E_MINUS_1, UGLY):
             cf = closed_form_convergent(params, 1000)
             ref = convergents(denom_stream(params), cf.n)[-1]
             assert (cf.p, cf.q) == (ref.p, ref.q), params
 
-    @pytest.mark.parametrize("n", [5, 3000])
+    @pytest.mark.parametrize("n", [2, 5, 120, 201, 3000])
     def test_non_integer_sum_reported_at_any_index(self, monkeypatch, n):
-        # the message names the input, not the numbers: at n = 3000 these
-        # run past the interpreter's 4300-digit limit on int-to-str
+        """A planted T + 1 makes the remainder of t_K (Q + T) by Q nonzero.
+        At n <= 1 there is no ratio (Q = 1), so the guard has nothing to
+        check there.  The message names the input, not the numbers: at
+        n = 3000 these run past the interpreter's 4300-digit limit on
+        int-to-str."""
         split_off_by_one(monkeypatch)
         with pytest.raises(NonIntegerResult, match=f"n={n}:") as err:
             closed_form_convergent(E_MINUS_1, n)
@@ -289,6 +315,13 @@ class TestClosedFormSums:
         for (p, n), ball in zip(cases, normed):
             again = normalized_numerator(p, n, 30)
             assert (again.m, again.r, again.e) == (ball.m, ball.r, ball.e)
+
+
+@pytest.mark.parametrize("p, q", [(6, 4), (1, 1), (3, 1), (97, 10 ** 6)])
+def test_rising_equals_the_plain_product(p, q):
+    for n in range(101):
+        assert _rising(p, q, n) == math.prod(p + j * q for j in range(n))
+    assert _rising(p, q, 5000) == math.prod(p + j * q for j in range(5000))
 
 
 class TestPrecRecurrence:
