@@ -18,7 +18,8 @@ from typing import Literal
 
 from .cf_engine import Convergent, DenomStream
 from .errors import NonIntegerResult
-from .exactnum import PrecReal, _check_digits, _split, mantissa_bits
+from .exactnum import (PrecReal, _check_digits, _divmod, _split,
+                       mantissa_bits)
 from .fibpoly import fib_eval
 
 
@@ -157,7 +158,7 @@ def _scaled_first_sum(n: int, p: int, q: int, s: int) -> tuple[int, int]:
                        * (p + (n - k) * q), (n - 2 * k + 2) * (n - 2 * k + 1))
                       for k in range(K, 0, -1)], 0, K)
     t_K = s ** K * ((K + 1) * (p + K * q) if n % 2 else 1)
-    return divmod(t_K * (Q + T), Q)
+    return _divmod(t_K * (Q + T), Q)
 
 
 def closed_form_convergent(params: CFParams, n: int) -> Convergent:

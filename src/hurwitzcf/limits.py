@@ -6,9 +6,10 @@ and B = rho/sigma 0F1(; sigma+1; rho).  One term ratio, `_0f1`, gives both
 as integer pairs, the format of every ratio passed to `_sum_ratio_series`,
 together with a closed-form estimate of the size of the terms (lgamma),
 from which the kernel chooses the number of terms before summing any.
-Every rational on the way to a limit is such a pair (num, den), unreduced,
-and limits come out as dyadic balls (PrecReal), so no Fraction is made and
-no gcd is taken.
+Every rational on the way to a limit is such a pair (num, den), and
+limits come out as dyadic balls (PrecReal), so no Fraction is made.  The
+only gcds are `_0f1`'s two per series, which reduce its term ratio once;
+every sum and product after it stays unreduced.
 
 B's terms are A's terms a_k times their index, B = sum_k k a_k, so every
 family limit is one `_attempt`: one weighted binary splitting gives A and B
@@ -182,16 +183,25 @@ def _sum_ratio_series(t0: Pair, ratios: Ratios, digits: int,
 
 def _0f1(sigma: Pair, rho: Pair) -> Ratios:
     """The term ratio of 0F1(; sigma; rho) = sum_m rho^m / (m! (sigma)_m),
-    rho / ((m+1)(sigma+m)), as the unreduced integer pairs
-    (u q, v (m+1)(p + q m)) for sigma = p/q > 0 and rho = u/v, and
+    rho / ((m+1)(sigma+m)), for sigma = p/q > 0 and rho = u/v, and
     log |t_m / t_0| = m log |rho| - lgamma(m+1) - log (sigma)_m.
+
+    The pairs are (a, c (m+1)(p' + q' m)): p'/q' is sigma in lowest terms,
+    and a/c is u q'/v with h = gcd(u q', v) divided out.  For the family's
+    sigma = p/q, rho = +-1/q^2, a = +-1, so binary splitting's products of
+    numerators stay +-1, and each denominator is g h = q times smaller than
+    v (m+1)(p + q m), for g = gcd(p, q).  The ratios' values, so the sums
+    and the stops, are those of the unreduced pairs.
 
     log (sigma)_m is lgamma(sigma+m) - lgamma(sigma).  Above sigma ~ 2^40
     that difference drowns in the rounding of lgamma(sigma) (and past the
     float range sigma has no float), so m log sigma stands in for it; the
-    two differ by about m^2 / (2 sigma)."""
+    two differ by about m^2 / (2 sigma).  Both read sigma and rho as given."""
     (p, q), (u, v) = sigma, rho
-    uq = u * q
+    g = math.gcd(p, q)
+    p1, q1 = p // g, q // g
+    h = math.gcd(u * q1, v)  # v when u = 0: the pair (0, 1)
+    a, c = u * q1 // h, v // h
     # u = 0: every ratio is 0, and the kernel stops at m = 0 unasked
     log_rho = math.log(abs(u)) - math.log(v) if u else -math.inf
     if p.bit_length() - q.bit_length() > 40:
@@ -206,7 +216,7 @@ def _0f1(sigma: Pair, rho: Pair) -> Ratios:
         def log_size(m: int) -> float:
             return (m * log_rho - math.lgamma(m + 1) - math.lgamma(m + s)
                     + lgamma_s)
-    return Ratios(lambda i, j: [(uq, v * (m + 1) * (p + q * m))
+    return Ratios(lambda i, j: [(a, c * (m + 1) * (p1 + q1 * m))
                                 for m in range(i, j)], log_size)
 
 

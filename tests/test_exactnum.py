@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from hurwitzcf import exactnum
-from hurwitzcf.exactnum import PrecReal, mantissa_bits
+from hurwitzcf.exactnum import PrecReal, _divmod, int_text, mantissa_bits
 from hurwitzcf.hurwitz import CFParams
 from hurwitzcf.limits import xi_limit
 # the tests of the rational references, collected here
@@ -155,6 +155,134 @@ class TestPrecReal:
             v.value = 2
 
 
+CUT = exactnum._DIV_CUTOFF
+
+
+def of_bits(k: int):
+    """Integers of exactly k bits (0 for k = 0)."""
+    return st.integers(1 << k - 1, (1 << k) - 1) if k else st.just(0)
+
+
+# around the crossover, at odd lengths (the padding branch), at even
+# lengths whose halves are odd, and well above it
+BITS = st.one_of(st.integers(1, 3 * CUT),
+                 st.sampled_from([CUT - 1, CUT, CUT + 1, 2 * CUT - 1,
+                                  2 * CUT + 1, 2 * (CUT + 1), 4 * CUT + 6,
+                                  8 * CUT + 3]))
+
+
+def signed(draw, n: int) -> int:
+    return n if draw(st.booleans()) else -n
+
+
+class TestRecursiveDivision:
+    """_divmod is divmod: the same floor quotient and remainder."""
+
+    @given(st.data())
+    def test_equals_divmod(self, data):
+        b = data.draw(of_bits(data.draw(BITS)))
+        a = signed(data.draw, data.draw(of_bits(data.draw(
+            st.integers(0, 3 * b.bit_length() + CUT)))))
+        assert _divmod(a, b) == divmod(a, b)
+
+    @given(BITS, BITS, st.data())
+    def test_exact_quotients(self, qbits, bbits, data):
+        q = signed(data.draw, data.draw(of_bits(qbits)))
+        b = data.draw(of_bits(bbits))
+        assert _divmod(q * b, b) == (q, 0) == divmod(q * b, b)
+
+    @given(st.integers(0, 4 * CUT + 1), st.data())
+    def test_powers_of_two_and_one(self, k, data):
+        a = signed(data.draw, data.draw(of_bits(data.draw(
+            st.integers(0, 2 * k + CUT + 2)))))
+        assert _divmod(a, 1 << k) == divmod(a, 1 << k) == (a >> k,
+                                                           a & (1 << k) - 1)
+        assert _divmod(a, 1) == (a, 0)
+
+    @given(BITS, st.data())
+    def test_dividend_below_the_divisor(self, bbits, data):
+        b = data.draw(of_bits(max(bbits, 1)))
+        a = signed(data.draw, data.draw(st.integers(0, b - 1)))
+        assert _divmod(a, b) == divmod(a, b)
+
+    @given(st.integers(CUT, 3 * CUT), st.integers(2, 6), st.data())
+    def test_dividend_far_above_the_square(self, bbits, times, data):
+        b = data.draw(of_bits(bbits))
+        a = signed(data.draw, data.draw(of_bits(times * bbits + CUT)))
+        assert _divmod(a, b) == divmod(a, b)
+
+    @given(BITS.filter(lambda n: n >= CUT), st.integers(-3, 3), st.data())
+    def test_quotients_at_the_crossover(self, bbits, off, data):
+        b = data.draw(of_bits(bbits))
+        a = signed(data.draw, data.draw(of_bits(bbits + CUT + off)))
+        assert _divmod(a, b) == divmod(a, b)
+
+    @pytest.mark.parametrize("bbits", [CUT + 1, 2 * CUT + 1, 2 * (CUT + 1),
+                                       4 * CUT + 6, 8 * CUT + 3])
+    def test_odd_lengths_pad(self, bbits):
+        # an odd n, or an even n with odd halves: the padding branch
+        for a, b in ((4 ** bbits - 1, 2 ** bbits - 1),
+                     (4 ** bbits - 2, 2 ** (bbits - 1) + 1),
+                     ((2 ** bbits - 3) * 2 ** bbits + 7, 2 ** bbits - 1)):
+            assert _divmod(a, b) == divmod(a, b)
+            assert _divmod(-a, b) == divmod(-a, b)
+
+
+def decimal_text(n: int) -> str:
+    return format(Decimal(n), "f")
+
+
+def fraction_text(q: Fraction) -> str:
+    num = decimal_text(q.numerator)
+    return num if q.denominator == 1 else \
+        f"{num}/{decimal_text(q.denominator)}"
+
+
+LEAF = exactnum._TEXT_LEAF
+
+
+class TestIntText:
+    @pytest.mark.parametrize("n", [0, 1, -1])
+    def test_small(self, n):
+        assert int_text(n) == str(n) == decimal_text(n)
+
+    @pytest.mark.parametrize("k", [1, 2, LEAF - 1, LEAF, LEAF + 1, 2 * LEAF,
+                                   2 * LEAF + 1, 4299, 4300, 4301, 9000])
+    def test_powers_of_ten_and_below(self, k):
+        for n in (10 ** k, 10 ** k - 1, 10 ** k + 1):
+            for x in (n, -n):
+                assert int_text(x) == decimal_text(x)
+                if k < 4300:
+                    assert int_text(x) == str(x)
+
+    @given(st.data())
+    def test_lengths_at_the_cuts(self, data):
+        # the leaf cut and the interpreter's limit, +- 1 digit
+        digits = data.draw(st.sampled_from(
+            [LEAF - 1, LEAF, LEAF + 1, 2 * LEAF - 1, 2 * LEAF,
+             2 * LEAF + 1, 4299, 4300, 4301]))
+        n = signed(data.draw, data.draw(st.integers(10 ** (digits - 1),
+                                                    10 ** digits - 1)))
+        assert int_text(n) == decimal_text(n)
+        if digits <= 4300:
+            assert int_text(n) == str(n)
+
+    @given(st.integers(-10 ** 5000, 10 ** 5000))
+    def test_equals_decimal(self, n):
+        assert int_text(n) == decimal_text(n)
+
+    def test_a_hundred_thousand_digits(self):
+        n = 10 ** 99_999 + 7 ** 118_300  # 7^118300 has 99,976 digits
+        assert len(decimal_text(n)) == 100_000
+        assert int_text(n) == decimal_text(n)
+        assert int_text(-n) == "-" + decimal_text(n)
+
+    def test_repr_at_3000_digits(self):
+        v = xi_limit(CFParams(1, 2, 2, 3, 2), 3000)
+        assert repr(v) == (f"PrecReal({fraction_text(v.value)} ± "
+                           f"{fraction_text(v.err)})")
+
+
 def fraction_decimal(v: Fraction, digits: int) -> str:
     """The exact rendering of a rational with ``digits`` fractional digits,
     rounded half up, in Fraction arithmetic."""
@@ -300,6 +428,38 @@ class TestDyadicBall:
             for sign in (1, -1):
                 assert PrecReal._new(sign * m, r, 0, 256).rel_err_at_most(
                     digits) is holds
+
+
+def assert_prec_bits(ball: PrecReal) -> None:
+    """|m|, r < 2^prec; at prec 1, 2 bits (a center floored to -1 adds one
+    unit to r, so r = 2 can stay)."""
+    assert max(abs(ball.m), ball.r).bit_length() <= max(ball.prec, 2)
+
+
+class TestBallWidth:
+    @given(st.integers(-2 ** 300, 2 ** 300), st.integers(0, 2 ** 300),
+           st.integers(-40, 40), st.integers(1, 200))
+    @example(-(2 ** 10 - 1), 0, 0, 8)  # the center's floor carries
+    @example(5, 2 ** 10 - 1, 0, 8)  # the radius's ceiling carries
+    @example(1, 2 ** 9 - 1, 0, 8)  # ... and the center's unit on top
+    @example(-3, 3, 0, 1)
+    def test_new(self, m, r, e, prec):
+        ball = PrecReal._new(m, r, e, prec)
+        assert_prec_bits(ball)
+        assert ball.lo <= exactnum._dyadic(m - r, e)
+        assert exactnum._dyadic(m + r, e) <= ball.hi
+
+    @given(CENTERS, RADII, PRECS)
+    @example(F(-1023), F(0), 8)
+    @example(F(1), F(511), 8)
+    def test_ratio(self, v, r, prec):
+        assert_prec_bits(ball_at(v, r, prec))
+
+    @given(operand_pairs())
+    def test_quotient(self, pair):
+        a, _, (b, _) = pair
+        if not b.contains_zero():
+            assert_prec_bits(a / b)
 
 
 class TestCertifiedDecimal:

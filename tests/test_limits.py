@@ -322,8 +322,8 @@ class TestBinarySplitting:
         with pytest.raises(PrecisionExhausted):
             _sum_ratio_series((1, 1), walked(lambda m: (-1, 1)), 5)
 
-    # the pairs of _0f1 are not reduced: a common factor must change no
-    # value (the unreduced pairs it returns do change)
+    # the kernel takes unreduced pairs (the closed form's are): a common
+    # factor must change no value (the unreduced pairs it returns do change)
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 10 ** 12), st.sampled_from(range(len(ALL_SERIES))),
            st.sampled_from([5, 60]))
@@ -349,6 +349,68 @@ class TestBinarySplitting:
             last = abs(total - naive_sum(t0, ratio, n - 1))
             assert last * (n + 1 if weighted else 1) < eps * max(abs(total),
                                                                  eps)
+
+
+def unreduced_0f1(sigma, rho):
+    """_0f1's ratios as the pairs (u q, v (m+1)(p + q m)) that it reduces,
+    with its estimate."""
+    (p, q), (u, v) = sigma, rho
+    return limits.Ratios(lambda i, j: [(u * q, v * (m + 1) * (p + q * m))
+                                       for m in range(i, j)],
+                         limits._0f1(sigma, rho).log_size)
+
+
+FAMILY = [CFParams(a, b0, b1, d, 0) for a in range(1, 5)
+          for b0 in (1, 2, 3, 5) for b1 in range(1, 4) for d in range(1, 5)]
+
+
+class TestReducedRatios:
+    @given(st.integers(1, 10 ** 6), st.integers(1, 10 ** 6),
+           st.integers(1, 10 ** 4), st.integers(-10 ** 6, 10 ** 6),
+           st.integers(1, 10 ** 6), st.integers(0, 200))
+    @example(3, 2, 6, -1, 144, 0)  # sigma 18/12, rho -1/144
+    @example(1, 1, 1, 0, 5, 3)  # rho = 0: the pair (0, 1)
+    def test_pairs_are_the_ratios(self, p, q, g, u, v, m):
+        sigma, rho = (g * p, g * q), (u, v)
+        a, b = limits._0f1(sigma, rho).pairs(m, m + 3)[0]
+        assert b > 0
+        assert F(a, b) == F(u * q * g, v * (m + 1) * (g * p + g * q * m))
+        assert unreduced_0f1(sigma, rho).pairs(m, m + 1)[0] == (
+            u * q * g, v * (m + 1) * (g * p + g * q * m))
+
+    def test_family_numerators_are_one(self):
+        for params in FAMILY:
+            (p, q), rho = magic_pairs(params)
+            for sigma in ((p, q), (p + q, q)):  # sigma, and sigma + 1
+                pairs = limits._0f1(sigma, rho).pairs(0, 40)
+                assert {abs(a) for a, _ in pairs} == {1}, params
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("digits", [5, 300])
+    def test_same_terms_and_sums_as_unreduced(self, digits, weighted):
+        for params in FAMILY:
+            self.check_against_unreduced(params, digits, weighted)
+
+    @staticmethod
+    def check_against_unreduced(params, digits, weighted):
+        sigma, rho = magic_pairs(params)
+        got, ref = (_sum_ratio_series((1, 1), ratios, digits, weighted)
+                    for ratios in (limits._0f1(sigma, rho),
+                                   unreduced_0f1(sigma, rho)))
+        assert got[-1] == ref[-1]  # terms_used
+        if weighted:  # s/den, u/den, and the tails over tail_den
+            assert F(got[0], got[2]) == F(ref[0], ref[2])
+            assert F(got[1], got[2]) == F(ref[1], ref[2])
+            assert F(got[3], got[5]) == F(ref[3], ref[5])
+            assert F(got[4], got[5]) == F(ref[4], ref[5])
+        else:
+            assert F(got[0], got[1]) == F(ref[0], ref[1])
+            assert F(got[2], got[3]) == F(ref[2], ref[3])
+        # each of the terms_used - 1 ratios' denominators is q times
+        # smaller: q g (m+1)(p' + q' m) against v (m+1)(p + q m) =
+        # q^2 g (m+1)(p' + q' m), for g = gcd(p, q), p' = p/g, q' = q/g
+        den, ref_den = got[2 if weighted else 1], ref[2 if weighted else 1]
+        assert den * sigma[1] ** (got[-1] - 1) == ref_den
 
 
 def reference_walk(t0, ratio, digits):
