@@ -124,13 +124,14 @@ def _split(pairs: list[tuple[int, int]], i: int, j: int,
 
     The one exact summation kernel (binary splitting, Haible & Papanikolaou
     1998): over ratios 0..j-1, t_0 (1 + T/Q) = t_0 + ... + t_j and
-    t_0 U/Q = 1 t_1 + ... + j t_j.  It sums the certified series of
-    ``limits`` and the closed form of ``hurwitz``."""
+    t_0 U/Q = 1 t_1 + ... + j t_j.  With ``base`` it sums the certified
+    series of ``limits``, without it the closed form of ``hurwitz``."""
     if j - i <= 8:  # a short run, folded in place (none: P = Q = 1, T = 0)
         P, Q, T = 1, 1, 0
         if base is None:
             for a, b in pairs[i:j]:
-                P, Q, T = P * a, Q * b, T * b + P * a
+                P, Q = P * a, Q * b
+                T = T * b + P
             return P, Q, T
         U = 0
         for n, (a, b) in enumerate(pairs[i:j], base + i + 1):
@@ -167,10 +168,6 @@ def _shifted_quotient(num: int, den: int, k: int) -> tuple[int, bool]:
 
 def _dyadic(n: int, e: int) -> Fraction:
     return Fraction(n << e) if e >= 0 else Fraction(n, 1 << -e)
-
-
-def _is_pow2(n: int) -> bool:
-    return n & (n - 1) == 0
 
 
 class PrecReal:
@@ -219,14 +216,8 @@ class PrecReal:
     def _ratio(num: int, den: int, rad_num: int, rad_den: int,
                prec: int) -> "PrecReal":
         """The ball num/den ± rad_num/rad_den (den, rad_den > 0,
-        rad_num >= 0) at ``prec`` bits.  Dyadic inputs are held exactly,
-        then cut; otherwise the center is one shifted floor division and
-        the radius is rounded up."""
-        if _is_pow2(den) and _is_pow2(rad_den):
-            shift = max(den.bit_length(), rad_den.bit_length()) - 1
-            return PrecReal._new(num << (shift - den.bit_length() + 1),
-                                 rad_num << (shift - rad_den.bit_length() + 1),
-                                 -shift, prec)
+        rad_num >= 0) at ``prec`` bits: the center is one shifted floor
+        division and the radius is rounded up."""
         top = (num.bit_length() - den.bit_length() if num
                else rad_num.bit_length() - rad_den.bit_length())
         k = prec - 1 - top  # |num/den| 2^k < 2^prec: no second rounding

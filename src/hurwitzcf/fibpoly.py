@@ -80,13 +80,6 @@ def fib_eval(n: int, a: int) -> int:
     return x
 
 
-def lucas_eval(n: int, a: int) -> int:
-    """L_n evaluated at q = a: F_{n-1}(a) + F_{n+1}(a)."""
-    if n < 0:
-        raise ValueError("Lucas values are only defined for n >= 0 here")
-    return fib_eval(n - 1, a) + fib_eval(n + 1, a)
-
-
 def _even_subsets(lo: int, hi: int):
     """All subsets of {lo..hi} that are disjoint unions of even-length runs.
 

@@ -11,15 +11,17 @@ limits come out as dyadic balls (PrecReal), so no Fraction is made.  The
 only gcds are `_0f1`'s two per series, which reduce its term ratio once;
 every sum and product after it stays unreduced.
 
-B's terms are A's terms a_k times their index, B = sum_k k a_k, so every
-family limit is one `_attempt`: one weighted binary splitting gives A and B
-over one denominator, and integer rows give (m00 A + m01 B) / (m10 A +
+One kernel, `_sum_ratio_series`, sums every series: each call gives both
+sum_k t_k and its index-weighted sum sum_k k t_k over one denominator, and
+stops on the weighted tail.  B's terms are A's terms a_k times their index,
+B = sum_k k a_k, so every family limit is one `_attempt`: one binary
+splitting gives A and B, and integer rows give (m00 A + m01 B) / (m10 A +
 m11 B) as one PrecReal quotient of two balls.  `xi_limit` takes the rows of
 `fib_transform`; `xi_bessel` at half-odd sigma folds into them the order
 recurrence walked on integers from cosh, sinh (cos, sin), which are A and
 s g B at sigma = 1/2: no Gamma evaluator, no pi and no square root exist
 here.  `perron_d1`, the oracle of `lehmer_d1`, sums its two series apart
-(`_ball`) and divides the balls.
+(`_ball`, which reads the unweighted sum of each) and divides the balls.
 """
 
 from __future__ import annotations
@@ -74,39 +76,34 @@ def _first(ok: Callable[[int], bool], lo: int, limit: int,
     return hi
 
 
-def _sum_ratio_series(t0: Pair, ratios: Ratios, digits: int,
-                      weighted: bool = False) -> tuple[int, ...]:
-    """Sum t0 + t0*ratio(0) + t0*ratio(0)*ratio(1) + ... with a certified
-    tail bound, for the pair t0 = (num, den).  Returns (s_num, den,
-    tail_num, tail_den, terms_used): the partial sum s_num/den and the
-    tail bound tail_num/tail_den, unreduced.
-
-    weighted=True also sums the terms weighted by their index,
-    0 t_0 + 1 t_1 + 2 t_2 + ..., over the same denominator, and returns
-    (s_num, u_num, den, tail_num, u_tail_num, tail_den, terms_used): the
-    partial sums s_num/den and u_num/den and their tails over the shared
-    tail_den.  The weighted tail is |t_N| (N q/(1 - q) + q/(1 - q)^2),
-    sound only under the geometric contract below (|ratio(m)| nonincreasing
-    from N on): then |t_(N+j)| <= |t_N| q^j.  Its stop weighs |t_N| by
-    N + 2, which bounds that tail over |t_N| at q <= 1/2.
+def _sum_ratio_series(t0: Pair, ratios: Ratios,
+                      digits: int) -> tuple[int, ...]:
+    """Sum t_0 + t_1 + ... and 0 t_0 + 1 t_1 + 2 t_2 + ..., its terms
+    weighted by their index (Haible & Papanikolaou's series with the
+    polynomial factor a(n) = n), with certified tail bounds, for the pair
+    t0 = (num, den) and t_{m+1} = t_m ratio(m).  Returns (s_num, u_num,
+    den, tail_num, u_tail_num, tail_den, terms_used): the partial sums
+    s_num/den and u_num/den of t_0 .. t_N and their tail bounds over the
+    shared tail_den, unreduced, with terms_used = N + 1.
 
     ratio(m) = (a, b) with b > 0 is the integer pair a/b = t_{m+1}/t_m
     (ratios.pairs(i, j) lists ratio(i..j-1)); it need not be reduced, and
-    a = 0 ends the series.  The stop is accepted once |t_N| is below
-    2^-k <= 10^-(digits+guard) relative to the partial sum and
-    q = |ratio(N)| <= 1/2, where N is the number of ratios applied (the
-    partial sum holds t_0..t_N).  Tail contract: the tail is at most
-    |t_N| q / (1 - q) if |ratio(m)| is nonincreasing from N on (the
-    geometric bound), as every 0F1 ratio at sigma > 0 is.
+    a = 0 ends the series.  The stop is accepted once |t_N| (N + 2) is
+    below 2^-k <= 10^-(digits+guard) relative to the partial sum and
+    q = |ratio(N)| <= 1/2.  Tail contract: if |ratio(m)| is nonincreasing
+    from N on, as every 0F1 ratio at sigma > 0 is, |t_(N+j)| <= |t_N| q^j,
+    so the tails are at most |t_N| q/(1 - q) and |t_N| (N q/(1 - q) +
+    q/(1 - q)^2); at q <= 1/2 the latter is at most |t_N| (N + 2), the
+    weight of the stop.
 
     N is chosen before any term is summed.  The peak term is at the first m
     with |ratio(m)| <= 1; from there on, the first m >= 1 whose estimated
-    log |t_m| lies below log |t_peak| + log 10^-(digits+guard) - 1 and whose
-    q <= 1/2 is the candidate.  Galloping and bisection find it, first on
-    the estimate alone and then on the ratios from there, so it costs a few
-    dozen float operations and a few single ratios.  Its ratios are summed
-    by exact binary splitting (Haible & Papanikolaou 1998), so s_num/den
-    equals the term-by-term sum of the same terms.  The stop condition is
+    log |t_m| (m + 2) lies below log |t_peak| + log 10^-(digits+guard) - 1
+    and whose q <= 1/2 is the candidate.  Galloping and bisection find it,
+    first on the estimate alone and then on the ratios from there, so it
+    costs a few dozen float operations and a few single ratios.  Its ratios
+    are summed by exact binary splitting (exactnum._split), so the sums
+    equal the term-by-term sums of the same terms.  The stop condition is
     then checked exactly, by one comparison of integers shifted by k and
     2k bits.  If the terms cancel and it fails, the aim moves below the
     exact partial sum and the search goes on from N + 1, folding only the
@@ -123,7 +120,7 @@ def _sum_ratio_series(t0: Pair, ratios: Ratios, digits: int,
     _check_digits(digits)
     t0n, t0d = t0
     if t0n == 0:
-        return (0, 0, 1, 0, 0, 1, 0) if weighted else (0, 1, 0, 1, 0)
+        return 0, 0, 1, 0, 0, 1, 0
     # 2^-k <= 10^-(digits+guard): k rounds up, and 3.32193 > log2 10
     k = -(-332193 * (digits + _TAIL_GUARD_DIGITS) // 100000)
     limit = 100 * (digits + 20)
@@ -140,8 +137,7 @@ def _sum_ratio_series(t0: Pair, ratios: Ratios, digits: int,
         return abs(a) <= b
 
     def below_aim(m: int) -> bool:  # by the estimate of |t_m| (m + 2)
-        log_weight = math.log(m + 2) if weighted else 0.0
-        return (log_t0 + ratios.log_size(m) + log_weight
+        return (log_t0 + ratios.log_size(m) + math.log(m + 2)
                 < log_top + log_thresh)
 
     def stops(m: int) -> bool:
@@ -156,23 +152,16 @@ def _sum_ratio_series(t0: Pair, ratios: Ratios, digits: int,
         # the float search alone, then the exact ratios tried from there
         guess = _first(below_aim, max(lo, 1), limit, max(lo, 1))
         m = _first(stops, lo, limit, max(guess - 1, lo))
-        # fold the ratios n..m-1: the partial sum is t_0 .. t_m
-        if weighted:
-            p2, q2, t2, u2 = _split(ratios.pairs(n, m), 0, m - n, n)
-            U = U * q2 + P * u2
-        else:
-            p2, q2, t2 = _split(ratios.pairs(n, m), 0, m - n)
-        P, Q, T, n = P * p2, Q * q2, T * q2 + P * t2, m
+        # fold the ratios n..m-1: the partial sums hold t_0 .. t_m
+        p2, q2, t2, u2 = _split(ratios.pairs(n, m), 0, m - n, n)
+        P, Q, T, U, n = P * p2, Q * q2, T * q2 + P * t2, U * q2 + P * u2, m
         s_num, den = t0n * (Q + T), t0d * Q
         last = t0n * P  # t_m = last / den
         a, b = ratio(m)
-        # |t_m| < 2^-k max(|S|, 2^-k), with |t_m| (m + 2) if weighted, or
-        # every term after t_m is 0 (the tail below is then 0)
-        x = last * (m + 2) if weighted else last
-        if not a or abs(x) << 2 * k < max(abs(s_num) << k, den):
+        # |t_m| (m + 2) < 2^-k max(|S|, 2^-k), or every term after t_m is 0
+        # (the tails below are then 0)
+        if not a or abs(last * (m + 2)) << 2 * k < max(abs(s_num) << k, den):
             c, g = abs(last * a), b - abs(a)
-            if not weighted:
-                return s_num, den, c, den * g, m + 1
             return (s_num, t0n * U, den, c * g, c * (m * g + b), den * g * g,
                     m + 1)
         if s_num:  # the terms cancel: aim below the true partial sum
@@ -221,8 +210,9 @@ def _0f1(sigma: Pair, rho: Pair) -> Ratios:
 
 
 def _ball(t0: Pair, ratios: Ratios, digits: int) -> PrecReal:
-    """The series of _sum_ratio_series as a certified ball."""
-    s_num, den, tail_num, tail_den, _ = _sum_ratio_series(t0, ratios, digits)
+    """The sum t_0 + t_1 + ... of _sum_ratio_series as a certified ball."""
+    s_num, _, den, tail_num, _, tail_den, _ = _sum_ratio_series(
+        t0, ratios, digits)
     return PrecReal._ratio(s_num, den, tail_num, tail_den,
                            mantissa_bits(digits))
 
@@ -298,22 +288,17 @@ def _row_ball(x: int, e: int, den: int, eden: int, prec: int) -> PrecReal:
     return PrecReal._new(x << max(-k, 0), 1 << max(k, 0), min(k, 0), prec)
 
 
-def _weighted_rows(rows, sigma: Pair, rho: Pair, w: int):
-    """Each integer row (m0, m1) applied to A = 0F1(; sigma; rho) = a/den
-    and B = sum_k k a_k = b/den of one weighted split at w digits, with
-    tails ea/eden, eb/eden (sound as |ratio| of 0F1 falls for every m):
-    ([den (m0 A + m1 B) as _row_ball(m0 a + m1 b, |m0| ea + |m1| eb), ...],
-    den)."""
-    a, b, den, ea, eb, eden, _ = _sum_ratio_series(
-        (1, 1), _0f1(sigma, rho), w, weighted=True)
-    return [_row_ball(m0 * a + m1 * b, abs(m0) * ea + abs(m1) * eb, den,
-                      eden, mantissa_bits(w)) for m0, m1 in rows], den
-
-
 def _attempt(rows, sigma: Pair, rho: Pair, w: int) -> PrecReal:
-    """One attempt of any family limit: (m00 A + m01 B) / (m10 A + m11 B)."""
-    (x, y), _ = _weighted_rows(rows, sigma, rho, w)
-    return x / y  # den cancels
+    """One attempt of any family limit: (m00 A + m01 B) / (m10 A + m11 B)
+    for A = 0F1(; sigma; rho) = a/den and B = sum_k k a_k = b/den of one
+    split at w digits, with tails ea/eden, eb/eden (sound as |ratio| of 0F1
+    falls for every m).  Each row (m0, m1) is the ball den (m0 A + m1 B),
+    _row_ball(m0 a + m1 b, |m0| ea + |m1| eb), and den cancels."""
+    a, b, den, ea, eb, eden, _ = _sum_ratio_series(
+        (1, 1), _0f1(sigma, rho), w)
+    x, y = (_row_ball(m0 * a + m1 * b, abs(m0) * ea + abs(m1) * eb, den,
+                      eden, mantissa_bits(w)) for m0, m1 in rows)
+    return x / y
 
 
 def xi_limit(params: CFParams, digits: int) -> PrecReal:
@@ -356,9 +341,9 @@ def perron_d1(beta0: int, beta1: int, digits: int) -> PrecReal:
     """The same arithmetic-progression fraction by Perron's formula,
     b1 sigma 0F1(; sigma; rho) / 0F1(; sigma+1; rho) at sigma = b0/b1,
     rho = 1/b1^2, with each series summed on its own into a ball and the
-    balls divided; lehmer_d1 takes one weighted split and one quotient.
-    The two share the series and the kernel, so they are no independent
-    check of each other."""
+    balls divided; lehmer_d1 takes one split and one quotient.  The two
+    share the series and the kernel, so they are no independent check of
+    each other."""
     CFParams(1, beta0, beta1, 1, 0)  # checks beta0, beta1 as lehmer_d1 does
     rho = (1, beta1 * beta1)
 

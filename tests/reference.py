@@ -15,6 +15,7 @@ from functools import reduce
 import pytest
 from hypothesis import given, strategies as st
 
+from hurwitzcf import fibpoly
 from hurwitzcf.cf_engine import Convergent
 from hurwitzcf.hurwitz import CFParams, magic_pairs
 from hurwitzcf.identities import eval_unipoly, p_poly, q_poly
@@ -44,6 +45,15 @@ def sigma_rho(params: CFParams) -> tuple[Fraction, Fraction]:
     """The magic sum sigma and rho as reduced Fractions."""
     sigma, rho = magic_pairs(params)
     return Fraction(*sigma), Fraction(*rho)
+
+
+def lucas_eval(n: int, a: int) -> int:
+    """L_n evaluated at q = a: F_{n-1}(a) + F_{n+1}(a), with fib_eval
+    looked up on fibpoly at each call, so that a fault planted there
+    shows here too."""
+    if n < 0:
+        raise ValueError("Lucas values are only defined for n >= 0 here")
+    return fibpoly.fib_eval(n - 1, a) + fibpoly.fib_eval(n + 1, a)
 
 
 def convolve(a: list[int], b: list[int]) -> list[int]:

@@ -13,9 +13,9 @@ from hurwitzcf.classify import (SWEEP_GUARD, SigmaClass, brute_force_sweep,
 from hurwitzcf.cli import run
 from hurwitzcf.errors import UnsupportedD
 from hurwitzcf.exactnum import _fraction_text
-from hurwitzcf.fibpoly import fib_eval, lucas_eval
+from hurwitzcf.fibpoly import fib_eval
 from hurwitzcf.hurwitz import CFParams
-from reference import sigma_rho
+from reference import lucas_eval, sigma_rho
 
 F = Fraction
 

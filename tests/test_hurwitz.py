@@ -13,14 +13,14 @@ from hurwitzcf.cf_engine import (_last_convergent, convergents, euler_mindig,
                                  eval_finite)
 from hurwitzcf.cli import run
 from hurwitzcf.errors import NonIntegerResult
-from hurwitzcf.fibpoly import fib_eval, lucas_eval
+from hurwitzcf.fibpoly import fib_eval
 from hurwitzcf.hurwitz import (CFParams, _rising, _scaled_first_sum,
                                closed_form_convergent, denom_stream,
                                fib_transform, magic_pairs,
                                normalized_numerator, prec_recurrence_p,
                                sigma_tag)
 from reference import (double_sum_numerators, falling_factorial, gbinom,
-                       sigma_rho, top_down_first_sum)
+                       lucas_eval, sigma_rho, top_down_first_sum)
 
 E_MINUS_1 = CFParams(1, 2, 2, 3, 2)
 TAN_1 = CFParams(1, 1, 2, 2, 1)

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from hurwitzcf import limits
 from hurwitzcf.cf_engine import convergents
 from hurwitzcf.errors import PrecisionExhausted
-from hurwitzcf.exactnum import PrecReal, _is_pow2, _split
+from hurwitzcf.exactnum import PrecReal, _split
 from hurwitzcf.hurwitz import CFParams, denom_stream, magic_pairs, sigma_tag
 from hurwitzcf.limits import (_sum_ratio_series, lehmer_d1, perron_d1,
                               xi_bessel, xi_limit)
@@ -44,8 +44,9 @@ def meets(ball, ref, err):
 
 def kernel_value(t0, ratios, digits):
     """_sum_ratio_series with its unreduced pairs read as values:
-    (partial sum, tail bound, terms)."""
-    s_num, den, tail_num, tail_den, n = _sum_ratio_series(t0, ratios, digits)
+    (partial sum, tail bound, terms), without the weighted sum."""
+    s_num, _, den, tail_num, _, tail_den, n = _sum_ratio_series(t0, ratios,
+                                                                digits)
     return F(s_num, den), F(tail_num, tail_den), n
 
 
@@ -141,6 +142,10 @@ class TestSeries:
         assert b < 0
 
 
+def is_pow2(n):
+    return n & (n - 1) == 0
+
+
 def pair(ratio):
     """A Fraction term ratio m -> t_{m+1}/t_m as the kernel's integer pair."""
     def as_pair(m):
@@ -223,7 +228,7 @@ class TestBinarySplitting:
         # tail |a_N| (N q/(1-q) + q/(1-q)^2) rests on |ratio| falling
         (_, ratio), _ = series_a_b(sigma, rho)
         a, b, den, tail_a, tail_b, tail_den, n = _sum_ratio_series(
-            (1, 1), walked(ratio), digits, weighted=True)
+            (1, 1), walked(ratio), digits)
         deep = n + 40
         terms = [F(1)]
         for m in range(deep):
@@ -243,22 +248,28 @@ class TestBinarySplitting:
         _, (b0, rb) = ab_series(sigma, rho)
         b_alone, tail_alone, _ = kernel_value(b0, rb, digits)
         assert abs(F(b, den) - b_alone) <= F(tail_b, tail_den) + tail_alone
-        # each row's ball den (m0 A + m1 B), from these sums, holds the
-        # deep Fraction sums and is at least den times the row's tail
+        # each row's ball den (m0 A + m1 B), as _attempt makes it from
+        # these sums, holds the deep Fraction sums and is at least den
+        # times the row's tail; the quotient by the row (1, 0) holds theirs
         out = a, b, den, tail_a, tail_b, tail_den, n
-        monkeypatch.setattr(limits, "_sum_ratio_series", lambda *_, **k: out)
-        # the last row's signed tails cancel: only |m0|, |m1| bound it
-        rows = [(1, 0), (0, 1), (3, -2), (-5, 7), (tail_b, -tail_a)]
-        balls, row_den = limits._weighted_rows(
-            rows, (sigma.numerator, sigma.denominator),
-            (rho.numerator, rho.denominator), digits)
+        balls, row_ball = [], limits._row_ball
+        monkeypatch.setattr(limits, "_sum_ratio_series", lambda *_: out)
+        monkeypatch.setattr(limits, "_row_ball",
+                            lambda *x: balls.append(row_ball(*x)) or balls[-1])
         deep_a = sum(terms[:deep])
         deep_b = sum(k * t for k, t in enumerate(terms[:deep]))
-        assert row_den == den
-        for (m0, m1), ball in zip(rows, balls):
+        # the last row's signed tails cancel: only |m0|, |m1| bound it
+        for m0, m1 in [(1, 0), (0, 1), (3, -2), (-5, 7), (tail_b, -tail_a)]:
+            balls.clear()
+            quotient = limits._attempt(
+                [(m0, m1), (1, 0)], (sigma.numerator, sigma.denominator),
+                (rho.numerator, rho.denominator), digits)
+            ball = balls[0]
             assert ball.lo <= den * (m0 * deep_a + m1 * deep_b) <= ball.hi
             assert ball.err >= den * (abs(m0) * F(tail_a, tail_den)
                                       + abs(m1) * F(tail_b, tail_den))
+            assert (quotient.lo <= (m0 * deep_a + m1 * deep_b) / deep_a
+                    <= quotient.hi)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2 ** 300), st.integers(1, 2 ** 300),
@@ -269,7 +280,7 @@ class TestBinarySplitting:
                                                           eden):
         err = limits._row_ball(0, e, den, eden, 64).err  # one bit: exact
         assert err.numerator == 1 or err.denominator == 1
-        assert _is_pow2(err.numerator) and _is_pow2(err.denominator)
+        assert is_pow2(err.numerator) and is_pow2(err.denominator)
         assert err > F(e * den, eden)
         # and no more than three bits loose
         assert not e or err < 8 * F(e * den, eden)
@@ -316,7 +327,7 @@ class TestBinarySplitting:
             return (0, 1) if m == 3 else (1, m + 1)
         assert summed(F(1), ratio, 20) == (F(8, 3), 0, 4)
         assert _sum_ratio_series((0, 1), walked(ratio), 20) \
-            == (0, 1, 0, 1, 0)
+            == (0, 0, 1, 0, 0, 1, 0)
 
     def test_non_decaying_series_is_refused(self):
         with pytest.raises(PrecisionExhausted):
@@ -334,21 +345,20 @@ class TestBinarySplitting:
         scaled = summed(t0, lambda m: tuple(k * x for x in ratio(m)), digits)
         assert scaled == summed(t0, ratio, digits)
 
-    # the stop contract, checked on Fractions: 2^-k must round
-    # 10^-(digits+10) down, so k rounded down would fail here
-    @pytest.mark.parametrize("weighted", [False, True])
+    # the stop contract, checked on Fractions: |t_N| (N + 2) is below
+    # 2^-k, which must round 10^-(digits+10) down, so k rounded down would
+    # fail here
     @pytest.mark.parametrize("digits", [5, 60, 400])
-    def test_last_term_is_below_the_stop(self, digits, weighted):
+    def test_last_term_is_below_the_stop(self, digits):
         eps = F(1, 10 ** (digits + 10))
         for t0, ratio in ALL_SERIES:
             out = _sum_ratio_series((t0.numerator, t0.denominator),
-                                    walked(ratio), digits, weighted)
+                                    walked(ratio), digits)
             n = out[-1]  # t_0 .. t_N summed, N = n - 1 >= 1
             total = naive_sum(t0, ratio, n)
-            assert total == F(out[0], out[2] if weighted else out[1])
+            assert total == F(out[0], out[2])
             last = abs(total - naive_sum(t0, ratio, n - 1))
-            assert last * (n + 1 if weighted else 1) < eps * max(abs(total),
-                                                                 eps)
+            assert last * (n + 1) < eps * max(abs(total), eps)
 
 
 def unreduced_0f1(sigma, rho):
@@ -385,61 +395,60 @@ class TestReducedRatios:
                 pairs = limits._0f1(sigma, rho).pairs(0, 40)
                 assert {abs(a) for a, _ in pairs} == {1}, params
 
-    @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("digits", [5, 300])
-    def test_same_terms_and_sums_as_unreduced(self, digits, weighted):
+    def test_same_terms_and_sums_as_unreduced(self, digits):
         for params in FAMILY:
-            self.check_against_unreduced(params, digits, weighted)
+            self.check_against_unreduced(params, digits)
 
     @staticmethod
-    def check_against_unreduced(params, digits, weighted):
+    def check_against_unreduced(params, digits):
         sigma, rho = magic_pairs(params)
-        got, ref = (_sum_ratio_series((1, 1), ratios, digits, weighted)
+        got, ref = (_sum_ratio_series((1, 1), ratios, digits)
                     for ratios in (limits._0f1(sigma, rho),
                                    unreduced_0f1(sigma, rho)))
         assert got[-1] == ref[-1]  # terms_used
-        if weighted:  # s/den, u/den, and the tails over tail_den
-            assert F(got[0], got[2]) == F(ref[0], ref[2])
-            assert F(got[1], got[2]) == F(ref[1], ref[2])
-            assert F(got[3], got[5]) == F(ref[3], ref[5])
-            assert F(got[4], got[5]) == F(ref[4], ref[5])
-        else:
-            assert F(got[0], got[1]) == F(ref[0], ref[1])
-            assert F(got[2], got[3]) == F(ref[2], ref[3])
+        # s/den, u/den, and the tails over tail_den
+        assert F(got[0], got[2]) == F(ref[0], ref[2])
+        assert F(got[1], got[2]) == F(ref[1], ref[2])
+        assert F(got[3], got[5]) == F(ref[3], ref[5])
+        assert F(got[4], got[5]) == F(ref[4], ref[5])
         # each of the terms_used - 1 ratios' denominators is q times
         # smaller: q g (m+1)(p' + q' m) against v (m+1)(p + q m) =
         # q^2 g (m+1)(p' + q' m), for g = gcd(p, q), p' = p/g, q' = q/g
-        den, ref_den = got[2 if weighted else 1], ref[2 if weighted else 1]
-        assert den * sigma[1] ** (got[-1] - 1) == ref_den
+        assert got[2] * sigma[1] ** (got[-1] - 1) == ref[2]
 
 
 def reference_walk(t0, ratio, digits):
     """The kernel as it was before N was chosen up front, kept as the
     reference: a per-term walk that sums float logs of the ratios to guess
-    the stop, then the same exact check, tail and re-aim after
-    cancellation.  ratio(m) is a per-term pair."""
+    the stop on |t_m| (m + 2), then the same exact check, tails and re-aim
+    after cancellation.  ratio(m) is a per-term pair."""
     t0n, t0d = t0
     if t0n == 0:
-        return 0, 1, 0, 1, 0
+        return 0, 0, 1, 0, 0, 1, 0
     k = -(-332193 * (digits + 10) // 100000)  # 2^-k <= 10^-(digits + 10)
     log_thresh = -(digits + 10) * math.log(10) - 1
     log_t = log_top = math.log(abs(t0n)) - math.log(t0d)
     pairs = []
-    P, Q, T = 1, 1, 0
+    P, Q, T, U = 1, 1, 0, 0
     n = m = 0
     while True:
         a, b = ratio(m)
         pairs.append((a, b))
-        if not a or (m > 0 and log_t < log_top + log_thresh
+        if not a or (m > 0 and log_t + math.log(m + 2) < log_top + log_thresh
                      and 2 * abs(a) <= b):
             if m > n:
-                p2, q2, t2 = _split(pairs, n, m)
-                P, Q, T = P * p2, Q * q2, T * q2 + P * t2
+                p2, q2, t2, u2 = _split(pairs, n, m, 0)
+                P, Q, T, U = (P * p2, Q * q2, T * q2 + P * t2,
+                              U * q2 + P * u2)
                 n = m
             s_num, den = t0n * (Q + T), t0d * Q
             last = t0n * P
-            if not a or abs(last) << 2 * k < max(abs(s_num) << k, den):
-                return s_num, den, abs(last * a), den * (b - abs(a)), m + 1
+            weighed = abs(last) * (m + 2)
+            if not a or weighed << 2 * k < max(abs(s_num) << k, den):
+                c, g = abs(last * a), b - abs(a)
+                return (s_num, t0n * U, den, c * g, c * (m * g + b),
+                        den * g * g, m + 1)
             if s_num:
                 log_top = math.log(abs(s_num)) - math.log(den)
         log_t += math.log(abs(a)) - math.log(b)
@@ -463,7 +472,7 @@ GRID_RHOS = [F(1, 4), F(-1, 4), F(1), F(-1), F(1, 100), F(-1, 36), F(9, 4),
 
 class TestChosenLength:
     """The kernel picks N from the closed-form term size; the reference walk
-    picked it term by term.  Both must return the same five integers."""
+    picked it term by term.  Both must return the same seven integers."""
 
     @pytest.mark.parametrize("digits", [10, 25, 100, 1000])
     def test_series_ab_grid_matches_walk(self, digits):
@@ -485,16 +494,16 @@ class TestChosenLength:
            st.integers(1, 4000),
            st.integers(1, 60), st.sampled_from([1, -1]),
            st.integers(1, 300))
-    @example(F(1, 2), 25, 4, -1, 100)  # cos 5: re-aimed once, 60 terms
-    @example(F(3, 2), 400, 9, -1, 25)  # re-aimed once, 45 terms
-    @example(F(11), 10000, 1, -1, 10)  # re-aimed five times, 290 terms
+    @example(F(1, 2), 25, 4, -1, 100)  # cos 5: re-aimed once, 61 terms
+    @example(F(3, 2), 400, 9, -1, 25)  # re-aimed once, 46 terms
+    @example(F(11), 10000, 1, -1, 10)  # re-aimed four times, 293 terms
     def test_random_0f1_matches_walk(self, sigma, u, v, sign, digits):
         for t0, ratios in ab_series(sigma, F(sign * u, v)):
             assert_walk_agrees(t0, ratios, digits)
 
     @pytest.mark.parametrize("sigma,rho,digits,failed,terms", [
-        (F(1, 2), F(-25, 4), 100, 1, 60), (F(3, 2), F(-400, 9), 25, 1, 45),
-        (F(11), F(-10000), 10, 5, 290)])
+        (F(1, 2), F(-25, 4), 100, 1, 61), (F(3, 2), F(-400, 9), 25, 1, 46),
+        (F(11), F(-10000), 10, 4, 293)])
     def test_cancellation_re_aims(self, monkeypatch, sigma, rho, digits,
                                   failed, terms):
         # one fold per exact check: every failed check folds once more
@@ -505,7 +514,7 @@ class TestChosenLength:
                              (rho.numerator, rho.denominator))
         result = _sum_ratio_series((1, 1), ratios, digits)
         assert len(folds) == failed + 1
-        assert result[4] == terms
+        assert result[-1] == terms
         monkeypatch.undo()
         assert result == reference_walk(
             (1, 1), lambda m: ratios.pairs(m, m + 1)[0], digits)
@@ -534,7 +543,7 @@ class TestChosenLength:
             return ratios.pairs(i, j)
 
         monkeypatch.setattr(limits, "_split",
-                            lambda *a: folds.append(a) or (1, 1, 0))
+                            lambda *a: folds.append(a) or (1, 1, 0, 0))
         with pytest.raises(PrecisionExhausted):
             _sum_ratio_series(t0, limits.Ratios(pairs, ratios.log_size), 10)
         assert set(lengths) == {1} and len(lengths) < 64 and folds == []
@@ -858,15 +867,15 @@ class TestXiLimits:
                      F(1, 10 ** 40))
 
     def test_one_quotient_from_one_weighted_sum(self, monkeypatch):
-        # no _ratio: each attempt makes one weighted kernel
-        # call and one ball quotient, the half-odd walk included
+        # no _ratio: each attempt makes one kernel call, which sums A and
+        # B, and one ball quotient, the half-odd walk included
         calls = []
         kernel, divide, certify = (limits._sum_ratio_series,
                                    PrecReal.__truediv__, limits._certify)
 
-        def kernel_spy(*args, **kwargs):
-            calls.append(kwargs)
-            return kernel(*args, **kwargs)
+        def kernel_spy(*args):
+            calls.append("sum")
+            return kernel(*args)
 
         def divide_spy(x, y):
             calls.append("/")
@@ -891,7 +900,7 @@ class TestXiLimits:
             v = fn(CFParams(*t), 100)
             attempts = calls.count("attempt")
             assert attempts >= 1 and calls == [
-                "attempt", {"weighted": True}, "/"] * attempts, (fn, t)
+                "attempt", "sum", "/"] * attempts, (fn, t)
             monkeypatch.undo()
             lo, hi = convergent_bracket(denom_stream(CFParams(*t)),
                                         10 ** 110)
@@ -944,7 +953,7 @@ class TestXiBessel:
 
 def test_one_walk_per_attempt(monkeypatch):
     # a half-odd attempt walks the order recurrence once on integers and
-    # makes one weighted kernel call for both orders sigma - 1 and sigma
+    # makes one kernel call for both orders sigma - 1 and sigma
     walks, sums = [], []
     walk, kernel = limits._half_odd_walk, limits._sum_ratio_series
 
@@ -952,9 +961,9 @@ def test_one_walk_per_attempt(monkeypatch):
         walks.append(args)
         return walk(*args)
 
-    def kernel_spy(*args, **kwargs):
-        sums.append(kwargs)
-        return kernel(*args, **kwargs)
+    def kernel_spy(*args):
+        sums.append(args)
+        return kernel(*args)
 
     monkeypatch.setattr(limits, "_half_odd_walk", walk_spy)
     monkeypatch.setattr(limits, "_sum_ratio_series", kernel_spy)
@@ -962,7 +971,7 @@ def test_one_walk_per_attempt(monkeypatch):
         walks.clear()
         sums.clear()
         xi_bessel(CFParams(*t), 25)
-        assert len(walks) == 1 and sums == [{"weighted": True}], t
+        assert len(walks) == 1 and len(sums) == 1, t
 
 
 def test_rows_formed_once_across_attempts(monkeypatch):

@@ -28,8 +28,6 @@ REFUSALS = {  # test id: (call, error, message)
                     "n must be >= 1"),
     "lucas-poly": (lambda: fibpoly.lucas_poly(-1), ValueError,
                    "only defined for n >= 0"),
-    "lucas-eval": (lambda: fibpoly.lucas_eval(-1, 2), ValueError,
-                   "only defined for n >= 0"),
     "even-sets": (lambda: fibpoly.fib_via_even_sets(0), ValueError,
                   "n must be >= 1"),
     "denom-stream": (lambda: hurwitz.denom_stream(P)(-1), IndexError, "-1"),
