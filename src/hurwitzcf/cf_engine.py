@@ -10,10 +10,12 @@ Euler-Mindig even-subset formula is kept as an independent oracle.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .errors import IndexTooLarge
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 DenomStream = Callable[[int], int]
 
@@ -120,6 +122,7 @@ def eval_finite(a: Sequence[int]) -> Fraction:
     """Exact value of the finite continued fraction [a_0, a_1, ..., a_n]."""
     if not a:
         raise ValueError("empty continued fraction")
+    from fractions import Fraction
     acc = Fraction(a[-1])
     for x in reversed(a[:-1]):
         acc = x + 1 / acc

@@ -8,8 +8,6 @@ function is the one they check.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import cf_engine, classify, fibpoly, hurwitz, identities, limits
 
 
@@ -67,6 +65,7 @@ def hurwitz_suite(n_max: int) -> list[str]:
 
 
 def identities_suite(n_max: int) -> list[str]:
+    from fractions import Fraction
     fails = []
     for n in range(n_max + 1):
         if not identities.verify_rsum(n):
@@ -83,6 +82,7 @@ def _outside_bracket(params, **values) -> list[str]:
     """The values (balls) that miss the convergent bracket of params: the
     limit lies between p_N/q_N and p_{N+1}/q_{N+1}, taken at the first N
     with q_N q_{N+1} > 10^27.  Only the definition is used: no series."""
+    from fractions import Fraction
     a = hurwitz.denom_stream(params)
     n, p0, q0, p1, q1 = 0, 1, 0, a(0), 1  # p_{n-1}, q_{n-1}, p_n, q_n
     while q0 * q1 <= 10 ** 27:
@@ -94,6 +94,7 @@ def _outside_bracket(params, **values) -> list[str]:
 
 
 def limits_suite(n_max: int) -> list[str]:
+    from fractions import Fraction
     fails = []
     for b0, b1 in ((1, 1), (3, 2), (5, 3)):
         lehmer = limits.lehmer_d1(b0, b1, 25)

@@ -13,12 +13,14 @@ length of F_d) exceeds SWEEP_GUARD is refused.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import UnsupportedD
 from .exactnum import _fraction_text
 from .hurwitz import CFParams, SigmaTag, magic_pairs, sigma_tag
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # the most work brute_force_sweep accepts, in tuples at small d (see the
 # cost in brute_force_sweep): on one core of a 2-core box, about 0.3 s at
@@ -32,6 +34,7 @@ class SigmaClass(NamedTuple):
 
 
 def sigma_class(params: CFParams) -> SigmaClass:
+    from fractions import Fraction
     (p, q), _ = magic_pairs(params)
     return SigmaClass(sigma_tag(p, q), Fraction(p, q))
 
@@ -105,6 +108,7 @@ class SweepReport(NamedTuple):
 
 
 def _mismatch(a: int, b0: int, b1: int, d: int, num: int, den: int) -> dict:
+    from fractions import Fraction
     return {"alpha": a, "beta0": b0, "beta1": b1, "d": d,
             "sigma": _fraction_text(Fraction(num, den)),
             "tag": sigma_tag(num, den)}

@@ -18,8 +18,8 @@ from typing import Literal
 
 from .cf_engine import Convergent, DenomStream
 from .errors import NonIntegerResult
-from .exactnum import (PrecReal, _check_digits, _divmod, _split,
-                       mantissa_bits)
+from .exactnum import (_SPLIT_LEAF, PrecReal, _check_digits, _divmod,
+                       _split, mantissa_bits)
 from .fibpoly import fib_eval
 
 
@@ -133,9 +133,10 @@ def fib_transform(params: CFParams) -> tuple[tuple[int, int], tuple[int, int]]:
 def _rising(p: int, q: int, n: int) -> int:
     """prod_{j<n} (p + jq) = q^n (sigma)_n at sigma = p/q, an integer: a
     balanced product tree, so that the two halves multiplied last are of
-    about the same size."""
+    about the same size.  Its leaves are runs of up to _SPLIT_LEAF factors,
+    as exactnum._split's are."""
     def tree(i: int, j: int) -> int:
-        if j - i <= 8:
+        if j - i <= _SPLIT_LEAF:
             return math.prod(p + k * q for k in range(i, j))
         mid = (i + j) // 2
         return tree(i, mid) * tree(mid, j)

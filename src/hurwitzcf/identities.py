@@ -10,8 +10,11 @@ generalized continued fraction.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def _falling(shift: int, k: int) -> dict:
@@ -104,6 +107,7 @@ def q_poly(n: int) -> UniPoly:
 
 
 def eval_unipoly(poly: UniPoly, x) -> Fraction:
+    from fractions import Fraction
     acc = Fraction(0)
     for c in reversed(poly):
         acc = acc * x + c
@@ -116,6 +120,7 @@ def gcf_convergent_check(n: int, x) -> bool:
     A_i = a_i A_{i-1} + b_i A_{i-2} with a_i = i, b_i = x."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    from fractions import Fraction
     x = Fraction(x)
     num_prev, num = Fraction(1), Fraction(0)   # A_{-1}, A_0 (a_0 = 0)
     den_prev, den = Fraction(0), Fraction(1)

@@ -29,6 +29,8 @@ from __future__ import annotations
 import functools
 import math
 import os
+from itertools import repeat
+from operator import mul
 from typing import Callable, NamedTuple
 
 from .errors import PrecisionExhausted
@@ -180,7 +182,9 @@ def _0f1(sigma: Pair, rho: Pair) -> Ratios:
     sigma = p/q, rho = +-1/q^2, a = +-1, so binary splitting's products of
     numerators stay +-1, and each denominator is g h = q times smaller than
     v (m+1)(p + q m), for g = gcd(p, q).  The ratios' values, so the sums
-    and the stops, are those of the unreduced pairs.
+    and the stops, are those of the unreduced pairs.  A run of pairs is
+    made from two ranges, c (m+1) in steps of c and p' + q' m in steps of
+    q' (c, q' >= 1), multiplied by ``map``: no interpreted step per pair.
 
     log (sigma)_m is lgamma(sigma+m) - lgamma(sigma).  Above sigma ~ 2^40
     that difference drowns in the rounding of lgamma(sigma) (and past the
@@ -205,8 +209,13 @@ def _0f1(sigma: Pair, rho: Pair) -> Ratios:
         def log_size(m: int) -> float:
             return (m * log_rho - math.lgamma(m + 1) - math.lgamma(m + s)
                     + lgamma_s)
-    return Ratios(lambda i, j: [(a, c * (m + 1) * (p1 + q1 * m))
-                                for m in range(i, j)], log_size)
+
+    def pairs(i: int, j: int) -> list[Pair]:
+        return list(zip(repeat(a, j - i),
+                        map(mul, range(c * (i + 1), c * (j + 1), c),
+                            range(p1 + q1 * i, p1 + q1 * j, q1))))
+
+    return Ratios(pairs, log_size)
 
 
 def _ball(t0: Pair, ratios: Ratios, digits: int) -> PrecReal:

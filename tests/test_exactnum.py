@@ -31,9 +31,17 @@ class TestRationalExactness:
                 == a.numerator * b.denominator + b.numerator * a.denominator)
 
 
+LEAF = exactnum._SPLIT_LEAF
+# lists long enough that _split(pairs, 0, len) merges a run of LEAF + 1
+# ratios, itself two leaves; a drawn i..j may be any shorter run
+RATIO_LISTS = st.lists(st.tuples(st.integers(-10 ** 6, 10 ** 6),
+                                 st.integers(1, 10 ** 6)),
+                       min_size=2 * LEAF + 1, max_size=3 * LEAF)
+
+
 def split_reference(pairs, i, j):
     """Binary splitting with single-ratio leaves, the reference for
-    exactnum._split, whose leaves are runs of up to 8 ratios."""
+    exactnum._split, whose leaves are runs of up to _SPLIT_LEAF ratios."""
     if j - i == 1:
         a, b = pairs[i]
         return a, b, a
@@ -46,15 +54,14 @@ def split_reference(pairs, i, j):
 
 
 class TestSplit:
-    @given(st.lists(st.tuples(st.integers(-10 ** 6, 10 ** 6),
-                              st.integers(1, 10 ** 6)), max_size=40),
-           st.data())
+    @given(RATIO_LISTS, st.data())
     @example([], None)
     @example([(3, 5)], None)
-    @example([(k - 4, k + 1) for k in range(8)], None)
-    @example([(k - 4, k + 1) for k in range(9)], None)
+    @example([(k - 4, k + 1) for k in range(LEAF)], None)
+    @example([(k - 4, k + 1) for k in range(LEAF + 1)], None)
+    @example([(k - 4, k + 1) for k in range(2 * LEAF + 1)], None)
     def test_equals_single_ratio_leaves(self, pairs, data):
-        if data is None:  # j - i = len(pairs): 0, 1, 8 and 9
+        if data is None:  # j - i: 0, 1, LEAF, LEAF + 1 and 2 LEAF + 1
             i, j = 0, len(pairs)
         else:
             i = data.draw(st.integers(0, len(pairs)))
@@ -77,14 +84,12 @@ def weighted_reference(pairs, i, j, base):
 
 
 class TestWeightedSplit:
-    @given(st.lists(st.tuples(st.integers(-10 ** 6, 10 ** 6),
-                              st.integers(1, 10 ** 6)), max_size=40),
-           st.integers(0, 10 ** 4), st.data())
-    @example([(k - 4, k + 1) for k in range(8)], 5, None)
-    @example([(k - 4, k + 1) for k in range(9)], 5, None)
-    @example([(k + 1, 2 * k + 3) for k in range(17)], 1000, None)
+    @given(RATIO_LISTS, st.integers(0, 10 ** 4), st.data())
+    @example([(k - 4, k + 1) for k in range(LEAF)], 5, None)
+    @example([(k - 4, k + 1) for k in range(LEAF + 1)], 5, None)
+    @example([(k + 1, 2 * k + 3) for k in range(2 * LEAF + 1)], 1000, None)
     def test_equals_term_by_term_sums(self, pairs, base, data):
-        if data is None:  # j - i = len(pairs): 8, 9 and 17
+        if data is None:  # j - i = len(pairs): LEAF, LEAF + 1, 2 LEAF + 1
             i, j = 0, len(pairs)
         else:
             i = data.draw(st.integers(0, len(pairs)))
@@ -394,6 +399,26 @@ class TestDyadicBall:
                                                           digits):
         ball, _ = ball_x
         assert ball.decimal(digits) == fraction_decimal(ball.value, digits)
+
+    @given(st.integers(-2 ** 255 + 1, 2 ** 255 - 1), st.integers(0, 2 ** 40),
+           st.integers(0, 60), st.sampled_from([-1, 0, 1, "up"]),
+           st.integers(1, 40))
+    @example(5, 0, 1, -1, 1)  # 5/4 = 1.25, rounded half up to 1.3
+    @example(-5, 0, 1, -1, 1)
+    @example(-1, 2, 3, 0, 1)  # the ends -0.003 and 0.001 differ in sign
+    @example(7, 0, 0, "up", 3)
+    def test_decimal_at_every_rounding_shift(self, m, r, digits, at, up):
+        # decimal rounds m 5^D at exponent e + D: below 0 (e = -D - 1),
+        # at 0 (e = -D) and above 0 (e = -D + 1 and e >= 1)
+        e = up if at == "up" else at - digits
+        ball = PrecReal._new(m, r, e, 256)  # held exactly
+        assert (ball.m, ball.r, ball.e) == (m, r, e)
+        text = fraction_decimal(ball.value, digits)
+        assert ball.decimal(digits) == text
+        ends = {fraction_decimal(ball.lo, digits),
+                fraction_decimal(ball.hi, digits)}
+        assert ball.decimal(digits, certified=True) == (
+            text if ends == {text} else None)
 
     def test_certified_digits_test_matches_rel_err(self):
         for ball in (ball_at(F(100), F(1), 8),

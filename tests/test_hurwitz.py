@@ -1,4 +1,5 @@
 import copy
+import fractions
 import hashlib
 import itertools
 import math
@@ -309,8 +310,11 @@ class TestClosedFormSums:
         def no_fraction(*args):
             raise AssertionError("Fraction made on the convergent side")
 
+        # each module imports Fraction where it builds one: patch it at its
+        # source
         assert not hasattr(hurwitz, "Fraction")
-        monkeypatch.setattr(exactnum, "Fraction", no_fraction)
+        assert not hasattr(exactnum, "Fraction")
+        monkeypatch.setattr(fractions, "Fraction", no_fraction)
         assert [closed_form_convergent(p, n) for p, n in cases] == closed
         for (p, n), ball in zip(cases, normed):
             again = normalized_numerator(p, n, 30)

@@ -74,3 +74,15 @@ def test_json_loaded_only_under_json():
                  ["poly", "--family", "fib", "--n-max", "3"]):
         assert "json" not in _added_modules(run.format(verb)), verb
         assert "json" in _added_modules(run.format(verb + ["--json"])), verb
+
+
+def test_fractions_loaded_only_where_one_is_built():
+    # fractions pulls decimal and numbers; limits, conv and poly build no
+    # Fraction, and classify (its witness) may
+    heavy = {"fractions", "decimal", "numbers"}
+    assert not _added_modules("import hurwitzcf.cli") & heavy
+    run = "from hurwitzcf.cli import run\nrun({!r})"
+    for verb in (["limit", *E_FLAGS, "--digits", "116"],
+                 ["conv", *E_FLAGS, "--n", "3"],
+                 ["poly", "--family", "fib", "--n-max", "3"]):
+        assert not _added_modules(run.format(verb)) & heavy, verb
