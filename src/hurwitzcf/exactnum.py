@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
+    from collections.abc import Sequence
     from fractions import Fraction
 
 # Below this many bits of divisor or quotient, _divmod is the built-in
@@ -121,42 +122,40 @@ def _fraction_text(q: int | Fraction) -> str:
 
 
 def _split(pairs: list[tuple[int, int]], i: int, j: int,
-           base: int | None = None) -> tuple[int, ...]:
-    """(P, Q, T) over ratios i..j-1, with ratio k = a_k/b_k:
-    P = prod a_k, Q = prod b_k and T/Q = sum over n = i+1..j of the
-    partial products r_i r_{i+1} ... r_{n-1}.  Balanced product tree whose
-    leaves are runs of up to _SPLIT_LEAF ratios, folded left to right: the
-    same integers as single-ratio leaves, with fewer calls.
-
-    Given ``base``, ratio k is ratio base + k of the whole series and the
-    result is (P, Q, T, U): U/Q is T/Q's sum with the partial product that
-    ends at ratio k weighted by its term's index base + k + 1 (Haible &
-    Papanikolaou's series with the polynomial factor a(n) = n).  A leaf
-    adds n P to U b, a merge is u1 q2 + p1 u2.
+           weights: int | tuple[Sequence[int], Sequence[int]]
+           ) -> tuple[int, int, int, int]:
+    """(P, Q, T, U) over ratios i..j-1, with ratio k = a_k/b_k:
+    P = prod a_k, Q = prod b_k, and T/Q, U/Q the sums over n = i+1..j of
+    the partial products r_i ... r_{n-1}, each times a weight of term n,
+    the term that ratio n-1 ends.  ``weights`` is an int base for limits'
+    certified series: ratio k is ratio base + k of the whole series, and
+    its term, base + k + 1, weighs 1 in T and base + k + 1 in U (Haible &
+    Papanikolaou's polynomial factor a(n) = n).  Or it is two sequences
+    (v, w) for hurwitz's closed form: term k + 1 weighs v[k + 1] in T and
+    w[k + 1] in U (v[0] and w[0], term 0's, are the caller's).
 
     The one exact summation kernel (binary splitting, Haible & Papanikolaou
-    1998): over ratios 0..j-1, t_0 (1 + T/Q) = t_0 + ... + t_j and
-    t_0 U/Q = 1 t_1 + ... + j t_j.  With ``base`` it sums the certified
-    series of ``limits``, without it the closed form of ``hurwitz``."""
-    if j - i <= _SPLIT_LEAF:  # folded in place (none: P = Q = 1, T = 0)
-        P, Q, T = 1, 1, 0
-        if base is None:
-            for a, b in pairs[i:j]:
+    1998): over ratios 0..j-1 of terms t_0 .. t_j with weights x_n, y_n,
+    t_0 (x_0 + T/Q) = x_0 t_0 + ... + x_j t_j, and likewise U with y.  A
+    balanced product tree whose leaves, runs of up to _SPLIT_LEAF ratios,
+    are folded in place: a leaf adds x P to T b and y P to U b, a merge is
+    t1 q2 + p1 t2 and u1 q2 + p1 u2."""
+    if j - i <= _SPLIT_LEAF:  # folded in place (none: P = Q = 1, T = U = 0)
+        P, Q, T, U = 1, 1, 0, 0
+        if isinstance(weights, int):
+            for n, (a, b) in enumerate(pairs[i:j], weights + i + 1):
                 P, Q = P * a, Q * b
-                T = T * b + P
-            return P, Q, T
-        U = 0
-        for n, (a, b) in enumerate(pairs[i:j], base + i + 1):
-            P, Q = P * a, Q * b
-            T, U = T * b + P, U * b + n * P
+                T, U = T * b + P, U * b + n * P
+        else:
+            v, w = weights
+            for (a, b), x, y in zip(pairs[i:j], v[i + 1:j + 1],
+                                    w[i + 1:j + 1]):
+                P, Q = P * a, Q * b
+                T, U = T * b + x * P, U * b + y * P
         return P, Q, T, U
     mid = (i + j) // 2
-    if base is None:
-        p1, q1, t1 = _split(pairs, i, mid)
-        p2, q2, t2 = _split(pairs, mid, j)
-        return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
-    p1, q1, t1, u1 = _split(pairs, i, mid, base)
-    p2, q2, t2, u2 = _split(pairs, mid, j, base)
+    p1, q1, t1, u1 = _split(pairs, i, mid, weights)
+    p2, q2, t2, u2 = _split(pairs, mid, j, weights)
     return p1 * p2, q1 * q2, t1 * q2 + p1 * t2, u1 * q2 + p1 * u2
 
 

@@ -4,10 +4,10 @@ Partial denominators: r copies of alpha, then beta0, then repeating blocks of
 d - 1 copies of alpha followed by beta0 + beta1*n for n = 1, 2, ...
 
 Three independent routes to the (nd+r-1)st convergent numerators live here:
-the closed form (integer sums scaled by powers of beta1 F_d, each summed by
-binary splitting from its middle term outward, over ratios whose
-denominators multiply to n!), the compact convolution recurrence, and - via
-cf_engine - the plain convergent recurrence.
+the closed form (two integer sums scaled by powers of beta1 F_d, both from
+one binary splitting from the middle term outward, whose terms share their
+ratios and differ only in their weights), the compact convolution
+recurrence, and - via cf_engine - the plain convergent recurrence.
 """
 
 from __future__ import annotations
@@ -144,22 +144,37 @@ def _rising(p: int, q: int, n: int) -> int:
     return tree(0, n)
 
 
-def _scaled_first_sum(n: int, p: int, q: int, s: int) -> tuple[int, int]:
-    """divmod(q^n first, 1) at sigma = p/q, rho = s/q^2, for the sum
-
+def _closed_form_sums(n: int, p: int, q: int,
+                      s: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The closed form's scaled sums X_n(p) = q^n first and X_{n-1}(p+q)
+    (0 at n = 0) at sigma = p/q, rho = s/q^2, s = +-1, each as (quotient,
+    remainder) of its one division; as both are integers, both remainders
+    are 0.  X_n(p) = sum_k s^k C(n-k, k) (p+kq)...(p+(n-1-k)q), with
     first = sum_{k<=n/2} ((n-k)!/k!) C(n+sigma-1-k, n-2k) rho^k.
 
-    q^n first = X_n(p) = sum_k t_k, t_k = s^k C(n-k, k) (p+kq)...(p+(n-1-k)q),
-    is an integer, summed by binary splitting from its middle term
-    K = n // 2 down to t_0: t_K = s^K for even n and s^K (K+1)(p+Kq) for
-    odd n, and t_{k-1}/t_k = s (n-k+1) k (p+(k-1)q)(p+(n-k)q) /
-    ((n-2k+2)(n-2k+1)).  The denominators multiply to Q = n!."""
-    K = n // 2
-    _, Q, T = _split([(s * (n - k + 1) * k * (p + (k - 1) * q)
-                       * (p + (n - k) * q), (n - 2 * k + 2) * (n - 2 * k + 1))
-                      for k in range(K, 0, -1)], 0, K)
-    t_K = s ** K * ((K + 1) * (p + K * q) if n % 2 else 1)
-    return _divmod(t_K * (Q + T), Q)
+    One binary splitting gives both, from the middle term outward.  Term k
+    of X_{n-1}(p+q), k = 0..K = (n-1)//2, is t'_k = s^k C(n-1-k, k)
+    (p+(k+1)q)...(p+(n-1-k)q), and term k of X_n(p) is t'_k (n-k)(p+kq) /
+    (n-2k); so over u_k = t'_k/(n-2k) the sums weigh u_k by n-2k and by
+    (n-k)(p+kq), and X_n(p) adds s^(n/2) at even n.  u_K is s^K at odd n
+    and s^K n(2p+nq)/8 at even n, and u_{k-1}/u_k = s (n-k) k (p+kq)
+    (p+(n-k)q) / ((n-2k+1)(n-2k+2)): its numerator reuses the weight, and
+    the denominators multiply to Q = n!/(n-2K)!, by which each sum is
+    divided (by 8Q at even n).  At n <= 2 there is no ratio."""
+    if n == 0:
+        return (1, 0), (0, 0)
+    K = (n - 1) // 2
+    # term i is u_k, k = K - i, weighted v[i] = n - 2k and w[i] = (n-k)(p+kq)
+    w = [(n - k) * (p + k * q) for k in range(K, -1, -1)]
+    v = range(n - 2 * K, n + 1, 2)
+    x = range(p + (n - K) * q, p + n * q, q)  # p + (n-k)q, k = K..1
+    _, Q, T, U = _split([(s * k * xk * wk, (m + 1) * (m + 2))
+                         for k, m, xk, wk in zip(range(K, 0, -1), v, x, w)],
+                        0, K, (v, w))
+    c, e = (s ** K, 1) if n % 2 else (s ** K * n * (2 * p + n * q), 8)
+    first, rem = _divmod(c * (w[0] * Q + U), e * Q)
+    second, rem2 = _divmod(c * (v[0] * Q + T), e * Q)
+    return (first if n % 2 else first + s ** (n // 2), rem), (second, rem2)
 
 
 def closed_form_convergent(params: CFParams, n: int) -> Convergent:
@@ -167,14 +182,14 @@ def closed_form_convergent(params: CFParams, n: int) -> Convergent:
     integers.  The second sum is rho (first at n-1 and sigma+1), so with
     q = beta1 F_d(alpha) the scaled sums are X_n(p) and
     q^(n+1) second = s X_{n-1}(p+q); fib_transform's second column
-    carries g = +-q, divided out exactly.  Each sum is one binary splitting
-    from its middle term and one division by n! (or (n-1)!), whose
-    remainder must be 0: NonIntegerResult otherwise."""
+    carries g = +-q, divided out exactly.  Both sums come from one binary
+    splitting from the middle term (_closed_form_sums) and one division
+    each by n!/(n-2K)! (8 times that at even n), whose remainders must be
+    0: NonIntegerResult otherwise."""
     if n < 0:
         raise ValueError("n must be >= 0")
     (p, q), (s, _) = magic_pairs(params)
-    first, rem = _scaled_first_sum(n, p, q, s)
-    second, rem2 = _scaled_first_sum(n - 1, p + q, q, s) if n else (0, 0)
+    (first, rem), (second, rem2) = _closed_form_sums(n, p, q, s)
     if rem or rem2:
         raise NonIntegerResult(f"{params} n={n}: the scaled "
                                f"{'first' if rem else 'second'} sum is "

@@ -57,6 +57,7 @@ def _max_precision_bits() -> int:
 
 class Ratios(NamedTuple):
     """A series' term ratios t_{m+1}/t_m, and the size of its terms."""
+    ratio: Callable[[int], Pair]  # the ratio m as (a, b)
     pairs: Callable[[int, int], list[Pair]]  # the ratios i..j-1 as (a, b)
     log_size: Callable[[int], float]  # a float estimate of log |t_m / t_0|
 
@@ -88,8 +89,9 @@ def _sum_ratio_series(t0: Pair, ratios: Ratios,
     s_num/den and u_num/den of t_0 .. t_N and their tail bounds over the
     shared tail_den, unreduced, with terms_used = N + 1.
 
-    ratio(m) = (a, b) with b > 0 is the integer pair a/b = t_{m+1}/t_m
-    (ratios.pairs(i, j) lists ratio(i..j-1)); it need not be reduced, and
+    ratios.ratio(m) = (a, b) with b > 0 is the integer pair a/b =
+    t_{m+1}/t_m (ratios.pairs(i, j) lists ratio(i..j-1), the single
+    probes of the search read ratio(m)); it need not be reduced, and
     a = 0 ends the series.  The stop is accepted once |t_N| (N + 2) is
     below 2^-k <= 10^-(digits+guard) relative to the partial sum and
     q = |ratio(N)| <= 1/2.  Tail contract: if |ratio(m)| is nonincreasing
@@ -131,8 +133,7 @@ def _sum_ratio_series(t0: Pair, ratios: Ratios,
     log_thresh = -(digits + _TAIL_GUARD_DIGITS) * math.log(10) - 1
     log_t0 = math.log(abs(t0n)) - math.log(t0d)
 
-    def ratio(m: int) -> Pair:
-        return ratios.pairs(m, m + 1)[0]
+    ratio = ratios.ratio
 
     def past_peak(m: int) -> bool:
         a, b = ratio(m)
@@ -185,6 +186,7 @@ def _0f1(sigma: Pair, rho: Pair) -> Ratios:
     and the stops, are those of the unreduced pairs.  A run of pairs is
     made from two ranges, c (m+1) in steps of c and p' + q' m in steps of
     q' (c, q' >= 1), multiplied by ``map``: no interpreted step per pair.
+    A single ratio, as the kernel's search probes it, is one tuple.
 
     log (sigma)_m is lgamma(sigma+m) - lgamma(sigma).  Above sigma ~ 2^40
     that difference drowns in the rounding of lgamma(sigma) (and past the
@@ -210,12 +212,15 @@ def _0f1(sigma: Pair, rho: Pair) -> Ratios:
             return (m * log_rho - math.lgamma(m + 1) - math.lgamma(m + s)
                     + lgamma_s)
 
+    def ratio(m: int) -> Pair:
+        return a, c * (m + 1) * (p1 + q1 * m)
+
     def pairs(i: int, j: int) -> list[Pair]:
         return list(zip(repeat(a, j - i),
                         map(mul, range(c * (i + 1), c * (j + 1), c),
                             range(p1 + q1 * i, p1 + q1 * j, q1))))
 
-    return Ratios(pairs, log_size)
+    return Ratios(ratio, pairs, log_size)
 
 
 def _ball(t0: Pair, ratios: Ratios, digits: int) -> PrecReal:

@@ -39,34 +39,50 @@ RATIO_LISTS = st.lists(st.tuples(st.integers(-10 ** 6, 10 ** 6),
                        min_size=2 * LEAF + 1, max_size=3 * LEAF)
 
 
-def split_reference(pairs, i, j):
-    """Binary splitting with single-ratio leaves, the reference for
-    exactnum._split, whose leaves are runs of up to _SPLIT_LEAF ratios."""
-    if j - i == 1:
-        a, b = pairs[i]
-        return a, b, a
-    if j == i:
-        return 1, 1, 0
-    mid = (i + j) // 2
-    p1, q1, t1 = split_reference(pairs, i, mid)
-    p2, q2, t2 = split_reference(pairs, mid, j)
-    return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
+def two_weight_reference(pairs, i, j, v, w):
+    """(P, Q, T, U) of exactnum._split(pairs, i, j, (v, w)) from
+    term-by-term Fraction sums: the partial product that ends at ratio k
+    is term k + 1 of the series over t_i, weighted v[k + 1] in T and
+    w[k + 1] in U."""
+    P = math.prod(a for a, _ in pairs[i:j])
+    Q = math.prod(b for _, b in pairs[i:j])
+    term, T, U = F(1), F(0), F(0)
+    for k in range(i, j):
+        term *= F(*pairs[k])
+        T += v[k + 1] * term
+        U += w[k + 1] * term
+    return P, Q, T * Q, U * Q
 
 
 class TestSplit:
+    """The two-weight split, the closed form's: any integer weights, 0 and
+    negatives included."""
+
     @given(RATIO_LISTS, st.data())
     @example([], None)
     @example([(3, 5)], None)
     @example([(k - 4, k + 1) for k in range(LEAF)], None)
     @example([(k - 4, k + 1) for k in range(LEAF + 1)], None)
     @example([(k - 4, k + 1) for k in range(2 * LEAF + 1)], None)
-    def test_equals_single_ratio_leaves(self, pairs, data):
+    def test_equals_term_by_term_sums(self, pairs, data):
+        size = len(pairs) + 1  # a weight for each term, term 0's too
         if data is None:  # j - i: 0, 1, LEAF, LEAF + 1 and 2 LEAF + 1
-            i, j = 0, len(pairs)
+            i, j, base = 0, len(pairs), 5
+            v = [(-1) ** k * (k % 3) for k in range(size)]  # 0, 1, -2, ...
+            w = [k * k - 40 for k in range(size)]
         else:
             i = data.draw(st.integers(0, len(pairs)))
             j = data.draw(st.integers(i, len(pairs)))
-        assert exactnum._split(pairs, i, j) == split_reference(pairs, i, j)
+            base = data.draw(st.integers(0, 10 ** 4))
+            v, w = (data.draw(st.lists(st.integers(-10 ** 6, 10 ** 6),
+                                       min_size=size, max_size=size))
+                    for _ in range(2))
+        assert exactnum._split(pairs, i, j, (v, w)) \
+            == two_weight_reference(pairs, i, j, v, w)
+        # weights 1 and the term's index are limits' base mode
+        assert exactnum._split(pairs, i, j, ([1] * size,
+                                             range(base, base + size))) \
+            == exactnum._split(pairs, i, j, base)
 
 
 def weighted_reference(pairs, i, j, base):
@@ -94,10 +110,8 @@ class TestWeightedSplit:
         else:
             i = data.draw(st.integers(0, len(pairs)))
             j = data.draw(st.integers(i, len(pairs)))
-        got = exactnum._split(pairs, i, j, base)
-        assert got == weighted_reference(pairs, i, j, base)
-        # the first three are the unweighted split's
-        assert got[:3] == exactnum._split(pairs, i, j)
+        assert exactnum._split(pairs, i, j, base) \
+            == weighted_reference(pairs, i, j, base)
 
 
 class TestPrecReal:

@@ -15,7 +15,7 @@ from hurwitzcf.cf_engine import (_last_convergent, convergents, euler_mindig,
 from hurwitzcf.cli import run
 from hurwitzcf.errors import NonIntegerResult
 from hurwitzcf.fibpoly import fib_eval
-from hurwitzcf.hurwitz import (CFParams, _rising, _scaled_first_sum,
+from hurwitzcf.hurwitz import (CFParams, _closed_form_sums, _rising,
                                closed_form_convergent, denom_stream,
                                fib_transform, magic_pairs,
                                normalized_numerator, prec_recurrence_p,
@@ -199,8 +199,7 @@ def scaled_sums(params, n):
     """q^n first and q^(n+1) second with q = beta1 F_d(alpha), from the
     integer sums the closed form uses; both must divide exactly."""
     (p, q), (s, _) = magic_pairs(params)
-    first, rem = _scaled_first_sum(n, p, q, s)
-    second, rem2 = _scaled_first_sum(n - 1, p + q, q, s) if n else (0, 0)
+    (first, rem), (second, rem2) = _closed_form_sums(n, p, q, s)
     assert rem == rem2 == 0, (params, n)
     return first, s * second
 
@@ -211,15 +210,39 @@ def naive_scaled_sums(params, n):
     return q ** n * first, q ** (n + 1) * second
 
 
-def split_off_by_one(monkeypatch):
-    """Make hurwitz's binary splitting return T + 1: a planted fault."""
+def split_off_by_one(monkeypatch, sum_name):
+    """Make hurwitz's binary splitting return T + 1 (the second sum's) or
+    U + 1 (the first sum's): a planted fault."""
     real = hurwitz._split
+    at = {"T": 2, "U": 3}[sum_name]
 
-    def split(pairs, i, j):
-        P, Q, T = real(pairs, i, j)
-        return P, Q, T + 1
+    def split(pairs, i, j, weights):
+        got = list(real(pairs, i, j, weights))
+        got[at] += 1
+        return tuple(got)
 
     monkeypatch.setattr(hurwitz, "_split", split)
+
+
+def wrong_weight(monkeypatch, sum_name, i):
+    """Make hurwitz's binary splitting see term i of the second sum's
+    weights (v) or of the first sum's (w) one too large: a planted fault."""
+    real = hurwitz._split
+    at = {"v": 0, "w": 1}[sum_name]
+
+    def split(pairs, i0, j, weights):
+        weights = [list(x) for x in weights]
+        weights[at][i] += 1
+        return real(pairs, i0, j, tuple(weights))
+
+    monkeypatch.setattr(hurwitz, "_split", split)
+
+
+def top_down_sums(n, p, q, s):
+    """_closed_form_sums(n, p, q, s) from top_down_first_sum: X_n(p) and
+    X_{n-1}(p+q), the latter 0 at n = 0, each with remainder 0."""
+    return ((top_down_first_sum(n, p, q, s), 0),
+            (top_down_first_sum(n - 1, p + q, q, s) if n else 0, 0))
 
 
 class TestClosedFormSums:
@@ -253,8 +276,8 @@ class TestClosedFormSums:
             ref = _last_convergent(denom_stream(params), cf.n)
             assert (cf.p, cf.q) == (ref.p, ref.q), (params, n)
 
-    # the middle-out sum against the first-term-down reference, exact
-    # integers on both sides; n = 0 and 1 sum no ratio at all
+    # both middle-out sums against the first-term-down reference, exact
+    # integers on both sides; n = 0, 1 and 2 sum no ratio at all
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 300), st.integers(1, 10 ** 6),
            st.integers(1, 10 ** 4), st.sampled_from((1, -1)))
@@ -265,16 +288,13 @@ class TestClosedFormSums:
     @example(200, 1, 1, -1)
     @example(201, 1, 1, 1)
     def test_middle_out_equals_top_down(self, n, p, q, s):
-        assert _scaled_first_sum(n, p, q, s) \
-            == (top_down_first_sum(n, p, q, s), 0)
+        assert _closed_form_sums(n, p, q, s) == top_down_sums(n, p, q, s)
 
     @pytest.mark.parametrize("params", [E_MINUS_1, UGLY])
     @pytest.mark.parametrize("n", [2000, 2001])
     def test_middle_out_equals_top_down_at_depth(self, params, n):
         (p, q), (s, _) = magic_pairs(params)
-        for m, base in ((n, p), (n - 1, p + q)):  # the first and second sums
-            assert _scaled_first_sum(m, base, q, s) \
-                == (top_down_first_sum(m, base, q, s), 0), (params, m)
+        assert _closed_form_sums(n, p, q, s) == top_down_sums(n, p, q, s)
 
     def test_large_index_against_recurrence(self):
         for params in (E_MINUS_1, UGLY):
@@ -282,20 +302,35 @@ class TestClosedFormSums:
             ref = convergents(denom_stream(params), cf.n)[-1]
             assert (cf.p, cf.q) == (ref.p, ref.q), params
 
-    @pytest.mark.parametrize("n", [2, 5, 120, 201, 3000])
+    @pytest.mark.parametrize("n", [3, 5, 120, 201, 3000])
     def test_non_integer_sum_reported_at_any_index(self, monkeypatch, n):
-        """A planted T + 1 makes the remainder of t_K (Q + T) by Q nonzero.
-        At n <= 1 there is no ratio (Q = 1), so the guard has nothing to
-        check there.  The message names the input, not the numbers: at
-        n = 3000 these run past the interpreter's 4300-digit limit on
+        """A planted T + 1 (U + 1) adds c to the second (first) sum's
+        numerator c (v_0 Q + T) (c (w_0 Q + U)), for u_K = c/e, and e Q does
+        not divide c: the remainder is nonzero.  At n <= 2 there is no ratio
+        (Q = 1), so the guard has nothing to check there.  The message names the input and the sum, not the numbers:
+        at n = 3000 these run past the interpreter's 4300-digit limit on
         int-to-str."""
-        split_off_by_one(monkeypatch)
-        with pytest.raises(NonIntegerResult, match=f"n={n}:") as err:
-            closed_form_convergent(E_MINUS_1, n)
-        assert len(str(err.value)) < 200
+        for sum_name, which in (("T", "second"), ("U", "first")):
+            split_off_by_one(monkeypatch, sum_name)
+            with pytest.raises(NonIntegerResult,
+                               match=f"n={n}: the scaled {which}") as err:
+                closed_form_convergent(E_MINUS_1, n)
+            assert len(str(err.value)) < 200
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("n", [3, 4, 120, 201])
+    @pytest.mark.parametrize("sum_name", ["v", "w"])
+    def test_wrong_weight_fails(self, monkeypatch, sum_name, n):
+        """A weight one too large at one k moves its sum by u_k, which is
+        an integer as often as not, so the remainders need not see it; the
+        top-down reference does."""
+        (p, q), (s, _) = magic_pairs(E_MINUS_1)
+        K = (n - 1) // 2
+        wrong_weight(monkeypatch, sum_name, (K + 1) // 2)  # u_{K // 2}
+        assert _closed_form_sums(n, p, q, s) != top_down_sums(n, p, q, s)
 
     def test_non_integer_sum_is_an_internal_error(self, monkeypatch, capsys):
-        split_off_by_one(monkeypatch)
+        split_off_by_one(monkeypatch, "U")
         assert run(["conv", "--alpha", "1", "--b0", "2", "--b1", "2",
                     "--d", "3", "--r", "2", "--n", "3000",
                     "--method", "closed"]) == 1

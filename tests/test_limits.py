@@ -64,7 +64,11 @@ def exp_ratios(x):
     log |t_m / t_0| = m log |x| - log m! in closed form."""
     p, q = x.numerator, x.denominator
     log_x = math.log(abs(p)) - math.log(q)
-    return limits.Ratios(lambda i, j: [(p, q * (m + 1)) for m in range(i, j)],
+
+    def ratio(m):
+        return p, q * (m + 1)
+
+    return limits.Ratios(ratio, lambda i, j: [ratio(m) for m in range(i, j)],
                          lambda m: m * log_x - math.lgamma(m + 1))
 
 
@@ -73,10 +77,12 @@ def arctan_ratios(x: int):
     ratios -(2m+1) / (x^2 (2m+3)), below 1/2 in absolute value throughout,
     though growing toward 1/x^2."""
     log_x = math.log(x)
-    return limits.Ratios(
-        lambda i, j: [(-(2 * m + 1), x * x * (2 * m + 3))
-                      for m in range(i, j)],
-        lambda m: -2 * m * log_x - math.log(2 * m + 1))
+
+    def ratio(m):
+        return -(2 * m + 1), x * x * (2 * m + 3)
+
+    return limits.Ratios(ratio, lambda i, j: [ratio(m) for m in range(i, j)],
+                         lambda m: -2 * m * log_x - math.log(2 * m + 1))
 
 
 def taylor_ball(x, sign, odd, digits):
@@ -166,7 +172,7 @@ def walked(ratio):
                                     else -math.inf))
         return logs[m]
 
-    return limits.Ratios(lambda i, j: [ratio(m) for m in range(i, j)],
+    return limits.Ratios(ratio, lambda i, j: [ratio(m) for m in range(i, j)],
                          log_size)
 
 
@@ -365,8 +371,11 @@ def unreduced_0f1(sigma, rho):
     """_0f1's ratios as the pairs (u q, v (m+1)(p + q m)) that it reduces,
     with its estimate."""
     (p, q), (u, v) = sigma, rho
-    return limits.Ratios(lambda i, j: [(u * q, v * (m + 1) * (p + q * m))
-                                       for m in range(i, j)],
+
+    def ratio(m):
+        return u * q, v * (m + 1) * (p + q * m)
+
+    return limits.Ratios(ratio, lambda i, j: [ratio(m) for m in range(i, j)],
                          limits._0f1(sigma, rho).log_size)
 
 
@@ -382,7 +391,9 @@ class TestReducedRatios:
     @example(1, 1, 1, 0, 5, 3)  # rho = 0: the pair (0, 1)
     def test_pairs_are_the_ratios(self, p, q, g, u, v, m):
         sigma, rho = (g * p, g * q), (u, v)
-        a, b = limits._0f1(sigma, rho).pairs(m, m + 3)[0]
+        ratios = limits._0f1(sigma, rho)
+        a, b = ratios.pairs(m, m + 3)[0]
+        assert ratios.ratio(m) == (a, b)  # the single probe, the same pair
         assert b > 0
         assert F(a, b) == F(u * q * g, v * (m + 1) * (g * p + g * q * m))
         assert unreduced_0f1(sigma, rho).pairs(m, m + 1)[0] == (
@@ -535,18 +546,23 @@ class TestChosenLength:
                                               rho):
         # the peak lies past 100 (digits + 20) terms: refused from a few
         # single-ratio probes, with no list of pairs and no fold
-        lengths, folds = [], []
+        probes, runs, folds = [], [], []
         ratios = limits._0f1(sigma, rho)
 
+        def ratio(m):
+            probes.append(m)
+            return ratios.ratio(m)
+
         def pairs(i, j):
-            lengths.append(j - i)
+            runs.append((i, j))
             return ratios.pairs(i, j)
 
         monkeypatch.setattr(limits, "_split",
                             lambda *a: folds.append(a) or (1, 1, 0, 0))
         with pytest.raises(PrecisionExhausted):
-            _sum_ratio_series(t0, limits.Ratios(pairs, ratios.log_size), 10)
-        assert set(lengths) == {1} and len(lengths) < 64 and folds == []
+            _sum_ratio_series(t0, limits.Ratios(ratio, pairs,
+                                                ratios.log_size), 10)
+        assert 0 < len(probes) < 64 and runs == [] and folds == []
 
 
 class TestCertify:
