@@ -97,23 +97,29 @@ def euler_mindig(a: DenomStream, n: int) -> Convergent:
     vals = [a(i) for i in range(n + 1)]
 
     def em_sum(lo: int) -> int:
-        # Walk the even sets of {lo..n} position by position, in batches:
-        # waiting[i] holds one product (of the elements left out of the
-        # set) per partial even set whose next undecided position is i.  At
-        # i, an even run i..gap-1 (possibly empty) starts there and gap is
-        # outside the set, or the run i..n ends the set.  A unit a_gap
-        # passes the products on unmultiplied.  Products are never merged:
-        # one leaf per even set.
-        waiting = [[] for _ in range(n + 2)]
-        waiting[lo].append(1)
+        # Walk the even sets of {lo..n} position by position, in batches.
+        # prods holds one product (of the elements left out of the set)
+        # per partial even set whose next undecided position is i.  From
+        # i, an even run i..gap-1 (possibly empty) is in the set and gap is
+        # out, for each gap = i, i+2, ... <= n + 1: held[gap] keeps a
+        # reference to the batch, not a copy, and gap = n + 1 is the run
+        # i..n ending the set.  On leaving i the walk multiplies a_i into
+        # every batch held at i in one comprehension; a unit a_i only
+        # flattens them.  Products are never merged: one leaf per even set.
+        held = [[] for _ in range(n + 2)]
+        prods = [1]
         for i in range(lo, n + 1):
-            prods = waiting[i]
-            for gap in range(i, n + 1, 2):
-                v = vals[gap]
-                waiting[gap + 1] += prods if v == 1 else [p * v for p in prods]
-            if (n - i) % 2:
-                waiting[n + 1] += prods
-        return sum(waiting[n + 1])
+            for batches in held[i::2]:
+                batches.append(prods)
+            v = vals[i]
+            if v == 1:
+                prods = []
+                for b in held[i]:
+                    prods += b
+            else:
+                prods = [p * v for b in held[i] for p in b]
+        held[n + 1].append(prods)
+        return sum(map(sum, held[n + 1]))
 
     return Convergent(n, em_sum(0), em_sum(1))
 

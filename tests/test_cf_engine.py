@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -128,6 +129,51 @@ def test_euler_mindig_counts_one_leaf_per_even_set():
     s = stream_from_list([1] * 23)
     for n in range(23):
         assert euler_mindig(s, n) == (n, fib[n + 2], fib[n + 1])
+
+
+class _CountedTerm(int):
+    """A partial quotient that counts the products it is a factor of."""
+    products = 0
+
+    def __rmul__(self, other):
+        _CountedTerm.products += 1
+        return int(self) * other
+
+    __mul__ = __rmul__
+
+
+def test_euler_mindig_forms_each_leaf_on_its_own():
+    # without unit terms the walk multiplies each partial even set's
+    # product by the next element it leaves out, once per partial set:
+    # F_{n+3} - 1 products for {0..n} and F_{n+2} - 1 for {1..n}.  A walk
+    # that takes a_g out of a sum, or merges equal products, makes fewer.
+    # The all-ones test cannot tell: there a merged sum has the same value
+    fib = [0, 1]
+    while len(fib) < 24:
+        fib.append(fib[-1] + fib[-2])
+    rng = random.Random(18)
+    for n in range(19):
+        a = [_CountedTerm(rng.randint(2, 9)) for _ in range(n + 1)]
+        s = stream_from_list(a)
+        _CountedTerm.products = 0
+        em = euler_mindig(s, n)
+        assert _CountedTerm.products == fib[n + 4] - 2, n
+        assert em == plain_convergents(s, n)[-1]
+
+
+# indices 15..22, past the naive enumeration, with units mixed in: runs of
+# them, and a_n = 1, where the last batches are only flattened
+@settings(max_examples=25, deadline=None)
+@given(st.integers(-3, 9),
+       st.lists(st.sampled_from([1, 1, 1, 2, 3, 7, 50]), min_size=15,
+                max_size=22))
+@example(4, [3, 1, 2, 1, 1, 5, 2, 9, 1, 4, 1] + [1] * 11)  # all-units tail
+@example(1, [1] * 22)
+@example(0, [2, 3, 7] * 5)
+def test_euler_mindig_at_depth_equals_the_plain_recurrence(a0, rest):
+    s = stream_from_list([a0] + rest)
+    n = len(rest)
+    assert euler_mindig(s, n) == plain_convergents(s, n)[-1]
 
 
 @given(st.lists(st.integers(1, 9), min_size=1, max_size=30))
