@@ -3,12 +3,13 @@
 The two characterization theorems (d >= 2) are one case table, `_CASES`.
 `brute_force_sweep` confirms it one tuple at a time: `hurwitz.sigma_tag` of
 the integer pair N/D = (b0 F_d + 2 F_{d-1}) / (b1 F_d), at alpha, must be
-the tag claimed by exactly the matching rows.  At an (alpha, d) with no row
-no theorem claims anything, so a tuple passes iff D does not divide 2N: one
-remainder, with `sigma_tag` called only for a mismatch.  Only F_{d-1}, F_d
-are carried across d.  The report counts every tuple of the box and lists
-each mismatch; none is raised.  A box whose cost (tuples, weighted by the
-length of F_d) exceeds SWEEP_GUARD is refused.
+the tag claimed by exactly the matching rows, which are tabled by (alpha, d)
+once per call.  At an (alpha, d) with no row no theorem claims anything, so
+a tuple passes iff D does not divide 2N: one remainder, with `sigma_tag`
+called only for a mismatch.  Only F_{d-1}, F_d are carried across d.  The
+report counts every tuple of the box and lists each mismatch; none is
+raised.  A box whose cost (tuples, weighted by the length of F_d) exceeds
+SWEEP_GUARD is refused.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import UnsupportedD
-from .exactnum import _fraction_text
+from .exactnum import _ratio_text
 from .hurwitz import CFParams, SigmaTag, magic_pairs, sigma_tag
 
 if TYPE_CHECKING:
@@ -58,18 +59,22 @@ _CASES = {
 }
 
 
-def _rows_at(alpha: int, d: int) -> list:
-    """(claimed tag, row index, c, e, want) of the case rows at alpha, d."""
-    return [(claim, i, c, e, want) for claim, rows in _CASES.items()
-            for i, (_, rd, ra, c, e, want) in enumerate(rows)
-            if (rd, ra) == (d, alpha)]
+def _rows_by_cell() -> dict:
+    """(alpha, d) -> (claimed tag, row index, c, e, want) of its case rows,
+    from `_CASES` as it is at the call."""
+    table = {}
+    for claim, rows in _CASES.items():
+        for i, (_, d, a, c, e, want) in enumerate(rows):
+            table.setdefault((a, d), []).append((claim, i, c, e, want))
+    return table
 
 
 def _claims(params: CFParams) -> set:
     if params.d < 2:
         raise UnsupportedD("the characterizations assume d >= 2")
     b0, b1 = params.beta0, params.beta1
-    return {claim for claim, _, c, e, want in _rows_at(params.alpha, params.d)
+    return {claim for claim, _, c, e, want
+            in _rows_by_cell().get((params.alpha, params.d), ())
             if sigma_tag(c * b0 + e, b1) == want}
 
 
@@ -108,9 +113,8 @@ class SweepReport(NamedTuple):
 
 
 def _mismatch(a: int, b0: int, b1: int, d: int, num: int, den: int) -> dict:
-    from fractions import Fraction
     return {"alpha": a, "beta0": b0, "beta1": b1, "d": d,
-            "sigma": _fraction_text(Fraction(num, den)),
+            "sigma": _ratio_text(num, den),
             "tag": sigma_tag(num, den)}
 
 
@@ -135,18 +139,19 @@ def brute_force_sweep(alpha_max: int, d_max: int,
         raise ValueError(f"{size} tuples up to d = {d_max} (cost "
                          f"{cost // 3200}) exceed SWEEP_GUARD = {SWEEP_GUARD}")
     hits = {claim: [0] * len(rows) for claim, rows in _CASES.items()}
-    mismatches, betas = [], range(1, beta_max + 1)
+    table, mismatches, betas = _rows_by_cell(), [], range(1, beta_max + 1)
     for a in range(1, alpha_max + 1):
         f1, fd = 1, a  # F_{d-1}, F_d
         for d in range(2, d_max + 1):
             # N = (b0 - a) F_d + L_d = b0 F_d + 2 F_{d-1}
-            rows, n0 = _rows_at(a, d), 2 * f1  # N at b0 = 0
+            rows, n0 = table.get((a, d)), 2 * f1  # N at b0 = 0
             if not rows:
                 # no theorem claims anything here, so a tuple passes iff
                 # sigma is "other": iff D does not divide 2N.  2N runs over
-                # an arithmetic progression in b0, the same for every b1.
-                twice = range(2 * (fd + n0), 2 * ((beta_max + 1) * fd + n0),
-                              2 * fd)
+                # an arithmetic progression in b0, the same for every b1,
+                # held as a list so that the b0 loop makes no new int.
+                twice = list(range(2 * (fd + n0),
+                                   2 * ((beta_max + 1) * fd + n0), 2 * fd))
                 for b1 in betas:
                     den = b1 * fd
                     for num2 in twice:

@@ -15,7 +15,7 @@ import sys
 
 from . import cf_engine, checks, classify, fibpoly, hurwitz, identities, limits
 from .errors import HurwitzError, IndexTooLarge, PrecisionExhausted
-from .exactnum import _fraction_text, int_text
+from .exactnum import _fraction_text, _ratio_text, int_text
 
 
 def _add_param_flags(p: argparse.ArgumentParser):
@@ -50,12 +50,19 @@ def _prec_recurrence(params, n: int, index: int) -> cf_engine.Convergent:
                                 hurwitz.prec_recurrence_p(shifted, m)[m])
 
 
+def _sigma(params) -> tuple[hurwitz.SigmaTag, str]:
+    """sigma's tag and text from its integer pair: classify.sigma_class
+    without the Fraction, so that no request but verify imports fractions."""
+    (p, q), _ = hurwitz.magic_pairs(params)
+    return hurwitz.sigma_tag(p, q), _ratio_text(p, q)
+
+
 def _elementary(params, digits: int):
     """The half-odd closed-form route; refused at any other sigma."""
-    sc = classify.sigma_class(params)
-    if sc.tag != "half-odd":
-        raise ValueError(f"sigma={_fraction_text(sc.witness)} is not half of "
-                         "an odd integer; no elementary form")
+    tag, sigma = _sigma(params)
+    if tag != "half-odd":
+        raise ValueError(f"sigma={sigma} is not half of an odd integer; no "
+                         "elementary form")
     return limits.xi_bessel(params, digits)
 
 
@@ -113,9 +120,8 @@ def _cmd_limit(args) -> int:
 
 def _cmd_classify(args) -> int:
     params = _params(args)
-    sc = classify.sigma_class(params)
-    out = {"params": params.asdict(), "sigma": _fraction_text(sc.witness),
-           "tag": sc.tag}
+    tag, sigma = _sigma(params)
+    out = {"params": params.asdict(), "sigma": sigma, "tag": tag}
     if params.d >= 2:
         out["theorem_half_odd"] = classify.theorem61_predicate(params)
         out["theorem_integer"] = classify.theorem71_predicate(params)

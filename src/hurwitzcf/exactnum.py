@@ -12,6 +12,7 @@ without a gcd.
 
 from __future__ import annotations
 
+from math import gcd
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -119,6 +120,14 @@ def _fraction_text(q: int | Fraction) -> str:
     """str(q) of an int or Fraction, through int_text, so of any length."""
     num = int_text(q.numerator)
     return num if q.denominator == 1 else f"{num}/{int_text(q.denominator)}"
+
+
+def _ratio_text(num: int, den: int) -> str:
+    """_fraction_text(Fraction(num, den)) for den >= 1, without building
+    the Fraction: the pair reduced by its gcd."""
+    g = gcd(num, den)
+    num_text = int_text(num // g)
+    return num_text if g == den else f"{num_text}/{int_text(den // g)}"
 
 
 def _split(pairs: list[tuple[int, int]], i: int, j: int,

@@ -65,11 +65,12 @@ class Ratios(NamedTuple):
 def _first(ok: Callable[[int], bool], lo: int, limit: int,
            start: int) -> int:
     """The least m in lo..limit with ok(m), for ok false up to some m and
-    true from there on.  start >= lo is a guess: ok is tried there, then at
-    galloping steps above it, and the last bracket is bisected.  None (ok
-    false at limit, or start > limit) raises PrecisionExhausted."""
-    hi, step = start, 1
-    while hi > limit or not ok(hi):
+    true from there on.  start >= lo is a guess, cut to limit: ok is tried
+    there, then at galloping steps above it, and the last bracket is
+    bisected.  None (ok false at limit, or lo > limit) raises
+    PrecisionExhausted."""
+    hi, step = min(start, limit), 1
+    while hi < lo or not ok(hi):
         if hi >= limit:
             raise PrecisionExhausted("series did not certify")
         lo, hi, step = hi + 1, min(hi + step, limit), 2 * step

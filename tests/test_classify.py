@@ -306,14 +306,16 @@ class TestSweep:
     def test_size_guard_counts_long_integers(self, monkeypatch, capsys, box):
         assert box[0] * (box[1] - 1) * box[2] ** 2 <= SWEEP_GUARD
         calls = []
-        monkeypatch.setattr(classify, "_rows_at",
-                            lambda *a: calls.append(a) or [])
+        monkeypatch.setattr(classify, "_rows_by_cell",
+                            lambda *a: calls.append(a) or {})
         with pytest.raises(ValueError, match="SWEEP_GUARD"):
             brute_force_sweep(*box)
         assert run(["sweep", "--alpha-max", str(box[0]), "--d-max",
                     str(box[1]), "--beta-max", str(box[2])]) == 2
         assert "SWEEP_GUARD" in capsys.readouterr().err
         assert calls == []
+        brute_force_sweep(2, 2, 2)  # an admitted box tables its rows once
+        assert calls == [()]
 
     # (40, 10, 14) is the bench box, (60, 12, 20) criterion 6's, and
     # (2, 24000, 2) has few tuples with F_d of 24000 bits

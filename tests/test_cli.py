@@ -12,8 +12,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hurwitzcf import cf_engine, hurwitz, identities, limits
+from hurwitzcf import cf_engine, classify, hurwitz, identities, limits
 from hurwitzcf.cli import run
 from hurwitzcf.exactnum import PrecReal, _fraction_text, mantissa_bits
 from reference import sigma_rho
@@ -267,6 +269,30 @@ class TestClassify:
         doc = json.loads(out().out)
         assert doc["tag"] == "half-odd"
         assert "theorem_half_odd" not in doc
+
+    # the verb reduces sigma's integer pair by its gcd and builds no
+    # Fraction; the text must still be the witness's.  (1, 1, 3, 3) has
+    # sigma 4/6 = 2/3 and the elementary route refuses it.
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 30), st.integers(1, 60), st.integers(1, 60),
+           st.integers(1, 40))
+    @example(1, 1, 3, 3)
+    @example(1, 2, 2, 3)
+    def test_sigma_text_is_the_witness(self, alpha, b0, b1, d):
+        params = hurwitz.CFParams(alpha, b0, b1, d, 0)
+        flags = ["--alpha", str(alpha), "--b0", str(b0), "--b1", str(b1),
+                 "--d", str(d), "--r", "0"]
+        sc = classify.sigma_class(params)
+        with contextlib.redirect_stdout(io.StringIO()) as buf:
+            assert run(["classify", *flags, "--json"]) == 0
+        doc = json.loads(buf.getvalue())
+        assert (doc["sigma"], doc["tag"]) == (_fraction_text(sc.witness),
+                                              sc.tag)
+        if sc.tag != "half-odd":
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                assert run(["limit", *flags, "--digits", "5",
+                            "--method", "elementary"]) == 2
+            assert f"sigma={doc['sigma']} is not half" in err.getvalue()
 
 
     def test_sigma_beyond_the_str_digit_limit(self, out):

@@ -2,7 +2,6 @@ import hashlib
 import inspect
 import math
 import sys
-from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -565,6 +564,34 @@ class TestChosenLength:
         assert 0 < len(probes) < 64 and runs == [] and folds == []
 
 
+class TestFirst:
+    """limits._first on a predicate false below t and true from t on: any
+    guess start >= lo gives the least m, t, when t <= limit; t > limit
+    raises.  ok is probed only inside lo..limit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 40), st.integers(-1, 300), st.integers(0, 301),
+           st.integers(0, 340))
+    @example(0, 100, 3, 10)  # bisected from 10: the step past mid misses 3
+    @example(5, 20, 21, 30)  # start past limit, t past limit
+    @example(5, 20, 7, 30)  # start past limit, t inside
+    @example(5, -1, 0, 0)  # lo = limit + 1: nothing to search
+    def test_least_true_from_any_start(self, lo, limit_off, t_off,
+                                       start_off):
+        limit = lo + limit_off
+        t, start = lo + min(t_off, limit_off + 1), lo + start_off
+
+        def ok(m):
+            assert lo <= m <= limit
+            return m >= t
+
+        if t > limit:
+            with pytest.raises(PrecisionExhausted):
+                limits._first(ok, lo, limit, start)
+        else:
+            assert limits._first(ok, lo, limit, start) == t
+
+
 class TestCertify:
     def test_digits_below_one_refused(self):
         for digits in (0, -5):
@@ -612,15 +639,26 @@ class TestCertify:
         with pytest.raises(ValueError, match="HURWITZ_MAX_PRECISION.*'abc'"):
             xi_limit(CFParams(1, 2, 2, 3, 2), 10)
 
-    def test_e_minus_one_10000_digits_against_decimal(self):
+    def test_e_minus_one_10000_digits_against_exact_sum(self):
         digits = 10000
         ball = xi_limit(CFParams(1, 2, 2, 3, 2), digits)
         assert ball.rel_err() <= F(1, 10 ** digits)
-        with localcontext() as ctx:
-            ctx.prec = digits + 30
-            ref = F(Decimal(1).exp() - 1)   # within 10^-(digits+28)
+
+        def split(a, b):  # (p, q): p/q = sum_{a<k<=b} a!/k!, q = b!/a!
+            if b - a == 1:
+                return 1, b
+            m = (a + b) // 2
+            (p1, q1), (p2, q2) = split(a, m), split(m, b)
+            return p1 * q2 + p2, q1 * q2
+
+        # sum_{k=1..N} 1/k! lies below e - 1 by less than 2/N!
+        n = 1
+        while math.lgamma(n + 1) < (digits + 30) * math.log(10):
+            n += 1
+        p, q = split(0, n)
+        assert q > 2 * 10 ** (digits + 29)  # q = N!: within 10^-(digits+29)
         slack = F(1, 10 ** (digits + 28))
-        assert ball.lo - slack <= ref <= ball.hi + slack
+        assert ball.lo - slack <= F(p, q) <= ball.hi + slack
 
 
 # every public function of limits that takes digits, called with it

@@ -77,12 +77,23 @@ def test_json_loaded_only_under_json():
 
 
 def test_fractions_loaded_only_where_one_is_built():
-    # fractions pulls decimal and numbers; limits, conv and poly build no
-    # Fraction, and classify (its witness) may
+    # fractions pulls decimal and numbers; only verify builds a Fraction.
+    # classify and the elementary route (its refusal too: sigma 2/3) print
+    # sigma from its integer pair
     heavy = {"fractions", "decimal", "numbers"}
     assert not _added_modules("import hurwitzcf.cli") & heavy
     run = "from hurwitzcf.cli import run\nrun({!r})"
+    other = ["--alpha", "1", "--b0", "1", "--b1", "3", "--d", "3", "--r", "0"]
     for verb in (["limit", *E_FLAGS, "--digits", "116"],
+                 ["limit", *E_FLAGS, "--digits", "20", "--method",
+                  "elementary"],
+                 ["limit", *other, "--digits", "20", "--method",
+                  "elementary"],
+                 ["classify", *E_FLAGS], ["classify", *other, "--json"],
+                 ["sweep", "--alpha-max", "4", "--d-max", "3",
+                  "--beta-max", "4"],
                  ["conv", *E_FLAGS, "--n", "3"],
                  ["poly", "--family", "fib", "--n-max", "3"]):
         assert not _added_modules(run.format(verb)) & heavy, verb
+    verify = run.format(["verify", "--suite", "identities", "--n-max", "2"])
+    assert heavy <= _added_modules(verify)
